@@ -6,8 +6,8 @@ length P), at lengths M+N and M+P. Together with vertical stacking this
 reaches set sizes 4n and 8n. The classical Golay doubling and Turyn
 product supply composite-length pairs from primitive seeds.
 
-Every constructor re-verifies its output before returning it; a returned
-set always has verified=True.
+Every constructor verifies its output exactly once, through
+`ensure_verified`, before returning it; a returned set is always verified.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from typing import Sequence as Seq
 
 from .algebra import Sequence
 from .errors import InputError
-from .verify import ComplementarySet, ensure_verified, verify
+from .verify import ComplementarySet, ensure_verified
 
 
 def _require_pair(pair: ComplementarySet, name: str) -> ComplementarySet:
     if pair.size != 2:
         raise InputError(f"{name} must have exactly 2 rows, got {pair.size}")
-    if not pair.verified:
-        raise InputError(f"{name} is not verified; run ensure_verified first")
-    return pair
+    return _require_verified(pair, name)
 
 
 def _require_verified(cs: ComplementarySet, name: str) -> ComplementarySet:
@@ -36,13 +34,11 @@ def _require_verified(cs: ComplementarySet, name: str) -> ComplementarySet:
 
 def _recheck(rows: tuple[Sequence, ...], what: str) -> ComplementarySet:
     built = ComplementarySet(rows)
-    report = verify(built)
-    if not report.is_cs:
-        raise RuntimeError(
-            f"internal error: {what} failed verification "
-            f"(first defect at shift {report.first_defect_shift})"
-        )
-    return ensure_verified(built)
+    try:
+        return ensure_verified(built)
+    except InputError as exc:
+        # The inputs were verified, so a defect here is a bug, not bad input.
+        raise RuntimeError(f"internal error: {what} failed verification ({exc})") from None
 
 
 @dataclass(frozen=True)

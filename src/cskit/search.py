@@ -12,7 +12,9 @@ an exact cyclotomic zero test.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows sorted, and the whole matrix reduced under simultaneous
-reversal and conjugation.
+reversal and conjugation. Complementarity is invariant under that
+equivalence, so each hit is canonicalized first and only the canonical
+stack of a new class is verified, exactly once; it is the set returned.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .algebra import RootSum, Sequence
 from .errors import InputError, WorkBoundExceeded
-from .verify import ComplementarySet, ensure_verified, verify
+from .verify import ComplementarySet, ensure_verified
 
 DEFAULT_WORK_BOUND = 10**9
 
@@ -200,30 +202,28 @@ def search_cs(
     value_order: Optional[list[int]] = None,
 ) -> SearchResult:
     """All complementary sets of the given shape, up to equivalence."""
-    found: set[Rows] = set()
+    found: dict[Rows, ComplementarySet] = {}
     truncated = False
 
     def emit(rows: Rows) -> bool:
         nonlocal truncated
-        built = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
-        if not verify(built).is_cs:
-            raise RuntimeError("internal error: enumerator emitted a non-complementary stack")
         canon = canonical_rows(q, rows)
         if canon in found:
             return False
         if limit is not None and len(found) >= limit:
             truncated = True
             return True
-        found.add(canon)
+        built = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in canon))
+        try:
+            found[canon] = ensure_verified(built)
+        except InputError:
+            raise RuntimeError(
+                "internal error: enumerator emitted a non-complementary stack"
+            ) from None
         return False
 
     nodes = _enumerate(q, set_size, length, emit, work_bound, value_order)
-    sets = tuple(
-        ensure_verified(
-            ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
-        )
-        for rows in sorted(found)
-    )
+    sets = tuple(found[canon] for canon in sorted(found))
     return SearchResult(q, set_size, length, sets, not truncated, nodes)
 
 

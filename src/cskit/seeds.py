@@ -10,7 +10,6 @@ Turyn products along a factorization plan.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .reach import (
     in_gcp_pattern,
     quaternary_composition_plan,
 )
-from .verify import ComplementarySet, verify
+from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
 
@@ -63,16 +62,14 @@ def _parse_seed(name: str, text: str) -> SeedRecord:
     provenance = first[len("provenance="):].strip()
     if provenance not in PROVENANCES:
         raise SeedError(f"seed {name}: unknown provenance {provenance!r}")
-    report = verify(cs)
-    if not report.is_cs:
-        raise SeedError(
-            f"seed {name} failed verification: first defect at shift "
-            f"{report.first_defect_shift}"
-        )
+    try:
+        pair = ensure_verified(cs)
+    except InputError as exc:
+        raise SeedError(f"seed {name} failed verification: {exc}") from None
     return SeedRecord(
         q=cs.q,
         length=cs.length,
-        pair=dataclasses.replace(cs, verified=True),
+        pair=pair,
         provenance=provenance,
         note=rest,
     )

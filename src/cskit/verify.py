@@ -19,8 +19,8 @@ from .errors import InputError
 class ComplementarySet:
     """A stack of equal-length rows over one alphabet.
 
-    `verified` is set only through `ensure_verified` (or the constructors
-    that call it); freshly built or parsed stacks carry verified=False.
+    Only `ensure_verified` sets `verified`; freshly built or parsed stacks
+    carry verified=False.
     """
 
     rows: tuple[Sequence, ...]

@@ -59,9 +59,14 @@ def test_verify_malformed_file_exit2(capsys, tmp_path):
     assert "line 2, column 2" in err
 
 
-def test_verify_missing_file_exit2(capsys, tmp_path):
-    code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_verify_missing_file_exit2(capsys, tmp_path, target):
+    path = tmp_path / "nope.txt" if target == "missing" else tmp_path
+    code, _, err = run(capsys, "verify", str(path))
     assert code == 2
+    assert err.startswith("error: input: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_theorem1_reproduces_packaged_output(capsys, golden_dir, tmp_path):

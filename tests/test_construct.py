@@ -1,5 +1,6 @@
 """Constructors: golden reproductions, admissibility, structural identities."""
 
+import importlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from cskit.algebra import RootSum, Sequence, aacf
 from cskit.construct import (
     Coeffs4,
     Coeffs8,
+    _recheck,
     cs4_from_pairs,
     cs8_from_pair_and_set,
     golay_double,
@@ -93,6 +95,28 @@ def test_inadmissible_all_ones_stack_fails_verification():
     report = verify(ComplementarySet(rows))
     assert not report.is_cs
     assert report.first_defect_shift is not None
+
+
+def test_constructor_computes_each_output_autocorrelation_once(monkeypatch):
+    pair_a = ensure_verified(load_golden("pair_q2_len10.txt"))
+    pair_b = ensure_verified(load_golden("pair_q2_len4.txt"))
+    verify_module = importlib.import_module("cskit.verify")
+    calls = []
+
+    def counting_aacf(seq):
+        calls.append(seq)
+        return aacf(seq)
+
+    monkeypatch.setattr(verify_module, "aacf", counting_aacf)
+    cs = cs4_from_pairs(pair_a, pair_b, Coeffs4(0, 0, 0, 1))
+    assert cs.verified
+    assert len(calls) == 4
+
+
+def test_recheck_failure_is_an_internal_error():
+    rows = (Sequence.from_signs("++"), Sequence.from_signs("++"))
+    with pytest.raises(RuntimeError, match="internal error: doubling failed verification"):
+        _recheck(rows, "doubling")
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])

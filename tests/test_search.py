@@ -1,6 +1,7 @@
 """Search oracle: exhaustiveness, canonicalization, determinism, bounds."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cskit.algebra import Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import WorkBoundExceeded
+from cskit import search
 from cskit.search import canonical_rows, first_cs, search_cs, search_gcp
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, verify
@@ -50,6 +52,32 @@ def test_all_results_verify():
     for cs in search_cs(2, 4, 3).sets + search_gcp(4, 2).sets:
         assert cs.verified
         assert verify(cs).is_cs
+
+
+def test_each_returned_set_is_verified_once(monkeypatch):
+    calls = []
+
+    def counting_verify(cs):
+        calls.append(cs)
+        return verify(cs)
+
+    # patch every cskit module that binds the verifier, not only its home
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cskit" and getattr(module, "verify", None) is verify:
+            monkeypatch.setattr(module, "verify", counting_verify)
+    result = search_cs(2, 2, 10)
+    assert result.sets
+    assert len(calls) == len(result.sets)
+
+
+def test_non_complementary_emission_is_an_internal_error(monkeypatch):
+    def bad_enumerate(q, set_size, length, emit, work_bound, value_order=None):
+        emit(((0, 0), (0, 0)))
+        return 1
+
+    monkeypatch.setattr(search, "_enumerate", bad_enumerate)
+    with pytest.raises(RuntimeError, match="non-complementary"):
+        search_cs(2, 2, 2)
 
 
 def test_results_sorted_lexicographically():
