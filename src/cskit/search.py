@@ -6,9 +6,15 @@ exponent pinned to 0. Filling that way fully determines the shift
 tau = N-1-k after level k, so each level ends with an exact zero test,
 and every partially known shift prunes with the triangle inequality
 (|known part| can exceed the number of missing unimodular terms only on a
-dead branch). For q in {1, 2, 4} the partial sums are exact Gaussian
-integers; other alphabets fall back to root-of-unity count vectors with
-an exact cyclotomic zero test.
+dead branch).
+
+Every alphabet shares one per-shift state. An exact integer packs the
+canonical Z[zeta_q] coordinates of the partial sum; it is zero exactly
+when the sum is, and it alone decides a completed shift. A complex copy of
+the sum is used only to prune, with a margin that keeps the prune
+conservative; on backtracking it is restored from the saved old value, so
+float error does not build up. The search runs on an explicit stack, so
+its depth is bounded by memory, not by the interpreter's recursion limit.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows sorted, and the whole matrix reduced under simultaneous
@@ -72,18 +78,15 @@ def _enumerate(
     length: int,
     emit: Callable[[Rows], bool],
     work_bound: int,
-    value_order: Optional[list[int]] = None,
 ) -> int:
     """Run the backtracking enumeration; emit returns True to stop early.
 
-    Returns the number of assignment nodes visited. Raises
-    WorkBoundExceeded if that number would pass work_bound.
+    Exponents are tried in ascending order. Returns the number of
+    assignment nodes visited. Raises WorkBoundExceeded if that number would
+    pass work_bound.
     """
     if q < 1 or set_size < 1 or length < 1:
         raise InputError("q, set size, and length must all be >= 1")
-    values = list(range(q)) if value_order is None else list(value_order)
-    if sorted(values) != list(range(q)):
-        raise InputError("value_order must be a permutation of range(q)")
 
     p, n = set_size, length
     cols = _column_order(n)
@@ -99,82 +102,66 @@ def _enumerate(
     exps = [[0] * n for _ in range(p)]
     remaining = [p * (n - tau) for tau in range(n)]
 
-    gaussian = q in (1, 2, 4)
-    if gaussian:
-        re_of = {1: (1,), 2: (1, -1), 4: (1, 0, -1, 0)}[q]
-        im_of = {1: (0,), 2: (0, 0), 4: (0, 1, 0, -1)}[q]
-        sum_re = [0] * n
-        sum_im = [0] * n
-    else:
-        counts = [[0] * q for _ in range(n)]
-        roots = [cmath.exp(2j * cmath.pi * t / q) for t in range(q)]
+    # A shift sums at most p*n roots, so every coordinate stays below
+    # radix/2 in magnitude and the packing into one int is injective.
+    coords = [RootSum.from_exponent(q, e).coords for e in range(q)]
+    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
+    exact = [0] * n
+    approx = [0j] * n
 
     nodes = 0
-
-    def value_ok(tau: int) -> bool:
-        rem = remaining[tau]
-        if gaussian:
-            re, im = sum_re[tau], sum_im[tau]
-            if rem == 0:
-                return re == 0 and im == 0
-            return re * re + im * im <= rem * rem
-        cnt = counts[tau]
-        if rem == 0:
-            return RootSum.from_counts(q, cnt).is_zero
-        z = sum((c * roots[t] for t, c in enumerate(cnt) if c), 0j)
-        return abs(z) <= rem + 1e-6
-
-    def place(idx: int) -> bool:
-        nonlocal nodes
+    tried = [0] * len(slots)  # exponents tried so far at each slot
+    applied: list[list[tuple[int, int, complex]]] = [[] for _ in slots]
+    idx = 0
+    while idx >= 0:
         if idx == len(slots):
-            return emit(tuple(tuple(row) for row in exps))
+            if emit(tuple(tuple(row) for row in exps)):
+                break
+            idx -= 1
+            continue
+        # retract the slot's current exponent before trying the next one;
+        # newest first, since one assignment can touch a shift twice
+        undo = applied[idx]
+        for tau, e, old in reversed(undo):
+            exact[tau] -= packed[e]
+            approx[tau] = old
+            remaining[tau] += 1
+        undo.clear()
+        v = tried[idx]
+        if v == q:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        tried[idx] = v + 1
+        nodes += 1
+        if nodes > work_bound:
+            raise WorkBoundExceeded(
+                f"search exceeded the work bound of {work_bound} nodes"
+            )
         r, c = slots[idx]
         row = exps[r]
-        for v in values:
-            nodes += 1
-            if nodes > work_bound:
-                raise WorkBoundExceeded(
-                    f"search exceeded the work bound of {work_bound} nodes"
-                )
-            row[c] = v
-            applied: list[tuple[int, int]] = []
-            ok = True
-            for c2 in earlier[c]:
-                if c2 < c:
-                    tau = c - c2
-                    e = (row[c2] - v) % q
-                else:
-                    tau = c2 - c
-                    e = (v - row[c2]) % q
-                if gaussian:
-                    sum_re[tau] += re_of[e]
-                    sum_im[tau] += im_of[e]
-                else:
-                    counts[tau][e] += 1
-                remaining[tau] -= 1
-                applied.append((tau, e))
-                if not value_ok(tau):
-                    ok = False
-                    break
-            if ok and place(idx + 1):
-                for tau, e in applied:
-                    remaining[tau] += 1
-                    if gaussian:
-                        sum_re[tau] -= re_of[e]
-                        sum_im[tau] -= im_of[e]
-                    else:
-                        counts[tau][e] -= 1
-                return True
-            for tau, e in applied:
-                remaining[tau] += 1
-                if gaussian:
-                    sum_re[tau] -= re_of[e]
-                    sum_im[tau] -= im_of[e]
-                else:
-                    counts[tau][e] -= 1
-        return False
-
-    place(0)
+        row[c] = v
+        alive = True
+        for c2 in earlier[c]:
+            if c2 < c:
+                tau = c - c2
+                e = (row[c2] - v) % q
+            else:
+                tau = c2 - c
+                e = (v - row[c2]) % q
+            old = approx[tau]
+            undo.append((tau, e, old))
+            exact[tau] += packed[e]
+            approx[tau] = old + roots[e]
+            remaining[tau] -= 1
+            rem = remaining[tau]
+            if (exact[tau] != 0) if rem == 0 else (abs(approx[tau]) > rem + 1e-6):
+                alive = False
+                break
+        if alive:
+            idx += 1
     return nodes
 
 
@@ -182,7 +169,8 @@ def _enumerate(
 class SearchResult:
     """Canonicalized exhaustive search output.
 
-    `complete` is False only when `limit` cut the enumeration short.
+    `complete` is False when `limit` stopped the enumeration, that is when
+    `limit` classes were found; other classes may then exist.
     """
 
     q: int
@@ -199,20 +187,19 @@ def search_cs(
     length: int,
     limit: Optional[int] = None,
     work_bound: int = DEFAULT_WORK_BOUND,
-    value_order: Optional[list[int]] = None,
 ) -> SearchResult:
-    """All complementary sets of the given shape, up to equivalence."""
+    """All complementary sets of the given shape, up to equivalence.
+
+    With `limit`, the enumeration stops at the `limit`-th class found.
+    """
+    if limit is not None and limit < 1:
+        raise InputError(f"limit must be >= 1, got {limit}")
     found: dict[Rows, ComplementarySet] = {}
-    truncated = False
 
     def emit(rows: Rows) -> bool:
-        nonlocal truncated
         canon = canonical_rows(q, rows)
         if canon in found:
             return False
-        if limit is not None and len(found) >= limit:
-            truncated = True
-            return True
         built = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in canon))
         try:
             found[canon] = ensure_verified(built)
@@ -220,11 +207,11 @@ def search_cs(
             raise RuntimeError(
                 "internal error: enumerator emitted a non-complementary stack"
             ) from None
-        return False
+        return len(found) == limit
 
-    nodes = _enumerate(q, set_size, length, emit, work_bound, value_order)
+    nodes = _enumerate(q, set_size, length, emit, work_bound)
     sets = tuple(found[canon] for canon in sorted(found))
-    return SearchResult(q, set_size, length, sets, not truncated, nodes)
+    return SearchResult(q, set_size, length, sets, len(found) != limit, nodes)
 
 
 def search_gcp(
@@ -244,16 +231,5 @@ def first_cs(
     work_bound: int = DEFAULT_WORK_BOUND,
 ) -> Optional[ComplementarySet]:
     """First complementary set the enumeration reaches, canonicalized."""
-    hit: list[Rows] = []
-
-    def emit(rows: Rows) -> bool:
-        hit.append(rows)
-        return True
-
-    _enumerate(q, set_size, length, emit, work_bound)
-    if not hit:
-        return None
-    canon = canonical_rows(q, hit[0])
-    return ensure_verified(
-        ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in canon))
-    )
+    sets = search_cs(q, set_size, length, limit=1, work_bound=work_bound).sets
+    return sets[0] if sets else None

@@ -7,6 +7,7 @@ import pytest
 
 from cskit.cli import main
 from cskit.io import parse_set, read_set_file
+from cskit.verify import verify
 
 
 def run(capsys, *argv):
@@ -214,6 +215,28 @@ def test_search_limit_notes_incompleteness(capsys):
     assert code == 0
     assert out.count("q=2 rows=4 len=4") == 2
     assert "incomplete" in err
+
+
+def test_search_deep_probe_returns_one_set(capsys):
+    # 1100 slots deep: beyond the interpreter's default recursion limit
+    code, out, err = run(
+        capsys, "search", "--q", "2", "--size", "1100", "--len", "2", "--limit", "1"
+    )
+    assert code == 0
+    cs, _ = parse_set(out)
+    assert cs.size == 1100
+    assert verify(cs).is_cs
+    assert err == "incomplete: stopped after 1 sets\n"
+
+
+def test_search_limit_below_one_exit2(capsys):
+    code, out, err = run(
+        capsys, "search", "--q", "2", "--size", "2", "--len", "2", "--limit", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input: ")
+    assert err.count("\n") == 1
 
 
 def test_search_work_bound_exit3(capsys):

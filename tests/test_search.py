@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cskit.algebra import Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
-from cskit.errors import WorkBoundExceeded
+from cskit.errors import InputError, WorkBoundExceeded
 from cskit import search
 from cskit.search import canonical_rows, first_cs, search_cs, search_gcp
 from cskit.seeds import gcp_for_length
@@ -71,7 +71,7 @@ def test_each_returned_set_is_verified_once(monkeypatch):
 
 
 def test_non_complementary_emission_is_an_internal_error(monkeypatch):
-    def bad_enumerate(q, set_size, length, emit, work_bound, value_order=None):
+    def bad_enumerate(q, set_size, length, emit, work_bound):
         emit(((0, 0), (0, 0)))
         return 1
 
@@ -88,7 +88,8 @@ def test_results_sorted_lexicographically():
 
 @pytest.mark.parametrize(
     "q,p,n",
-    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 4, 4), (4, 2, 3)],
+    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 4, 4), (4, 2, 3),
+     (3, 2, 3), (3, 3, 2), (3, 3, 3), (5, 5, 2), (6, 2, 2), (6, 2, 3)],
 )
 def test_matches_unpruned_reference_enumeration(q, p, n):
     expected = brute_force_cs(q, p, n)
@@ -110,10 +111,13 @@ def test_constructed_size4_sets_appear_in_oracle_output():
                 assert canonical_rows(2, rows_of(built)) in oracle
 
 
-def test_determinism_under_value_reordering():
-    base = search_cs(2, 4, 4)
-    flipped = search_cs(2, 4, 4, value_order=[1, 0])
-    assert [rows_of(cs) for cs in base.sets] == [rows_of(cs) for cs in flipped.sets]
+@pytest.mark.parametrize(
+    "q,p,n,nodes",
+    [(2, 2, 10, 4750), (4, 2, 5, 2580), (3, 3, 4, 2154), (6, 2, 4, 4002), (2, 4, 4, 1786)],
+)
+def test_node_counts_are_pinned(q, p, n, nodes):
+    # work_bound is measured in these nodes; a change to the count moves it
+    assert search_cs(q, p, n).nodes == nodes
 
 
 def test_limit_truncates_with_flag():
@@ -125,6 +129,16 @@ def test_limit_truncates_with_flag():
     roomy = search_cs(2, 4, 4, limit=len(full.sets) + 5)
     assert roomy.complete
     assert len(roomy.sets) == len(full.sets)
+    assert search_cs(2, 4, 4, limit=1).nodes < full.nodes
+    with pytest.raises(InputError):
+        search_cs(2, 4, 4, limit=0)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    size = 2 * (sys.getrecursionlimit() // 2 + 50)
+    result = search_cs(2, size, 2, limit=1)
+    assert len(result.sets) == 1
+    assert result.sets[0].size == size
 
 
 def test_work_bound_is_enforced():
