@@ -7,8 +7,11 @@ the ring Z[zeta_q] (reduced modulo the q-th cyclotomic polynomial), so
 equality and zero tests are exact for every q. For q in {1, 2, 4} the
 canonical coordinates are literally Gaussian integers.
 
-Floating point appears only in display helpers (`to_complex`, `abs`), never
-in any decision.
+`accf` runs one numpy kernel for every q: float64 correlations of the
+entries' canonical coordinates, exact because every partial sum is an
+integer of magnitude at most N * max|c|^2 < 2^53 (c over the coordinates of
+the q-th roots), folded into canonical coordinates in int64. Otherwise
+floating point appears only in display helpers (`to_complex`, `abs`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InputError
 
@@ -284,18 +289,33 @@ class Sequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationProfile:
-    """Correlation values over shifts tau in [-(N-1), N-1]."""
+@lru_cache(maxsize=None)
+def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of zeta_q^d in column d (float64), and of zeta_q^(i+l) in
+    row i*phi(q) + l (int64)."""
+    ring = np.array([RootSum.from_exponent(q, d).coords for d in range(q)], dtype=np.int64)
+    phi = ring.shape[1]
+    return ring.T.astype(np.float64), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
 
+
+@dataclass(frozen=True, eq=False)
+class CorrelationProfile:
+    """Correlation values over shifts tau in [-(N-1), N-1].
+
+    `coords` is a (2N-1) x phi(q) int64 array; row tau + N - 1 holds the
+    canonical Z[zeta_q] coordinates of the value at shift tau, so equality
+    and zero tests on it are exact.
+    """
+
+    q: int
     length_n: int
-    values: tuple[RootSum, ...]
+    coords: np.ndarray
 
     def at(self, tau: int) -> RootSum:
         n = self.length_n
         if not -n < tau < n:
             raise InputError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
-        return self.values[tau + n - 1]
+        return RootSum(self.q, tuple(self.coords[tau + n - 1].tolist()))
 
     @property
     def peak(self) -> RootSum:
@@ -305,13 +325,23 @@ class CorrelationProfile:
         n = self.length_n
         return range(-(n - 1), n)
 
+    @property
+    def values(self) -> tuple[RootSum, ...]:
+        return tuple(RootSum(self.q, tuple(row)) for row in self.coords.tolist())
+
+    def nonzero_shifts(self) -> list[int]:
+        """The shifts whose value is not exactly zero, in increasing order."""
+        return (np.flatnonzero(self.coords.any(axis=1)) - (self.length_n - 1)).tolist()
+
     def __add__(self, other: "CorrelationProfile") -> "CorrelationProfile":
-        if self.length_n != other.length_n:
-            raise InputError("cannot add profiles of different lengths")
-        return CorrelationProfile(
-            self.length_n,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
+        if (self.q, self.length_n) != (other.q, other.length_n):
+            raise InputError("cannot add profiles of different root orders or lengths")
+        return CorrelationProfile(self.q, self.length_n, self.coords + other.coords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorrelationProfile):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.coords, other.coords)
 
 
 def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
@@ -320,6 +350,10 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
     For 0 <= tau <= N-1 the value is sum_k a_k * conj(b_{k+tau}); negative
     shifts use the mirrored sum, which makes accf(a,b)[tau] the conjugate of
     accf(b,a)[-tau] for every tau.
+
+    The value is the sum over i, l < phi(q) of C_il[tau] * zeta_q^(i+l),
+    where C_il correlates coordinate l of conj(b) with coordinate i of a;
+    the module docstring bounds these float64 correlations below 2^53.
     """
     if a.alphabet != b.alphabet:
         raise InputError("correlation needs a shared alphabet")
@@ -327,18 +361,15 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
         raise InputError(f"correlation needs equal lengths, got {len(a)} and {len(b)}")
     q = a.q
     n = len(a)
-    ea, eb = a.exponents, b.exponents
-    values = []
-    for tau in range(-(n - 1), n):
-        counts = [0] * q
-        if tau >= 0:
-            for k in range(n - tau):
-                counts[(ea[k] - eb[k + tau]) % q] += 1
-        else:
-            for k in range(n + tau):
-                counts[(ea[k - tau] - eb[k]) % q] += 1
-        values.append(RootSum.from_counts(q, counts))
-    return CorrelationProfile(n, tuple(values))
+    roots, fold = _kernel_tables(q)
+    phi = roots.shape[0]
+    ca = roots[:, a.exponents]
+    cb = roots[:, [-e % q for e in b.exponents]]
+    corr = np.empty((2 * n - 1, phi * phi))
+    for i in range(phi):
+        for l in range(phi):
+            corr[:, i * phi + l] = np.correlate(cb[l], ca[i], "full")
+    return CorrelationProfile(q, n, corr.astype(np.int64) @ fold)
 
 
 def aacf(a: Sequence) -> CorrelationProfile:

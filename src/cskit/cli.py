@@ -77,6 +77,8 @@ def _emit_set(cs: ComplementarySet, out: str | None, pretty: bool) -> None:
 
 def _report_dict(cs: ComplementarySet, report) -> dict:
     n = cs.length
+    profile = report.sum_profile
+    nonzero = {tau: profile.at(tau).to_complex() for tau in profile.nonzero_shifts() if tau >= 0}
     return {
         "is_cs": report.is_cs,
         "q": cs.q,
@@ -85,11 +87,7 @@ def _report_dict(cs: ComplementarySet, report) -> dict:
         "peak": cs.size * n,
         "first_defect_shift": report.first_defect_shift,
         "defect_magnitudes": {str(t): m for t, m in report.defect_magnitudes.items()},
-        "sum_profile": [
-            [report.sum_profile.at(tau).to_complex().real,
-             report.sum_profile.at(tau).to_complex().imag]
-            for tau in range(0, n)
-        ],
+        "sum_profile": [[z.real, z.imag] for z in (nonzero.get(tau, 0j) for tau in range(n))],
     }
 
 

@@ -2,7 +2,8 @@
 
 A stack of P length-N rows is complementary when the sum of the rows'
 aperiodic autocorrelations is exactly zero at every shift 0 < tau < N
-(and P*N at tau = 0). The decision is exact; no epsilon is involved.
+(and P*N at tau = 0). The decision is an integer test on the canonical
+coordinates of the summed profile; no epsilon is involved.
 """
 
 from __future__ import annotations
@@ -78,18 +79,14 @@ def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
 
 
 def verify(candidate: ComplementarySet) -> VerificationReport:
-    """Exact complementarity decision with the full defect profile."""
+    """Exact complementarity decision with the full defect profile.
+
+    Only the shifts whose summed value is not exactly zero are visited.
+    """
     total = sum_aacf(candidate)
-    n = candidate.length
-    defects: dict[int, float] = {}
-    first = None
-    for tau in range(1, n):
-        value = total.at(tau)
-        if not value.is_zero:
-            defects[tau] = abs(value)
-            if first is None:
-                first = tau
-    peak_ok = total.peak == RootSum.from_int(candidate.q, candidate.size * n)
+    defects = {tau: abs(total.at(tau)) for tau in total.nonzero_shifts() if tau > 0}
+    first = next(iter(defects), None)
+    peak_ok = total.peak == RootSum.from_int(candidate.q, candidate.size * candidate.length)
     return VerificationReport(
         is_cs=(first is None and peak_ok),
         sum_profile=total,

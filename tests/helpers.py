@@ -34,6 +34,25 @@ def float_sum_profile(cs: ComplementarySet) -> list[complex]:
     return out
 
 
+def rootsum_accf(a: Sequence, b: Sequence) -> tuple[RootSum, ...]:
+    """Reference aperiodic cross-correlation: one RootSum per shift, counted
+    root by root in pure Python. accf(a, b).values must equal it."""
+    q = a.q
+    n = len(a)
+    ea, eb = a.exponents, b.exponents
+    values = []
+    for tau in range(-(n - 1), n):
+        counts = [0] * q
+        if tau >= 0:
+            for k in range(n - tau):
+                counts[(ea[k] - eb[k + tau]) % q] += 1
+        else:
+            for k in range(n + tau):
+                counts[(ea[k - tau] - eb[k]) % q] += 1
+        values.append(RootSum.from_counts(q, counts))
+    return tuple(values)
+
+
 def brute_force_cs(q: int, set_size: int, length: int) -> set:
     """Unpruned reference enumeration, canonical forms of all solutions."""
     found = set()

@@ -16,6 +16,8 @@ from cskit.algebra import (
 )
 from cskit.errors import InputError
 
+from helpers import rootsum_accf
+
 
 def seq(q, *exps):
     return Sequence.from_exponents(q, exps)
@@ -249,3 +251,12 @@ def test_gaussian_coordinates_for_small_q(q, data):
         v = accf(a, b).at(tau)
         re, im = v.gaussian()
         assert abs(complex(re, im) - v.to_complex()) < 1e-9
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), st.integers(1, 70), st.data())
+@settings(max_examples=120, deadline=None)
+def test_accf_matches_rootsum_oracle(q, n, data):
+    a = data.draw(sequences(q, n, n))
+    b = data.draw(sequences(q, n, n))
+    assert accf(a, b).values == rootsum_accf(a, b)
+    assert aacf(a).values == rootsum_accf(a, a)

@@ -9,6 +9,8 @@ from cskit.cli import main
 from cskit.io import parse_set, read_set_file
 from cskit.verify import verify
 
+from helpers import rootsum_accf
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -37,6 +39,19 @@ def test_verify_json_report(capsys, golden_dir):
     assert report["peak"] == 56
     assert report["first_defect_shift"] is None
     assert len(report["sum_profile"]) == 14
+
+
+def test_verify_json_sum_profile_matches_rootsum_oracle(capsys, tmp_path):
+    # q=3 gives non-Gaussian values; shifts 2 and 4 are exactly zero
+    path = tmp_path / "q3.txt"
+    path.write_text("q=3 rows=3 len=6\n122112\n002021\n202002\n")
+    code, out, _ = run(capsys, "verify", str(path), "--report", "json")
+    cs, _ = read_set_file(str(path))
+    per_row = [rootsum_accf(row, row) for row in cs.rows]
+    total = [sum(values[1:], values[0]) for values in zip(*per_row)][cs.length - 1:]
+    assert code == 1
+    assert [v.is_zero for v in total] == [False, False, True, False, True, False]
+    assert json.loads(out)["sum_profile"] == [[v.to_complex().real, v.to_complex().imag] for v in total]
 
 
 def test_verify_tampered_set_reports_defect(capsys, golden_dir, tmp_path):

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cskit.algebra import RootSum, Sequence
+from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
+from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, ensure_verified, is_gcp, verify
 
 from conftest import load_golden
-from helpers import float_sum_profile, random_cs4, random_gcp
+from helpers import float_sum_profile, random_cs4, random_gcp, rootsum_accf
 
 
 def binary_set(*rows):
@@ -161,3 +163,31 @@ def test_random_pairs_verify_and_transform(q, seed):
     report = verify(pair)
     assert report.is_cs
     assert report.peak == RootSum.from_int(q, 2 * pair.length)
+
+
+def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
+    pair = gcp_for_length(4, 520).pair
+    cs = stack([
+        cs4_from_pairs(pair, pair, Coeffs4(0, 0, 0, 2)),
+        cs4_from_pairs(pair, pair, Coeffs4(1, 0, 0, 1)),
+    ])
+    rows = list(cs.rows)
+    exps = list(rows[3].exponents)
+    exps[517] = (exps[517] + 1) % 4
+    rows[3] = Sequence.from_exponents(4, exps)
+    bad = ComplementarySet(tuple(rows))
+    assert (bad.size, bad.length) == (8, 1040)
+
+    n = bad.length
+    per_row = [rootsum_accf(row, row) for row in bad.rows]
+    total = [sum(values[1:], values[0]) for values in zip(*per_row)]
+    defects = {tau: abs(total[tau + n - 1]) for tau in range(1, n)
+               if not total[tau + n - 1].is_zero}
+    peak_ok = total[n - 1] == RootSum.from_int(4, 8 * n)
+
+    assert defects
+    report = verify(bad)
+    assert report.is_cs == (not defects and peak_ok)
+    assert report.first_defect_shift == min(defects)
+    assert report.defect_magnitudes == defects
+    assert report.sum_profile.values == tuple(total)
