@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the exact correlation kernel and the paths built on it.
+"""Micro-benchmarks of the exact correlation kernel, the paths built on it
+and the search engine.
 
     PYTHONPATH=src python3 -m pytest bench --benchmark-json=out.json
 
@@ -9,6 +10,8 @@ timed on identical work; each benchmark also checks its result.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
+from cskit.search import _enumerate
 from cskit.seeds import gcp_for_length
 from cskit.verify import verify
 
@@ -61,3 +65,18 @@ def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
     report = verify(cs8_q4_len1040)
     record = benchmark(cli._report_dict, cs8_q4_len1040, report)
     assert record["is_cs"] and len(record["sum_profile"]) == 1040
+
+
+@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 71358), (4, 2, 7, 48692)])
+def test_enumerate_full(benchmark, q, p, n, nodes):
+    assert benchmark(_enumerate, q, p, n, lambda rows: False, 10**9) == nodes
+
+
+def test_cli_search_q2_size4_len5(benchmark):
+    def search():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["search", "--q", "2", "--size", "4", "--len", "5"])
+        return code, out.getvalue()
+
+    code, out = benchmark(search)
+    assert code == 0 and out.count("q=2 rows=4 len=5\n") == 24

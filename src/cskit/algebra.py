@@ -290,10 +290,19 @@ class Sequence:
 
 
 @lru_cache(maxsize=None)
+def root_coords(q: int) -> np.ndarray:
+    """Canonical coordinates of zeta_q^d in row d: a read-only q x phi(q)
+    int64 array, built once per q."""
+    ring = np.array([RootSum.from_exponent(q, d).coords for d in range(q)], dtype=np.int64)
+    ring.flags.writeable = False
+    return ring
+
+
+@lru_cache(maxsize=None)
 def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of zeta_q^d in column d (float64), and of zeta_q^(i+l) in
     row i*phi(q) + l (int64)."""
-    ring = np.array([RootSum.from_exponent(q, d).coords for d in range(q)], dtype=np.int64)
+    ring = root_coords(q)
     phi = ring.shape[1]
     return ring.T.astype(np.float64), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
 

@@ -104,27 +104,45 @@ def gcp_lengths(q: int, max_len: int) -> list[int]:
     return sorted(gcp_pattern_factorizations(q, max_len))
 
 
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(t, n / p^t) for the largest power p^t dividing n."""
+    t = 0
+    while n % p == 0:
+        n //= p
+        t += 1
+    return t, n
+
+
 def in_gcp_pattern(q: int, length: int) -> Optional[LengthFactorization]:
+    """The pattern witness of one length, as gcp_pattern_factorizations
+    would list it, found by factoring the length itself."""
     if length < 1:
         return None
-    return gcp_pattern_factorizations(q, length).get(length)
+    if q == 2:
+        plan = binary_composition_plan(length)
+        return None if plan is None else LengthFactorization(2, plan)
+    if q != 4:
+        raise InputError(f"no pattern data for q={q} (supported: 2, 4)")
+    rest = length
+    exps = []
+    for prime in (2, 3, 5, 11, 13):
+        t, rest = _valuation(rest, prime)
+        exps.append(t)
+    twos, b, c, e, z = exps
+    # the table keeps the first split twos = a + u, the least u that passes
+    u = max(0, b + c + e + z - twos - 1)
+    if rest != 1 or u > min(c + z, twos):
+        return None
+    return LengthFactorization(4, (twos - u, b, c, e, z, u))
 
 
 def binary_composition_plan(length: int) -> Optional[tuple[int, int, int]]:
     """(doublings, factors of 10, factors of 26) realizing a binary length."""
     if length < 1:
         return None
-    rest, t5, t13 = length, 0, 0
-    while rest % 5 == 0:
-        rest //= 5
-        t5 += 1
-    while rest % 13 == 0:
-        rest //= 13
-        t13 += 1
-    a = 0
-    while rest % 2 == 0:
-        rest //= 2
-        a += 1
+    t5, rest = _valuation(length, 5)
+    t13, rest = _valuation(rest, 13)
+    a, rest = _valuation(rest, 2)
     if rest != 1 or a < t5 + t13:
         return None
     return (a - t5 - t13, t5, t13)

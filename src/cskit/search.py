@@ -2,19 +2,25 @@
 
 The enumerator fills the P x N exponent matrix column by column from both
 ends inward (column 0, column N-1, column 1, ...), every row's leading
-exponent pinned to 0. Filling that way fully determines the shift
-tau = N-1-k after level k, so each level ends with an exact zero test,
-and every partially known shift prunes with the triangle inequality
-(|known part| can exceed the number of missing unimodular terms only on a
-dead branch).
+exponent pinned to 0; exponents are tried in ascending order. A shift is
+complete once every pair of columns it spans is filled, so its last term
+lands at a fixed slot and gets an exact zero test there, and every
+partially known shift prunes with the triangle inequality (|known part|
+can exceed the number of missing unimodular terms only on a dead branch).
 
 Every alphabet shares one per-shift state. An exact integer packs the
 canonical Z[zeta_q] coordinates of the partial sum; it is zero exactly
 when the sum is, and it alone decides a completed shift. A complex copy of
-the sum is used only to prune, with a margin that keeps the prune
-conservative; on backtracking it is restored from the saved old value, so
-float error does not build up. The search runs on an explicit stack, so
-its depth is bounded by memory, not by the interpreter's recursion limit.
+the sum is used only to prune, with a 1e-6 margin that keeps the prune
+conservative. Which shifts a slot touches, and how many terms each still
+misses, does not depend on the data, so both are tabled once per column
+before the search. Each depth keeps its own copy of the state, filled from
+its parent's when a value is tried, so backtracking restores nothing and
+float error does not build up. Where a slot completes a shift with a single
+touch, the exact test has at most one solution; it is looked up, and the
+other values are counted as dead nodes without being tried. The search
+runs on an explicit stack, so its depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows sorted, and the whole matrix reduced under simultaneous
@@ -29,7 +35,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .algebra import RootSum, Sequence
+from .algebra import Sequence, root_coords
 from .errors import InputError, WorkBoundExceeded
 from .verify import ComplementarySet, ensure_verified
 
@@ -72,6 +78,84 @@ def _column_order(n: int) -> list[int]:
     return cols
 
 
+def _slot_tables(q: int, p: int, n: int) -> list:
+    """The touch tables of every free column c, in fill order.
+
+    Returns (c, first, middle, last): the tables of rows 0, 1..p-2 and p-1
+    of column c (one table serves every middle row). The entry v of row r
+    in column c touches a shift tau once per earlier column c2, adding the
+    root pk[d] (packed int) and rt[d] (complex), d = row[c2] - v. A table is
+    (exacts, solved, checks, scaled), its touches grouped by shift:
+
+    - exacts: (tau, c2, pk, c2', pk'), a shift the row completes, decided by
+      its exact int alone (pk' is all zeros for a single touch; the first of
+      two touches is also in checks, as it leaves one term missing);
+    - solved: (tau, c2, exponent_of), one shift completed by a single touch,
+      whose one live value of pk[d] is -exact[tau]; or None;
+    - checks: (tau, c2, pk, rt, lim), a touch of a shift still missing
+      terms, pruned when abs(z) > lim, 1e-6 above the terms still missing;
+    - scaled: the same for the middle rows, (tau, c2, pk, rt, m, k), with
+      m - r*k terms still missing after row r's touch.
+
+    Shifts with the fewest terms missing come first, and the touches of one
+    shift keep their order. The tables take O(N^2) space for any P.
+    """
+    # A shift sums at most p*n roots, so every coordinate stays below
+    # radix/2 in magnitude and the packing into one int is injective.
+    coords = root_coords(q).tolist()
+    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
+    # d lies in (-q, q) and negative indices wrap, so these give the root
+    # of row[c2] - v (c2 < c) or, negated, of v - row[c2] (c2 > c)
+    left = (packed, roots)
+    right = ([packed[-d] for d in range(q)], [roots[-d] for d in range(q)])
+    zeros = [0] * q
+
+    def row_tables(by_shift, r, shared=False):
+        # remaining[tau]: terms of tau still missing once the column is full
+        exacts, solved, checks, scaled = [], None, [], []
+        missing = {tau: remaining[tau] + (p - 1 - r) * len(touches)
+                   for tau, touches in by_shift.items()}
+        for tau in sorted(missing, key=missing.get):
+            touches = by_shift[tau]
+            k = len(touches)
+            if missing[tau] == 0:
+                (c2, pk, rt), *more = touches
+                if more:
+                    checks.append((tau, c2, pk, rt, 1 + 1e-6))
+                    exacts.append((tau, c2, pk) + more[0][:2])
+                elif solved is None:
+                    solved = (tau, c2, {x: d for d, x in enumerate(pk)})
+                else:
+                    exacts.append((tau, c2, pk, c2, zeros))
+            else:
+                for j, (c2, pk, rt) in enumerate(touches):
+                    m = missing[tau] + k - 1 - j  # after this touch
+                    if shared:
+                        scaled.append((tau, c2, pk, rt, m + r * k, k))
+                    else:
+                        checks.append((tau, c2, pk, rt, m + 1e-6))
+        return exacts, solved, checks, scaled
+
+    cols = _column_order(n)  # column 0 is pinned to exponent 0
+    remaining = [p * (n - tau) for tau in range(n)]
+    tables = []
+    for i in range(1, len(cols)):
+        c = cols[i]
+        by_shift: dict[int, list] = {}
+        for c2 in cols[:i]:
+            tau, (pk, rt) = (c - c2, left) if c2 < c else (c2 - c, right)
+            by_shift.setdefault(tau, []).append((c2, pk, rt))
+        for tau, touches in by_shift.items():
+            remaining[tau] -= p * len(touches)
+        last = row_tables(by_shift, p - 1)
+        first = row_tables(by_shift, 0) if p > 1 else last
+        middle = row_tables(by_shift, p - 2, shared=True) if p > 2 else None
+        tables.append((c, first, middle, last))
+    return tables
+
+
 def _enumerate(
     q: int,
     set_size: int,
@@ -89,31 +173,18 @@ def _enumerate(
         raise InputError("q, set size, and length must all be >= 1")
 
     p, n = set_size, length
-    cols = _column_order(n)
-    free_cols = cols[1:]  # column 0 is pinned to exponent 0
-    # columns already filled when a given column is assigned (same for every row)
-    earlier: dict[int, list[int]] = {}
-    seen: list[int] = [0]
-    for c in free_cols:
-        earlier[c] = list(seen)
-        seen.append(c)
-
-    slots = [(r, c) for c in free_cols for r in range(p)]
     exps = [[0] * n for _ in range(p)]
-    remaining = [p * (n - tau) for tau in range(n)]
-
-    # A shift sums at most p*n roots, so every coordinate stays below
-    # radix/2 in magnitude and the packing into one int is injective.
-    coords = [RootSum.from_exponent(q, e).coords for e in range(q)]
-    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
-    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
-    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
-    exact = [0] * n
-    approx = [0j] * n
+    slots = []
+    for c, first, middle, last in _slot_tables(q, p, n):
+        for r in range(p):
+            tables = first if r == 0 else last if r == p - 1 else middle
+            slots.append((exps[r], c, r) + tables)
+    # state[i] is (exact, approx) after the first i slots; deeper levels are
+    # allocated as the path first reaches them
+    state = [([0] * n, [0j] * n)]
 
     nodes = 0
-    tried = [0] * len(slots)  # exponents tried so far at each slot
-    applied: list[list[tuple[int, int, complex]]] = [[] for _ in slots]
+    tried = [0] * len(slots)
     idx = 0
     while idx >= 0:
         if idx == len(slots):
@@ -121,47 +192,65 @@ def _enumerate(
                 break
             idx -= 1
             continue
-        # retract the slot's current exponent before trying the next one;
-        # newest first, since one assignment can touch a shift twice
-        undo = applied[idx]
-        for tau, e, old in reversed(undo):
-            exact[tau] -= packed[e]
-            approx[tau] = old
-            remaining[tau] += 1
-        undo.clear()
+        row, c, r, exacts, solved, checks, scaled = slots[idx]
+        parent_exact, parent_approx = state[idx]
         v = tried[idx]
-        if v == q:
-            tried[idx] = 0
-            idx -= 1
-            continue
-        tried[idx] = v + 1
-        nodes += 1
+        # The exponents that fail the solved test are dead without a try;
+        # each still counts as one node, in the order the values are tried.
+        if solved is None:
+            if v < q:
+                tried[idx] = v + 1
+                nodes += 1
+        elif v:  # back from the one exponent that passed the solved test
+            nodes += q - v
+            v = q
+        else:
+            tau, c2, exponent_of = solved
+            d = exponent_of.get(-parent_exact[tau])
+            if d is None:
+                nodes += q
+                v = q
+            else:
+                v = (row[c2] - d) % q
+                tried[idx] = v + 1
+                nodes += v + 1
         if nodes > work_bound:
             raise WorkBoundExceeded(
                 f"search exceeded the work bound of {work_bound} nodes"
             )
-        r, c = slots[idx]
-        row = exps[r]
-        row[c] = v
-        alive = True
-        for c2 in earlier[c]:
-            if c2 < c:
-                tau = c - c2
-                e = (row[c2] - v) % q
-            else:
-                tau = c2 - c
-                e = (v - row[c2]) % q
-            old = approx[tau]
-            undo.append((tau, e, old))
-            exact[tau] += packed[e]
-            approx[tau] = old + roots[e]
-            remaining[tau] -= 1
-            rem = remaining[tau]
-            if (exact[tau] != 0) if rem == 0 else (abs(approx[tau]) > rem + 1e-6):
-                alive = False
+        if v == q:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        for tau, c2, pk, c3, pk3 in exacts:
+            if parent_exact[tau] + pk[row[c2] - v] + pk3[row[c3] - v]:
                 break
-        if alive:
-            idx += 1
+        else:
+            if idx + 1 == len(state):
+                state.append(([0] * n, [0j] * n))
+            exact, approx = state[idx + 1]
+            exact[:] = parent_exact
+            approx[:] = parent_approx
+            alive = True  # a row's table has checks or scaled, not both
+            for tau, c2, pk, rt, lim in checks:
+                d = row[c2] - v
+                exact[tau] += pk[d]
+                z = approx[tau] + rt[d]
+                approx[tau] = z
+                if abs(z) > lim:
+                    alive = False
+                    break
+            for tau, c2, pk, rt, m, k in scaled:
+                d = row[c2] - v
+                exact[tau] += pk[d]
+                z = approx[tau] + rt[d]
+                approx[tau] = z
+                if abs(z) > m - r * k + 1e-6:
+                    alive = False
+                    break
+            if alive:
+                row[c] = v
+                idx += 1
     return nodes
 
 

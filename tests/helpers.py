@@ -7,13 +7,16 @@ under test are checked against a second route, not against themselves.
 
 from __future__ import annotations
 
+import cmath
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from cskit.algebra import Alphabet, RootSum, Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
-from cskit.search import canonical_rows
+from cskit.errors import InputError, WorkBoundExceeded
+from cskit.search import Rows, _column_order, canonical_rows
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, ensure_verified, verify
 
@@ -66,6 +69,101 @@ def brute_force_cs(q: int, set_size: int, length: int) -> set:
         if verify(cs).is_cs:
             found.add(canonical_rows(q, rows))
     return found
+
+
+# The search engine before per-level state and the solved exact test, kept
+# verbatim as the reference: the engine must visit the same nodes in order.
+def undo_log_enumerate(
+    q: int,
+    set_size: int,
+    length: int,
+    emit: Callable[[Rows], bool],
+    work_bound: int,
+) -> int:
+    """Run the backtracking enumeration; emit returns True to stop early.
+
+    Exponents are tried in ascending order. Returns the number of
+    assignment nodes visited. Raises WorkBoundExceeded if that number would
+    pass work_bound.
+    """
+    if q < 1 or set_size < 1 or length < 1:
+        raise InputError("q, set size, and length must all be >= 1")
+
+    p, n = set_size, length
+    cols = _column_order(n)
+    free_cols = cols[1:]  # column 0 is pinned to exponent 0
+    # columns already filled when a given column is assigned (same for every row)
+    earlier: dict[int, list[int]] = {}
+    seen: list[int] = [0]
+    for c in free_cols:
+        earlier[c] = list(seen)
+        seen.append(c)
+
+    slots = [(r, c) for c in free_cols for r in range(p)]
+    exps = [[0] * n for _ in range(p)]
+    remaining = [p * (n - tau) for tau in range(n)]
+
+    # A shift sums at most p*n roots, so every coordinate stays below
+    # radix/2 in magnitude and the packing into one int is injective.
+    coords = [RootSum.from_exponent(q, e).coords for e in range(q)]
+    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
+    exact = [0] * n
+    approx = [0j] * n
+
+    nodes = 0
+    tried = [0] * len(slots)  # exponents tried so far at each slot
+    applied: list[list[tuple[int, int, complex]]] = [[] for _ in slots]
+    idx = 0
+    while idx >= 0:
+        if idx == len(slots):
+            if emit(tuple(tuple(row) for row in exps)):
+                break
+            idx -= 1
+            continue
+        # retract the slot's current exponent before trying the next one;
+        # newest first, since one assignment can touch a shift twice
+        undo = applied[idx]
+        for tau, e, old in reversed(undo):
+            exact[tau] -= packed[e]
+            approx[tau] = old
+            remaining[tau] += 1
+        undo.clear()
+        v = tried[idx]
+        if v == q:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        tried[idx] = v + 1
+        nodes += 1
+        if nodes > work_bound:
+            raise WorkBoundExceeded(
+                f"search exceeded the work bound of {work_bound} nodes"
+            )
+        r, c = slots[idx]
+        row = exps[r]
+        row[c] = v
+        alive = True
+        for c2 in earlier[c]:
+            if c2 < c:
+                tau = c - c2
+                e = (row[c2] - v) % q
+            else:
+                tau = c2 - c
+                e = (v - row[c2]) % q
+            old = approx[tau]
+            undo.append((tau, e, old))
+            exact[tau] += packed[e]
+            approx[tau] = old + roots[e]
+            remaining[tau] -= 1
+            rem = remaining[tau]
+            if (exact[tau] != 0) if rem == 0 else (abs(approx[tau]) > rem + 1e-6):
+                alive = False
+                break
+        if alive:
+            idx += 1
+    return nodes
 
 
 def cross_tail(q: int, u: Sequence, v: Sequence, tau: int) -> RootSum:

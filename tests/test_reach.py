@@ -9,6 +9,7 @@ from cskit.reach import (
     cs8_lengths,
     derivations_for,
     gcp_lengths,
+    gcp_pattern_factorizations,
     has_composition_plan,
     in_gcp_pattern,
     published_row_diff,
@@ -72,6 +73,13 @@ def test_pattern_factorizations_reproduce_lengths():
             fact = in_gcp_pattern(q, length)
             assert fact is not None
             assert fact.length == length
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_in_gcp_pattern_matches_the_table(q):
+    table = gcp_pattern_factorizations(q, 3000)
+    for length in range(-1, 3001):
+        assert in_gcp_pattern(q, length) == table.get(length)
 
 
 def test_unsupported_alphabet():

@@ -15,7 +15,7 @@ from cskit.search import canonical_rows, first_cs, search_cs, search_gcp
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, verify
 
-from helpers import brute_force_cs
+from helpers import brute_force_cs, undo_log_enumerate
 
 
 def rows_of(cs):
@@ -118,6 +118,56 @@ def test_constructed_size4_sets_appear_in_oracle_output():
 def test_node_counts_are_pinned(q, p, n, nodes):
     # work_bound is measured in these nodes; a change to the count moves it
     assert search_cs(q, p, n).nodes == nodes
+
+
+# Shapes for the engine-versus-oracle test: q in {1, 2, 3, 4, 5, 6, 8} and
+# sizes 1-5, with and without solutions, several past the work bounds.
+ORACLE_SHAPES = [
+    (1, 3, 4), (2, 1, 6), (2, 2, 10), (2, 4, 4), (2, 5, 3), (3, 3, 4), (4, 2, 6),
+    (4, 4, 3), (5, 2, 4), (5, 5, 2), (6, 3, 3), (8, 2, 4), (8, 3, 3),
+]
+
+
+def run_engine(engine, q, p, n, stop_at=None, work_bound=10**9):
+    """Every emitted row tuple, then the node count or the work-bound error."""
+    emitted = []
+
+    def emit(rows):
+        emitted.append(rows)
+        return len(emitted) == stop_at
+
+    try:
+        outcome = engine(q, p, n, emit, work_bound)
+    except WorkBoundExceeded as exc:
+        outcome = f"WorkBoundExceeded: {exc}"
+    return emitted, outcome
+
+
+@pytest.mark.parametrize("q,p,n", ORACLE_SHAPES)
+def test_engine_matches_undo_log_oracle(q, p, n):
+    for stop_at in (None, 1, 2, 3, 7):
+        assert run_engine(search._enumerate, q, p, n, stop_at) == run_engine(
+            undo_log_enumerate, q, p, n, stop_at
+        )
+    for bound in (50, 300, 2000, 10**9):
+        assert run_engine(search._enumerate, q, p, n, work_bound=bound) == run_engine(
+            undo_log_enumerate, q, p, n, work_bound=bound
+        )
+
+
+def test_oracle_shapes_reach_every_engine_path():
+    assert {q for q, _, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5, 6, 8}
+    assert {p for _, p, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
+    tables = [t for shape in ORACLE_SHAPES for _, *rows in search._slot_tables(*shape)
+              for t in rows if t is not None]
+    assert any(solved for _, solved, _, _ in tables)
+    # a completed shift touched twice by one slot (its second table is not zero)
+    assert any(any(e[4]) for exacts, _, _, _ in tables for e in exacts)
+    assert any(scaled for _, _, _, scaled in tables)  # rows between first and last
+    outcomes = [run_engine(search._enumerate, *shape, work_bound=2000)[1]
+                for shape in ORACLE_SHAPES]
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(isinstance(o, int) for o in outcomes)
 
 
 def test_limit_truncates_with_flag():
