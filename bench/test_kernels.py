@@ -67,7 +67,7 @@ def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
     assert record["is_cs"] and len(record["sum_profile"]) == 1040
 
 
-@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 71358), (4, 2, 7, 48692)])
+@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 35681), (4, 2, 7, 24350)])
 def test_enumerate_full(benchmark, q, p, n, nodes):
     assert benchmark(_enumerate, q, p, n, lambda rows: False, 10**9) == nodes
 

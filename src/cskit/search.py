@@ -22,6 +22,13 @@ other values are counted as dead nodes without being tried. The search
 runs on an explicit stack, so its depth is bounded by memory, not by the
 interpreter's recursion limit.
 
+Rows are kept in order: while rows r-1 and r agree on every column filled
+so far, row r takes no exponent below row r-1's. Swapping two rows out of
+order gives a solution the search reaches earlier, so each class is first
+reached at a row-sorted stack, and the classes and the order they are found
+in (so `limit` and `first_cs`) do not change. The skipped exponents are not
+counted as nodes, so a work bound covers more of the search.
+
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows sorted, and the whole matrix reduced under simultaneous
 reversal and conjugation. Complementarity is invariant under that
@@ -165,9 +172,12 @@ def _enumerate(
 ) -> int:
     """Run the backtracking enumeration; emit returns True to stop early.
 
-    Exponents are tried in ascending order. Returns the number of
-    assignment nodes visited. Raises WorkBoundExceeded if that number would
-    pass work_bound.
+    Exponents are tried in ascending order, and only stacks whose rows are
+    non-decreasing in the fill order are emitted: a row tied with the row
+    above on every filled column starts at that row's exponent. Returns the
+    number of assignment nodes visited; the exponents skipped by that bound
+    are not counted. Raises WorkBoundExceeded if that number would pass
+    work_bound.
     """
     if q < 1 or set_size < 1 or length < 1:
         raise InputError("q, set size, and length must all be >= 1")
@@ -178,7 +188,13 @@ def _enumerate(
     for c, first, middle, last in _slot_tables(q, p, n):
         for r in range(p):
             tables = first if r == 0 else last if r == p - 1 else middle
-            slots.append((exps[r], c, r) + tables)
+            # the row above (None for row 0) and the slot of this row one
+            # column earlier, whose tie flag holds (-1: the first column)
+            above = exps[r - 1] if r else None
+            slots.append((exps[r], c, r, above, max(len(slots) - p, -1)) + tables)
+    # tied[i]: the rows of slot i and the row above agree on every column
+    # filled up to slot i; tied[-1] stands for column 0, equal in every row
+    tied = [False] * len(slots) + [True]
     # state[i] is (exact, approx) after the first i slots; deeper levels are
     # allocated as the path first reaches them
     state = [([0] * n, [0j] * n)]
@@ -192,12 +208,15 @@ def _enumerate(
                 break
             idx -= 1
             continue
-        row, c, r, exacts, solved, checks, scaled = slots[idx]
+        row, c, r, above, back, exacts, solved, checks, scaled = slots[idx]
         parent_exact, parent_approx = state[idx]
         v = tried[idx]
-        # The exponents that fail the solved test are dead without a try;
-        # each still counts as one node, in the order the values are tried.
+        # A row tied with the row above starts at its exponent. The ones that
+        # fail the solved test are dead without a try; each still counts as
+        # one node, in the order the values are tried.
         if solved is None:
+            if not v and above is not None and tied[back]:
+                v = above[c]
             if v < q:
                 tried[idx] = v + 1
                 nodes += 1
@@ -205,15 +224,17 @@ def _enumerate(
             nodes += q - v
             v = q
         else:
+            lo = above[c] if above is not None and tied[back] else 0
             tau, c2, exponent_of = solved
             d = exponent_of.get(-parent_exact[tau])
-            if d is None:
-                nodes += q
+            if d is not None:
+                v = (row[c2] - d) % q
+            if d is None or v < lo:
+                nodes += q - lo
                 v = q
             else:
-                v = (row[c2] - d) % q
                 tried[idx] = v + 1
-                nodes += v + 1
+                nodes += v + 1 - lo
         if nodes > work_bound:
             raise WorkBoundExceeded(
                 f"search exceeded the work bound of {work_bound} nodes"
@@ -250,6 +271,8 @@ def _enumerate(
                     break
             if alive:
                 row[c] = v
+                if above is not None:
+                    tied[idx] = tied[back] and v == above[c]
                 idx += 1
     return nodes
 

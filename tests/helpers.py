@@ -72,7 +72,8 @@ def brute_force_cs(q: int, set_size: int, length: int) -> set:
 
 
 # The search engine before per-level state and the solved exact test, kept
-# verbatim as the reference: the engine must visit the same nodes in order.
+# verbatim as the reference: the engine must emit exactly its hits whose rows
+# are sorted in the fill order, in the same order, and visit no more nodes.
 def undo_log_enumerate(
     q: int,
     set_size: int,

@@ -111,13 +111,14 @@ def test_constructed_size4_sets_appear_in_oracle_output():
                 assert canonical_rows(2, rows_of(built)) in oracle
 
 
-@pytest.mark.parametrize(
-    "q,p,n,nodes",
-    [(2, 2, 10, 4750), (4, 2, 5, 2580), (3, 3, 4, 2154), (6, 2, 4, 4002), (2, 4, 4, 1786)],
-)
-def test_node_counts_are_pinned(q, p, n, nodes):
+PINNED_NODES = {(2, 2, 10): 2377, (4, 2, 5): 1254, (3, 3, 4): 376, (6, 2, 4): 2007,
+                (2, 4, 4): 154}
+
+
+@pytest.mark.parametrize("q,p,n", PINNED_NODES)
+def test_node_counts_are_pinned(q, p, n):
     # work_bound is measured in these nodes; a change to the count moves it
-    assert search_cs(q, p, n).nodes == nodes
+    assert search_cs(q, p, n).nodes == PINNED_NODES[q, p, n]
 
 
 # Shapes for the engine-versus-oracle test: q in {1, 2, 3, 4, 5, 6, 8} and
@@ -128,12 +129,14 @@ ORACLE_SHAPES = [
 ]
 
 
-def run_engine(engine, q, p, n, stop_at=None, work_bound=10**9):
-    """Every emitted row tuple, then the node count or the work-bound error."""
+def run_engine(engine, q, p, n, stop_at=None, work_bound=10**9, keep=None):
+    """Every emitted row tuple that passes `keep`, then the node count or the
+    work-bound error; the run stops at the stop_at-th kept tuple."""
     emitted = []
 
     def emit(rows):
-        emitted.append(rows)
+        if keep is None or keep(rows):
+            emitted.append(rows)
         return len(emitted) == stop_at
 
     try:
@@ -143,16 +146,72 @@ def run_engine(engine, q, p, n, stop_at=None, work_bound=10**9):
     return emitted, outcome
 
 
+def rows_sorted_in_fill_order(rows):
+    order = search._column_order(len(rows[0]))
+    keys = [[row[c] for c in order] for row in rows]
+    return keys == sorted(keys)
+
+
 @pytest.mark.parametrize("q,p,n", ORACLE_SHAPES)
 def test_engine_matches_undo_log_oracle(q, p, n):
+    # The engine skips exactly the stacks whose rows are out of order in the
+    # fill order, and every node it counts the oracle counts too.
+    every, _ = run_engine(undo_log_enumerate, q, p, n, keep=rows_sorted_in_fill_order)
     for stop_at in (None, 1, 2, 3, 7):
-        assert run_engine(search._enumerate, q, p, n, stop_at) == run_engine(
-            undo_log_enumerate, q, p, n, stop_at
+        emitted, nodes = run_engine(search._enumerate, q, p, n, stop_at)
+        expected, oracle_nodes = run_engine(
+            undo_log_enumerate, q, p, n, stop_at, keep=rows_sorted_in_fill_order
         )
+        assert emitted == expected
+        assert nodes <= oracle_nodes
     for bound in (50, 300, 2000, 10**9):
-        assert run_engine(search._enumerate, q, p, n, work_bound=bound) == run_engine(
-            undo_log_enumerate, q, p, n, work_bound=bound
+        emitted, outcome = run_engine(search._enumerate, q, p, n, work_bound=bound)
+        oracle_emitted, oracle_outcome = run_engine(
+            undo_log_enumerate, q, p, n, work_bound=bound, keep=rows_sorted_in_fill_order
         )
+        assert emitted[: len(oracle_emitted)] == oracle_emitted
+        assert emitted == every[: len(emitted)]
+        if isinstance(oracle_outcome, int):
+            assert isinstance(outcome, int) and outcome <= oracle_outcome
+
+
+def oracle_classes(q, p, n):
+    """The classes of the oracle's raw emits, in the order first reached."""
+    classes = []
+
+    def emit(rows):
+        canon = canonical_rows(q, rows)
+        if canon not in classes:
+            classes.append(canon)
+        return False
+
+    undo_log_enumerate(q, p, n, emit, 10**9)
+    return classes
+
+
+@pytest.mark.parametrize("q,p,n", [(2, 2, 10), (2, 4, 5), (3, 3, 5), (4, 2, 6), (4, 4, 3),
+                                   (6, 2, 4)])
+def test_limit_keeps_the_oracle_class_order(q, p, n):
+    classes = oracle_classes(q, p, n)
+    assert len(classes) > 3
+    for k in (1, 2, 3):
+        got = [rows_of(cs) for cs in search_cs(q, p, n, limit=k).sets]
+        assert got == sorted(classes[:k])
+    assert rows_of(first_cs(q, p, n)) == classes[0]
+
+
+def test_row_permutations_are_not_canonicalized(monkeypatch):
+    calls = []
+
+    def counting_canonical_rows(q, rows):
+        calls.append(rows)
+        return canonical_rows(q, rows)
+
+    monkeypatch.setattr(search, "canonical_rows", counting_canonical_rows)
+    result = search_cs(2, 4, 5)
+    assert len(result.sets) == 24
+    # the unpruned engine canonicalizes 1,056 raw hits of these 24 classes
+    assert len(calls) <= 48
 
 
 def test_oracle_shapes_reach_every_engine_path():
