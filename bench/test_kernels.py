@@ -19,8 +19,8 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
-from cskit.search import _enumerate
-from cskit.seeds import gcp_for_length
+from cskit.search import _enumerate, first_cs
+from cskit.seeds import gcp_for_length, seed_pair
 from cskit.verify import verify
 
 
@@ -67,9 +67,14 @@ def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
     assert record["is_cs"] and len(record["sum_profile"]) == 1040
 
 
-@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 35681), (4, 2, 7, 24350)])
+@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 18203), (4, 2, 7, 8334)])
 def test_enumerate_full(benchmark, q, p, n, nodes):
     assert benchmark(_enumerate, q, p, n, lambda rows: False, 10**9) == nodes
+
+
+def test_first_cs_q4_len11(benchmark):
+    pair = benchmark(first_cs, 4, 2, 11)
+    assert pair.rows == seed_pair(4, 11).pair.rows
 
 
 def test_cli_search_q2_size4_len5(benchmark):

@@ -30,7 +30,7 @@ from .reach import (
     published_row_diff,
     reachable_lengths,
 )
-from .search import SearchResult, canonical_rows, first_cs, search_cs, search_gcp
+from .search import SearchResult, canonical_rows, first_cs, search_cs
 from .seeds import GcpLookup, SeedRecord, gcp_for_length, load_seeds, seed_pair
 from .verify import (
     ComplementarySet,
@@ -83,7 +83,6 @@ __all__ = [
     "reachable_lengths",
     "read_set_file",
     "search_cs",
-    "search_gcp",
     "seed_pair",
     "serialize_set",
     "stack",

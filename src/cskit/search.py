@@ -22,18 +22,28 @@ other values are counted as dead nodes without being tried. The search
 runs on an explicit stack, so its depth is bounded by memory, not by the
 interpreter's recursion limit.
 
-Rows are kept in order: while rows r-1 and r agree on every column filled
-so far, row r takes no exponent below row r-1's. Swapping two rows out of
-order gives a solution the search reaches earlier, so each class is first
-reached at a row-sorted stack, and the classes and the order they are found
-in (so `limit` and `first_cs`) do not change. The skipped exponents are not
-counted as nodes, so a work bound covers more of the search.
-
 Results are reported up to equivalence: rows rescaled to leading
-exponent 0, rows sorted, and the whole matrix reduced under simultaneous
-reversal and conjugation. Complementarity is invariant under that
-equivalence, so each hit is canonicalized first and only the canonical
-stack of a new class is verified, exactly once; it is the set returned.
+exponent 0, rows permuted, and the whole matrix mapped by simultaneous
+reversal, conjugation or both. The solutions are closed under these maps,
+and the search emits only the first member of each class in slot order
+(columns in fill order, rows top down within a column):
+
+- Rows are kept in order: while rows r-1 and r agree on every column filled
+  so far, row r takes no exponent below row r-1's; swapping the two rows
+  gives a stack that comes earlier. These skipped exponents are not counted
+  as nodes, so a work bound covers more of the search.
+- Lex-leader bound (Crawford, Ginsberg, Luks & Roy, "Symmetry-breaking
+  predicates for search problems", KR 1996): once the filled columns are
+  closed under c -> N-1-c (after each pair of end columns, and after the
+  middle one), every map is known on them, and a prefix is pruned if some
+  map's row-sorted image comes first there. Only the maps whose image ties
+  the prefix are checked again further down.
+
+Neither rule prunes the least member of a class, and the search reaches
+stacks in ascending slot order, so the classes and the order they are found
+in (so `limit` and `first_cs`) do not change. Each class is emitted once;
+its hit is canonicalized, and only the canonical stack is verified and
+returned.
 """
 
 from __future__ import annotations
@@ -163,6 +173,24 @@ def _slot_tables(q: int, p: int, n: int) -> list:
     return tables
 
 
+def _tied_images(q: int, exps: list, filled: list, images: tuple, maps: tuple):
+    """The maps whose row-sorted image ties the stack in slot order on the
+    filled columns (in fill order, closed under c -> n-1-c), or None if some
+    image comes first. Map g takes row to sign * (row[m] - row[base]) for m
+    in columns, where (sign, columns, base) = images[g]."""
+    key = list(zip(*[[row[c] for c in filled] for row in exps]))
+    ties = []
+    for g in maps:
+        sign, columns, base = images[g]
+        image = sorted(tuple(sign * (row[m] - row[base]) % q for m in columns) for row in exps)
+        image = list(zip(*image))
+        if image < key:
+            return None
+        if image == key:
+            ties.append(g)
+    return tuple(ties)
+
+
 def _enumerate(
     q: int,
     set_size: int,
@@ -172,29 +200,45 @@ def _enumerate(
 ) -> int:
     """Run the backtracking enumeration; emit returns True to stop early.
 
-    Exponents are tried in ascending order, and only stacks whose rows are
-    non-decreasing in the fill order are emitted: a row tied with the row
-    above on every filled column starts at that row's exponent. Returns the
-    number of assignment nodes visited; the exponents skipped by that bound
-    are not counted. Raises WorkBoundExceeded if that number would pass
-    work_bound.
+    Exponents are tried in ascending order, so stacks are reached in
+    ascending slot order, and only the least member of each class is
+    emitted, by the row-order bound and the lex-leader check of the module
+    notes. Returns the number of assignment nodes visited; the exponents
+    skipped by the row-order bound are not counted. Raises
+    WorkBoundExceeded if that number would pass work_bound.
     """
     if q < 1 or set_size < 1 or length < 1:
         raise InputError("q, set size, and length must all be >= 1")
 
     p, n = set_size, length
     exps = [[0] * n for _ in range(p)]
+    cols = _column_order(n)
     slots = []
-    for c, first, middle, last in _slot_tables(q, p, n):
+    check = -1  # the slot of the last lex-leader check so far
+    for i, (c, first, middle, last) in enumerate(_slot_tables(q, p, n), 1):
         for r in range(p):
             tables = first if r == 0 else last if r == p - 1 else middle
             # the row above (None for row 0) and the slot of this row one
             # column earlier, whose tie flag holds (-1: the first column)
             above = exps[r - 1] if r else None
-            slots.append((exps[r], c, r, above, max(len(slots) - p, -1)) + tables)
+            # the last row of a column after which the filled columns (the
+            # first i + 1 in fill order) are closed under c -> n-1-c
+            leader = None
+            if r == p - 1 and (i % 2 or i == n - 1):
+                filled = cols[: i + 1]
+                mirror = [n - 1 - f for f in filled]
+                # reversal (rows rescaled to lead with 0), conjugation, both
+                images = ((1, mirror, n - 1), (-1, filled, 0), (-1, mirror, n - 1))
+                leader = (check, filled, images)
+                check = len(slots)
+            slots.append((exps[r], c, r, above, max(len(slots) - p, -1), leader) + tables)
     # tied[i]: the rows of slot i and the row above agree on every column
     # filled up to slot i; tied[-1] stands for column 0, equal in every row
     tied = [False] * len(slots) + [True]
+    # leaders[i]: after the check at slot i, the maps whose image equals the
+    # stack on the filled columns; every map's image does on column 0, and
+    # for q <= 2 conjugation is the identity
+    leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
     # state[i] is (exact, approx) after the first i slots; deeper levels are
     # allocated as the path first reaches them
     state = [([0] * n, [0j] * n)]
@@ -208,7 +252,7 @@ def _enumerate(
                 break
             idx -= 1
             continue
-        row, c, r, above, back, exacts, solved, checks, scaled = slots[idx]
+        row, c, r, above, back, leader, exacts, solved, checks, scaled = slots[idx]
         parent_exact, parent_approx = state[idx]
         v = tried[idx]
         # A row tied with the row above starts at its exponent. The ones that
@@ -273,6 +317,14 @@ def _enumerate(
                 row[c] = v
                 if above is not None:
                     tied[idx] = tied[back] and v == above[c]
+                if leader is not None:
+                    prev, filled, images = leader
+                    ties = leaders[prev]
+                    if ties:
+                        ties = _tied_images(q, exps, filled, images, ties)
+                        if ties is None:
+                            continue
+                    leaders[idx] = ties
                 idx += 1
     return nodes
 
@@ -311,7 +363,7 @@ def search_cs(
     def emit(rows: Rows) -> bool:
         canon = canonical_rows(q, rows)
         if canon in found:
-            return False
+            raise RuntimeError("internal error: enumerator emitted a class twice")
         built = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in canon))
         try:
             found[canon] = ensure_verified(built)
@@ -324,16 +376,6 @@ def search_cs(
     nodes = _enumerate(q, set_size, length, emit, work_bound)
     sets = tuple(found[canon] for canon in sorted(found))
     return SearchResult(q, set_size, length, sets, len(found) != limit, nodes)
-
-
-def search_gcp(
-    q: int,
-    length: int,
-    limit: Optional[int] = None,
-    work_bound: int = DEFAULT_WORK_BOUND,
-) -> SearchResult:
-    """All Golay complementary pairs of one length, up to equivalence."""
-    return search_cs(q, 2, length, limit, work_bound)
 
 
 def first_cs(

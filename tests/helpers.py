@@ -57,7 +57,13 @@ def rootsum_accf(a: Sequence, b: Sequence) -> tuple[RootSum, ...]:
 
 
 def brute_force_cs(q: int, set_size: int, length: int) -> set:
-    """Unpruned reference enumeration, canonical forms of all solutions."""
+    """Unpruned reference enumeration, canonical forms of all solutions.
+
+    A float sum of the row autocorrelations only screens out the stacks
+    whose sum is far from zero at some shift; the exact verifier decides
+    every other stack.
+    """
+    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
     found = set()
     free = set_size * (length - 1)
     for combo in product(range(q), repeat=free):
@@ -65,6 +71,12 @@ def brute_force_cs(q: int, set_size: int, length: int) -> set:
             (0,) + combo[r * (length - 1) : (r + 1) * (length - 1)]
             for r in range(set_size)
         )
+        if any(
+            abs(sum(roots[row[i + tau] - row[i]] for row in rows for i in range(length - tau)))
+            > 1e-6
+            for tau in range(1, length)
+        ):
+            continue
         cs = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
         if verify(cs).is_cs:
             found.add(canonical_rows(q, rows))

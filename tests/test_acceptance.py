@@ -23,7 +23,7 @@ from cskit.errors import InputError
 from cskit.io import serialize_set
 from cskit.papr import papr
 from cskit.reach import PUBLISHED_ROWS, reachable_lengths
-from cskit.search import canonical_rows, search_cs, search_gcp
+from cskit.search import canonical_rows, search_cs
 from cskit.seeds import gcp_for_length, load_seeds, seed_pair
 from cskit.verify import ComplementarySet, ensure_verified, verify
 
@@ -173,7 +173,7 @@ def test_criterion_07_randomized_property_suite():
 
 def test_criterion_08_oracle_consistency():
     with criterion(8, 300.0, "constructor outputs appear in exhaustive oracle lists"):
-        assert search_gcp(2, 3).sets == ()
+        assert search_cs(2, 2, 3).sets == ()
 
         pattern = {1: gcp_for_length(2, 1).pair, 2: gcp_for_length(2, 2).pair}
         coeff_tuples = []
@@ -190,7 +190,7 @@ def test_criterion_08_oracle_consistency():
                     built = cs4_from_pairs(pattern[m], pattern[n], coeffs)
                     assert canonical_rows(2, rows_of(built)) in oracle
 
-        oracle_q4 = {rows_of(cs) for cs in search_gcp(4, 3).sets}
+        oracle_q4 = {rows_of(cs) for cs in search_cs(4, 2, 3).sets}
         composed = gcp_for_length(4, 3).pair
         assert canonical_rows(4, rows_of(composed)) in oracle_q4
 

@@ -1,5 +1,6 @@
 """Search oracle: exhaustiveness, canonicalization, determinism, bounds."""
 
+import functools
 import random
 import sys
 
@@ -11,7 +12,7 @@ from cskit.algebra import Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import InputError, WorkBoundExceeded
 from cskit import search
-from cskit.search import canonical_rows, first_cs, search_cs, search_gcp
+from cskit.search import canonical_rows, first_cs, search_cs
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, verify
 
@@ -23,19 +24,19 @@ def rows_of(cs):
 
 
 def test_binary_length2_pair_is_unique():
-    result = search_gcp(2, 2)
+    result = search_cs(2, 2, 2)
     assert [rows_of(cs) for cs in result.sets] == [((0, 0), (0, 1))]
     assert result.complete
 
 
 def test_no_binary_length3_pair():
-    result = search_gcp(2, 3)
+    result = search_cs(2, 2, 3)
     assert result.sets == ()
     assert result.complete
 
 
 def test_quaternary_length3_pairs_contain_known_seed():
-    result = search_gcp(4, 3)
+    result = search_cs(4, 2, 3)
     assert ((0, 0, 2), (0, 1, 0)) in [rows_of(cs) for cs in result.sets]
 
 
@@ -49,7 +50,7 @@ def test_no_binary_size2_length3():
 
 
 def test_all_results_verify():
-    for cs in search_cs(2, 4, 3).sets + search_gcp(4, 2).sets:
+    for cs in search_cs(2, 4, 3).sets + search_cs(4, 2, 2).sets:
         assert cs.verified
         assert verify(cs).is_cs
 
@@ -80,6 +81,17 @@ def test_non_complementary_emission_is_an_internal_error(monkeypatch):
         search_cs(2, 2, 2)
 
 
+def test_repeated_class_emission_is_an_internal_error(monkeypatch):
+    def twice_enumerate(q, set_size, length, emit, work_bound):
+        emit(((0, 0), (0, 1)))
+        emit(((0, 1), (0, 0)))  # the same pair, rows swapped
+        return 2
+
+    monkeypatch.setattr(search, "_enumerate", twice_enumerate)
+    with pytest.raises(RuntimeError, match="internal error: .* twice"):
+        search_cs(2, 2, 2)
+
+
 def test_results_sorted_lexicographically():
     result = search_cs(2, 4, 4)
     forms = [rows_of(cs) for cs in result.sets]
@@ -89,7 +101,7 @@ def test_results_sorted_lexicographically():
 @pytest.mark.parametrize(
     "q,p,n",
     [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (2, 4, 2), (2, 4, 3), (2, 4, 4), (4, 2, 3),
-     (3, 2, 3), (3, 3, 2), (3, 3, 3), (5, 5, 2), (6, 2, 2), (6, 2, 3)],
+     (3, 2, 3), (3, 3, 2), (3, 3, 3), (4, 3, 3), (5, 5, 2), (6, 2, 2), (6, 2, 3), (6, 3, 3)],
 )
 def test_matches_unpruned_reference_enumeration(q, p, n):
     expected = brute_force_cs(q, p, n)
@@ -111,8 +123,8 @@ def test_constructed_size4_sets_appear_in_oracle_output():
                 assert canonical_rows(2, rows_of(built)) in oracle
 
 
-PINNED_NODES = {(2, 2, 10): 2377, (4, 2, 5): 1254, (3, 3, 4): 376, (6, 2, 4): 2007,
-                (2, 4, 4): 154}
+PINNED_NODES = {(2, 2, 10): 1283, (4, 2, 5): 770, (3, 3, 4): 376, (6, 2, 4): 1317,
+                (2, 4, 4): 154, (3, 3, 5): 946}
 
 
 @pytest.mark.parametrize("q,p,n", PINNED_NODES)
@@ -146,28 +158,45 @@ def run_engine(engine, q, p, n, stop_at=None, work_bound=10**9, keep=None):
     return emitted, outcome
 
 
-def rows_sorted_in_fill_order(rows):
+def is_class_leader(q, rows):
+    """True when the rows are sorted in the fill order and no image of the
+    stack under reversal (rows rescaled to lead with 0), conjugation or
+    both, its rows sorted the same way, comes first in the slot order:
+    columns in fill order, rows top down within a column."""
     order = search._column_order(len(rows[0]))
-    keys = [[row[c] for c in order] for row in rows]
-    return keys == sorted(keys)
+
+    def row_sorted(stack):
+        return sorted(stack, key=lambda row: [row[c] for c in order])
+
+    def slot_key(stack):
+        return [tuple(row[c] for row in stack) for c in order]
+
+    images = [
+        [tuple((e - row[-1]) % q for e in reversed(row)) for row in rows],
+        [tuple(-e % q for e in row) for row in rows],
+        [tuple((row[-1] - e) % q for e in reversed(row)) for row in rows],
+    ]
+    return list(rows) == row_sorted(rows) and all(
+        slot_key(rows) <= slot_key(row_sorted(image)) for image in images
+    )
 
 
 @pytest.mark.parametrize("q,p,n", ORACLE_SHAPES)
 def test_engine_matches_undo_log_oracle(q, p, n):
     # The engine skips exactly the stacks whose rows are out of order in the
-    # fill order, and every node it counts the oracle counts too.
-    every, _ = run_engine(undo_log_enumerate, q, p, n, keep=rows_sorted_in_fill_order)
+    # fill order or that an image under reversal or conjugation precedes,
+    # and every node it counts the oracle counts too.
+    keep = functools.partial(is_class_leader, q)
+    every, _ = run_engine(undo_log_enumerate, q, p, n, keep=keep)
     for stop_at in (None, 1, 2, 3, 7):
         emitted, nodes = run_engine(search._enumerate, q, p, n, stop_at)
-        expected, oracle_nodes = run_engine(
-            undo_log_enumerate, q, p, n, stop_at, keep=rows_sorted_in_fill_order
-        )
+        expected, oracle_nodes = run_engine(undo_log_enumerate, q, p, n, stop_at, keep=keep)
         assert emitted == expected
         assert nodes <= oracle_nodes
     for bound in (50, 300, 2000, 10**9):
         emitted, outcome = run_engine(search._enumerate, q, p, n, work_bound=bound)
         oracle_emitted, oracle_outcome = run_engine(
-            undo_log_enumerate, q, p, n, work_bound=bound, keep=rows_sorted_in_fill_order
+            undo_log_enumerate, q, p, n, work_bound=bound, keep=keep
         )
         assert emitted[: len(oracle_emitted)] == oracle_emitted
         assert emitted == every[: len(emitted)]
@@ -200,7 +229,10 @@ def test_limit_keeps_the_oracle_class_order(q, p, n):
     assert rows_of(first_cs(q, p, n)) == classes[0]
 
 
-def test_row_permutations_are_not_canonicalized(monkeypatch):
+@pytest.mark.parametrize("q,p,n", [(2, 4, 5), (3, 3, 5), (4, 2, 8), (6, 2, 4), (8, 2, 4)])
+def test_each_class_is_canonicalized_once(monkeypatch, q, p, n):
+    # without symmetry breaking, search_cs(2, 4, 5) canonicalizes 1,056 raw
+    # hits of its 24 classes; with row order alone, 48
     calls = []
 
     def counting_canonical_rows(q, rows):
@@ -208,10 +240,9 @@ def test_row_permutations_are_not_canonicalized(monkeypatch):
         return canonical_rows(q, rows)
 
     monkeypatch.setattr(search, "canonical_rows", counting_canonical_rows)
-    result = search_cs(2, 4, 5)
-    assert len(result.sets) == 24
-    # the unpruned engine canonicalizes 1,056 raw hits of these 24 classes
-    assert len(calls) <= 48
+    result = search_cs(q, p, n)
+    assert result.sets
+    assert len(calls) == len(result.sets)
 
 
 def test_oracle_shapes_reach_every_engine_path():
