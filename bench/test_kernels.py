@@ -19,7 +19,7 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
-from cskit.search import _enumerate, first_cs
+from cskit.search import _backtrack, first_cs, search_cs
 from cskit.seeds import gcp_for_length, seed_pair
 from cskit.verify import verify
 
@@ -69,12 +69,19 @@ def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
 
 @pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 18203), (4, 2, 7, 8334)])
 def test_enumerate_full(benchmark, q, p, n, nodes):
-    assert benchmark(_enumerate, q, p, n, lambda rows: False, 10**9) == nodes
+    # the engine alone: the norm test refutes (2, 2, 14) before a node
+    assert benchmark(_backtrack, q, p, n, lambda rows: False, 10**9) == nodes
 
 
 def test_first_cs_q4_len11(benchmark):
     pair = benchmark(first_cs, 4, 2, 11)
     assert pair.rows == seed_pair(4, 11).pair.rows
+
+
+def test_search_refuted_pair(benchmark):
+    # 2 * 15 = 30 is no sum of two odd squares: no binary pair of length 15
+    result = benchmark(search_cs, 2, 2, 15)
+    assert result.sets == () and result.complete
 
 
 def test_cli_search_q2_size4_len5(benchmark):

@@ -169,6 +169,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_search(args) -> int:
+    setio.require_text_q(args.q)  # before a search whose sets could not be printed
     result = search_cs(args.q, args.size, args.len, limit=args.limit,
                        work_bound=args.work_bound)
     for cs in result.sets:

@@ -20,9 +20,14 @@ from .verify import ComplementarySet
 _HEADER = re.compile(r"^q=(\d+) rows=(\d+) len=(\d+)$")
 
 
-def serialize_set(cs: ComplementarySet, note: Optional[str] = None) -> str:
-    if cs.q > 10:
+def require_text_q(q: int) -> None:
+    """Raise InputError unless the text format can write q-ary entries."""
+    if q > 10:
         raise InputError("the text format supports q <= 10 only")
+
+
+def serialize_set(cs: ComplementarySet, note: Optional[str] = None) -> str:
+    require_text_q(cs.q)
     lines = [f"q={cs.q} rows={cs.size} len={cs.length}"]
     if note:
         lines.extend(f"# {part}" for part in note.splitlines())

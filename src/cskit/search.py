@@ -44,12 +44,25 @@ stacks in ascending slot order, so the classes and the order they are found
 in (so `limit` and `first_cs`) do not change. Each class is emitted once;
 its hit is canonicalized, and only the canonical stack is verified and
 returned.
+
+Before it builds its tables, the search runs a norm test on the whole
+shape: the sum of the aperiodic autocorrelations over all shifts of a row
+A is |A(1)|^2, so a complementary set has sum_r |A_r(1)|^2 = P*N (Golay,
+"Complementary series", IRE Trans. IT 7, 1961, for binary pairs: 2N is a
+sum of two squares). Each row sum A_r(1) is a sum of N q-th roots. For q
+in {1, 2, 3, 4, 6} (phi(q) <= 2) its norm is a rational integer, and one
+exact rule per q tells which elements of Z[zeta_q] are such sums. A shape
+is refuted when P*N is no sum of P of their norms; the sums are formed
+as bitmasks by doubling, with integers only. A refuted shape visits no
+node and emits nothing; any other shape and any other q are searched as
+before.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Iterable, Optional
 
 from .algebra import Sequence, root_coords
@@ -81,6 +94,80 @@ def canonical_rows(q: int, rows: Iterable[Iterable[int]]) -> Rows:
         [tuple((-e) % q for e in reversed(r)) for r in base],
     ]
     return min(normalize(v) for v in variants)
+
+
+# The q with phi(q) <= 2, whose row sums have rational-integer norms, and
+# the cross term k = zeta_q + conj(zeta_q) of the norm x^2 + k*x*y + y^2 of
+# x + y*zeta_q (root_coords coordinates; y = 0 when phi(q) = 1).
+_NORM_CROSS = {1: 0, 2: 0, 3: -1, 4: 0, 6: 1}
+
+
+def _is_row_sum(q: int, n: int, x: int, y: int) -> bool:
+    """Whether x + y*zeta_q is a sum of n q-th roots, for q in _NORM_CROSS.
+
+    With n_d terms zeta_q^d: for q = 3, x = n_0 - n_2 and y = n_1 - n_2, so
+    n_2 = (n - x - y) / 3 must be an integer >= max(0, -x, -y); for q = 6,
+    (x, y) are axial coordinates of the hexagonal lattice, and every point
+    within n unit steps is reached, as a step splits in two (1 = zeta +
+    zeta^5) and 0 = 1 + zeta^3 = 1 + zeta^2 + zeta^4, except 0 by one term.
+    """
+    if q == 1:
+        return x == n
+    if q == 2:
+        return abs(x) <= n and (n - x) % 2 == 0
+    if q == 3:
+        return (n - x - y) % 3 == 0 and max(x + y, y - 2 * x, x - 2 * y) <= n
+    if q == 4:
+        return abs(x) + abs(y) <= n and (n - x - y) % 2 == 0
+    return max(abs(x), abs(y), abs(x + y)) <= n and (x, y, n) != (0, 0, 1)
+
+
+def _row_sum_norms(q: int, n: int, bound: int) -> int:
+    """Bitmask of the norms |A(1)|^2 <= bound of the sums A(1) of n q-th
+    roots, for q in _NORM_CROSS."""
+    k = _NORM_CROSS[q]
+    # every sum has |x|, |y| <= n, and x^2 + k*x*y + y^2 >= 3/4 * max(|x|, |y|)^2
+    r = min(n, isqrt(4 * bound // 3))
+    ys = range(-r, r + 1) if q > 2 else (0,)
+    mask = 0
+    for x in range(-r, r + 1):
+        for y in ys:
+            norm = x * x + k * x * y + y * y
+            if norm <= bound and _is_row_sum(q, n, x, y):
+                mask |= 1 << norm
+    return mask
+
+
+def _norm_refuted(q: int, p: int, n: int) -> bool:
+    """True when no complementary set of p rows of n q-th roots exists
+    because p*n is no sum of p row-sum norms (the module notes); False
+    whenever q is not in _NORM_CROSS."""
+    if q not in _NORM_CROSS:
+        return False
+    target = p * n
+    cap = (2 << target) - 1  # the bits 0..target
+
+    def add(a: int, b: int) -> int:
+        # the sums a + b below the cap, one shift per bit of the sparser
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        out = 0
+        while a:
+            low = a & -a
+            out |= b << (low.bit_length() - 1)
+            a ^= low
+        return out & cap
+
+    # after i rounds, power holds the sums of 2^i norms and sums those of
+    # p mod 2^i norms
+    sums, power = 1, _row_sum_norms(q, n, target)
+    while True:
+        if p & 1:
+            sums = add(sums, power)
+        p >>= 1
+        if not p:
+            return not sums >> target & 1
+        power = add(power, power)
 
 
 def _column_order(n: int) -> list[int]:
@@ -198,7 +285,27 @@ def _enumerate(
     emit: Callable[[Rows], bool],
     work_bound: int,
 ) -> int:
-    """Run the backtracking enumeration; emit returns True to stop early.
+    """Run the norm test, then the backtracking enumeration; emit returns
+    True to stop early.
+
+    A shape the norm test refutes visits 0 nodes and emits nothing, so it
+    never exceeds a work bound. Otherwise returns `_backtrack`'s node count.
+    """
+    if q < 1 or set_size < 1 or length < 1:
+        raise InputError("q, set size, and length must all be >= 1")
+    if _norm_refuted(q, set_size, length):
+        return 0
+    return _backtrack(q, set_size, length, emit, work_bound)
+
+
+def _backtrack(
+    q: int,
+    set_size: int,
+    length: int,
+    emit: Callable[[Rows], bool],
+    work_bound: int,
+) -> int:
+    """The backtracking enumeration; emit returns True to stop early.
 
     Exponents are tried in ascending order, so stacks are reached in
     ascending slot order, and only the least member of each class is
@@ -207,9 +314,6 @@ def _enumerate(
     skipped by the row-order bound are not counted. Raises
     WorkBoundExceeded if that number would pass work_bound.
     """
-    if q < 1 or set_size < 1 or length < 1:
-        raise InputError("q, set size, and length must all be >= 1")
-
     p, n = set_size, length
     exps = [[0] * n for _ in range(p)]
     cols = _column_order(n)
@@ -354,7 +458,9 @@ def search_cs(
 ) -> SearchResult:
     """All complementary sets of the given shape, up to equivalence.
 
-    With `limit`, the enumeration stops at the `limit`-th class found.
+    With `limit`, the enumeration stops at the `limit`-th class found. A
+    shape the norm test refutes returns no sets after 0 nodes, whatever
+    the work bound.
     """
     if limit is not None and limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from cskit import cli
 from cskit.cli import main
 from cskit.io import parse_set, read_set_file
 from cskit.verify import verify
@@ -260,6 +261,24 @@ def test_search_work_bound_exit3(capsys):
     )
     assert code == 3
     assert "work bound" in err
+
+
+def test_search_refuted_shape_passes_any_work_bound(capsys):
+    # the norm test refutes length 24 before the search visits a node
+    code, out, err = run(
+        capsys, "search", "--q", "2", "--size", "2", "--len", "24", "--work-bound", "1"
+    )
+    assert (code, out, err) == (0, "", "")
+
+
+def test_search_q_above_text_format_exit2_before_searching(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "search_cs", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "search", "--q", "12", "--size", "2", "--len", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input: the text format supports q <= 10 only\n"
+    assert calls == []
 
 
 def test_papr_rows(capsys, golden_dir):

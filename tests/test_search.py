@@ -1,14 +1,16 @@
 """Search oracle: exhaustiveness, canonicalization, determinism, bounds."""
 
 import functools
+import itertools
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 
-from cskit.algebra import Sequence
+from cskit.algebra import Sequence, root_coords
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import InputError, WorkBoundExceeded
 from cskit import search
@@ -136,8 +138,8 @@ def test_node_counts_are_pinned(q, p, n):
 # Shapes for the engine-versus-oracle test: q in {1, 2, 3, 4, 5, 6, 8} and
 # sizes 1-5, with and without solutions, several past the work bounds.
 ORACLE_SHAPES = [
-    (1, 3, 4), (2, 1, 6), (2, 2, 10), (2, 4, 4), (2, 5, 3), (3, 3, 4), (4, 2, 6),
-    (4, 4, 3), (5, 2, 4), (5, 5, 2), (6, 3, 3), (8, 2, 4), (8, 3, 3),
+    (1, 3, 4), (2, 1, 6), (2, 2, 10), (2, 3, 3), (2, 4, 4), (2, 5, 3), (3, 3, 4),
+    (4, 2, 6), (4, 4, 3), (5, 2, 4), (5, 5, 2), (6, 3, 3), (8, 2, 4), (8, 3, 3),
 ]
 
 
@@ -186,22 +188,25 @@ def test_engine_matches_undo_log_oracle(q, p, n):
     # The engine skips exactly the stacks whose rows are out of order in the
     # fill order or that an image under reversal or conjugation precedes,
     # and every node it counts the oracle counts too.
+    # The backtracker alone is checked too, since the norm test stops the
+    # engine before it on the shapes it refutes.
     keep = functools.partial(is_class_leader, q)
     every, _ = run_engine(undo_log_enumerate, q, p, n, keep=keep)
-    for stop_at in (None, 1, 2, 3, 7):
-        emitted, nodes = run_engine(search._enumerate, q, p, n, stop_at)
-        expected, oracle_nodes = run_engine(undo_log_enumerate, q, p, n, stop_at, keep=keep)
-        assert emitted == expected
-        assert nodes <= oracle_nodes
-    for bound in (50, 300, 2000, 10**9):
-        emitted, outcome = run_engine(search._enumerate, q, p, n, work_bound=bound)
-        oracle_emitted, oracle_outcome = run_engine(
-            undo_log_enumerate, q, p, n, work_bound=bound, keep=keep
-        )
-        assert emitted[: len(oracle_emitted)] == oracle_emitted
-        assert emitted == every[: len(emitted)]
-        if isinstance(oracle_outcome, int):
-            assert isinstance(outcome, int) and outcome <= oracle_outcome
+    for engine in (search._enumerate, search._backtrack):
+        for stop_at in (None, 1, 2, 3, 7):
+            emitted, nodes = run_engine(engine, q, p, n, stop_at)
+            expected, oracle_nodes = run_engine(undo_log_enumerate, q, p, n, stop_at, keep=keep)
+            assert emitted == expected
+            assert nodes <= oracle_nodes
+        for bound in (50, 300, 2000, 10**9):
+            emitted, outcome = run_engine(engine, q, p, n, work_bound=bound)
+            oracle_emitted, oracle_outcome = run_engine(
+                undo_log_enumerate, q, p, n, work_bound=bound, keep=keep
+            )
+            assert emitted[: len(oracle_emitted)] == oracle_emitted
+            assert emitted == every[: len(emitted)]
+            if isinstance(oracle_outcome, int):
+                assert isinstance(outcome, int) and outcome <= oracle_outcome
 
 
 def oracle_classes(q, p, n):
@@ -258,6 +263,82 @@ def test_oracle_shapes_reach_every_engine_path():
                 for shape in ORACLE_SHAPES]
     assert any(isinstance(o, str) for o in outcomes)
     assert any(isinstance(o, int) for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Row-sum norm test.
+
+NORM_QS = (1, 2, 3, 4, 6)
+
+
+def brute_force_row_sums(q, n):
+    """The root_coords coordinates (x, y) (y = 0 when phi(q) = 1) of every
+    sum of n q-th roots, mapped to its norm. The norm is computed exactly as
+    |A|^2 = sum over j, k of zeta^(a_j - a_k), whose coordinates are
+    (norm, 0)."""
+    ring = root_coords(q)
+    rows = np.array(list(itertools.product(range(q), repeat=n)))
+    sums, first = np.unique(ring[rows].sum(axis=1), axis=0, return_index=True)
+    reps = rows[first]
+    square = ring[(reps[:, :, None] - reps[:, None, :]) % q].sum(axis=(1, 2))
+    assert not square[:, 1:].any()
+    return {(x, *rest, 0)[:2]: norm for (x, *rest), norm in zip(sums.tolist(), square[:, 0].tolist())}
+
+
+@pytest.mark.parametrize("q", NORM_QS)
+def test_row_sum_rules_match_brute_force(q):
+    for n in range(1, (8 if q <= 4 else 6) + 1):
+        sums = brute_force_row_sums(q, n)
+        box = range(-n, n + 1)
+        ruled = {(x, y) for x in box for y in (box if q > 2 else (0,))
+                 if search._is_row_sum(q, n, x, y)}
+        assert ruled == set(sums), (q, n)
+        for bound in (n * n, 2 * n, n):  # the last two cut the search box
+            expected = sum(1 << v for v in set(sums.values()) if v <= bound)
+            assert search._row_sum_norms(q, n, bound) == expected, (q, n, bound)
+
+
+def test_norm_refutations_are_sound():
+    # the oracle runs no norm test; every shape refuted here has no solution
+    shapes = [(q, p, n) for q in NORM_QS for p in range(1, 5) for n in range(1, 9)]
+    refuted = [shape for shape in shapes + [(2, 2, n) for n in range(9, 16)]
+               if search._norm_refuted(*shape)]
+    assert {q for q, _, _ in refuted} == set(NORM_QS)
+    assert {(2, 2, 11), (2, 2, 12), (2, 2, 14), (2, 2, 15)} <= set(refuted)
+    for shape in refuted:
+        emitted, nodes = run_engine(undo_log_enumerate, *shape)
+        assert emitted == [] and isinstance(nodes, int), shape
+        assert run_engine(search._enumerate, *shape) == ([], 0)
+
+
+@pytest.mark.parametrize("q,lengths", [(2, (1, 2, 4, 8, 10, 16, 20, 26, 32, 40)),
+                                       (4, (1, 2, 3, 5, 11, 13))])
+def test_known_pair_lengths_pass_the_norm_test(q, lengths):
+    for n in lengths:
+        assert not search._norm_refuted(q, 2, n), n
+
+
+def test_norm_test_runs_only_where_norms_are_integers():
+    assert not any(search._norm_refuted(q, p, n) for q in (5, 7, 8, 12)
+                   for p in range(1, 5) for n in range(1, 9))
+
+
+@pytest.mark.parametrize("n", [22, 24])
+def test_refuted_pair_lengths_visit_no_nodes(n):
+    # 3,296,525 and 11,710,815 nodes of brute force without the norm test
+    assert search_cs(2, 2, n) == search.SearchResult(2, 2, n, (), True, 0)
+
+
+def test_refuted_shapes_pass_any_work_bound():
+    assert search_cs(2, 2, 24, work_bound=0).nodes == 0
+    assert first_cs(2, 2, 22, work_bound=1) is None
+
+
+@pytest.mark.parametrize("q,n", [(2, 18), (2, 20), (4, 10), (4, 11)])
+def test_bounded_workload_shapes_pass_the_norm_test(q, n):
+    assert not search._norm_refuted(q, 2, n)
+    with pytest.raises(WorkBoundExceeded):
+        search_cs(q, 2, n, work_bound=24000)
 
 
 def test_limit_truncates_with_flag():
