@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the exact correlation kernel, the paths built on it
-and the search engine.
+"""Micro-benchmarks of the exact correlation kernel, the paths built on it,
+the search engine and the reachable-length enumeration.
 
     PYTHONPATH=src python3 -m pytest bench --benchmark-json=out.json
 
@@ -19,6 +19,7 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
+from cskit.reach import reachable_lengths
 from cskit.search import _backtrack, first_cs, search_cs
 from cskit.seeds import gcp_for_length, seed_pair
 from cskit.verify import verify
@@ -92,3 +93,18 @@ def test_cli_search_q2_size4_len5(benchmark):
 
     code, out = benchmark(search)
     assert code == 0 and out.count("q=2 rows=4 len=5\n") == 24
+
+
+REACH_ENTRIES = {
+    (2, 4, 2600): 501,
+    (2, 8, 2600): 1661,
+    (4, 4, 2600): 1865,
+    (4, 8, 2600): 2599,
+    (4, 8, 10000): 9999,
+}
+
+
+@pytest.mark.parametrize("q,size,max_len", list(REACH_ENTRIES))
+def test_reachable_lengths(benchmark, q, size, max_len):
+    reach = benchmark(reachable_lengths, q, size, max_len)
+    assert len(reach.entries) == REACH_ENTRIES[q, size, max_len]

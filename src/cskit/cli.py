@@ -30,6 +30,7 @@ from .seeds import gcp_for_length, load_seeds
 from .verify import ComplementarySet, ensure_verified, verify
 
 _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
+ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
 
 
 def _load(path: str) -> ComplementarySet:
@@ -145,6 +146,9 @@ def cmd_gcp(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max > ENUMERATE_MAX_CAP:
+        raise WorkBoundExceeded(
+            f"enumerate --max {args.max} is above the cap of {ENUMERATE_MAX_CAP}")
     reach = reachable_lengths(args.q, args.size, args.max)
     if args.json:
         records = [

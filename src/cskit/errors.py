@@ -23,4 +23,4 @@ class SeedError(RuntimeError):
 
 
 class WorkBoundExceeded(RuntimeError):
-    """A search exceeded its configured node budget."""
+    """A search exceeded its node budget, or a request is above its size cap."""

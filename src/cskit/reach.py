@@ -12,6 +12,13 @@ pair: the shipped compositions only multiply a binary-pattern length
 into a single primitive seed. Each enumerated length is therefore
 labeled constructive or existence-only by checking for a composition
 plan, independently of the abstract pattern.
+
+One witness is kept per length. It comes from the constructive
+candidates when there are any, else from all of them, and is the least
+operand tuple there: the least M, and a stack only when no M+P is in that
+pool. Each pass over the pattern lengths M, in ascending order, marks by
+one shifted bitmask the lengths M + (partner) still without a witness, so
+no candidate list is built.
 """
 
 from __future__ import annotations
@@ -215,58 +222,63 @@ class ReachabilitySet:
         return None
 
 
-def _pick(
-    candidates: list[tuple[tuple[int, ...], bool, str]]
-) -> tuple[Derivation, bool]:
-    """Prefer a constructive witness; ties break on smallest operands."""
-    constructive = [c for c in candidates if c[1]]
-    pool = constructive or candidates
-    operands, is_con, kind = min(pool)
-    return Derivation(kind, operands), is_con
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    pos = digits.find("1")
+    while pos >= 0:
+        yield pos
+        pos = digits.find("1", pos + 1)
+
+
+def _mask(lengths) -> int:
+    out = 0
+    for length in lengths:
+        out |= 1 << length
+    return out
+
+
+def _record(found: dict, new: int, kind: str, m: Optional[int], constructive: bool) -> None:
+    """Witness every length in the mask new by (m, L-m), or by a stack if m is None."""
+    for length in _bits(new):
+        operands = (length,) if m is None else (m, length - m)
+        found[length] = LengthEntry(length, Derivation(kind, operands), constructive)
 
 
 def cs4_lengths(q: int, max_len: int) -> ReachabilitySet:
-    """Reachable size-4 lengths: all sums of two pattern lengths."""
+    """Reachable size-4 lengths: all sums M+N of two pattern lengths M <= N."""
     pattern = gcp_lengths(q, max_len)
-    feasible = {m: has_composition_plan(q, m) for m in pattern}
-    by_length: dict[int, list[tuple[tuple[int, ...], bool, str]]] = {}
-    for i, m in enumerate(pattern):
-        for n in pattern[i:]:
-            total = m + n
-            if total > max_len:
-                break
-            by_length.setdefault(total, []).append(
-                ((m, n), feasible[m] and feasible[n], "pair-sum")
-            )
-    entries = []
-    for length in sorted(by_length):
-        witness, constructive = _pick(by_length[length])
-        entries.append(LengthEntry(length, witness, constructive))
-    return ReachabilitySet(q, 4, max_len, tuple(entries))
+    feasible = [m for m in pattern if has_composition_plan(q, m)]
+    found: dict[int, LengthEntry] = {}
+    untaken = (1 << (max_len + 1)) - 1
+    for pool, constructive in ((feasible, True), (pattern, False)):
+        pool_mask = _mask(pool)
+        for m in pool:
+            # bit n >= m of the pool moves to n + m
+            new = ((pool_mask >> m) << 2 * m) & untaken
+            untaken ^= new
+            _record(found, new, "pair-sum", m, constructive)
+    return ReachabilitySet(q, 4, max_len, tuple(found[n] for n in sorted(found)))
 
 
 def cs8_lengths(q: int, max_len: int) -> ReachabilitySet:
     """Reachable size-8 lengths: pair length + size-4 length, or a stack."""
     pattern = gcp_lengths(q, max_len)
-    feasible = {m: has_composition_plan(q, m) for m in pattern}
-    cs4 = cs4_lengths(q, max_len)
-    by_length: dict[int, list[tuple[tuple[int, ...], bool, str]]] = {}
-    for entry in cs4.entries:
-        by_length.setdefault(entry.length, []).append(
-            ((entry.length,), entry.constructive, "stack")
-        )
-        for m in pattern:
-            total = m + entry.length
-            if total > max_len:
-                break
-            by_length.setdefault(total, []).append(
-                ((m, entry.length), feasible[m] and entry.constructive, "pair-plus-set4")
-            )
-    entries = []
-    for length in sorted(by_length):
-        witness, constructive = _pick(by_length[length])
-        entries.append(LengthEntry(length, witness, constructive))
-    return ReachabilitySet(q, 8, max_len, tuple(entries))
+    feasible = [m for m in pattern if has_composition_plan(q, m)]
+    cs4 = cs4_lengths(q, max_len).entries
+    found: dict[int, LengthEntry] = {}
+    untaken = (1 << (max_len + 1)) - 1
+    for firsts, constructive in ((feasible, True), (pattern, False)):
+        partners = _mask(e.length for e in cs4 if e.constructive or not constructive)
+        for m in firsts:
+            new = (partners << m) & untaken
+            untaken ^= new
+            _record(found, new, "pair-plus-set4", m, constructive)
+        # a stack (L,) sorts after every (M, P), so it only fills what is left
+        new = partners & untaken
+        untaken ^= new
+        _record(found, new, "stack", None, constructive)
+    return ReachabilitySet(q, 8, max_len, tuple(found[n] for n in sorted(found)))
 
 
 def reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:
@@ -275,28 +287,6 @@ def reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:
     if set_size == 8:
         return cs8_lengths(q, max_len)
     raise InputError(f"enumeration covers set sizes 4 and 8, got {set_size}")
-
-
-def derivations_for(q: int, set_size: int, length: int) -> list[Derivation]:
-    """Every admissible derivation of one length, not just the picked witness."""
-    pattern = set(gcp_lengths(q, length))
-    out = []
-    if set_size == 4:
-        for m in sorted(pattern):
-            n = length - m
-            if m <= n and n in pattern:
-                out.append(Derivation("pair-sum", (m, n)))
-        return out
-    if set_size != 8:
-        raise InputError(f"enumeration covers set sizes 4 and 8, got {set_size}")
-    cs4 = set(cs4_lengths(q, length).lengths())
-    if length in cs4:
-        out.append(Derivation("stack", (length,)))
-    for m in sorted(pattern):
-        p = length - m
-        if p in cs4:
-            out.append(Derivation("pair-plus-set4", (m, p)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ import numpy as np
 from cskit.algebra import Alphabet, RootSum, Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import InputError, WorkBoundExceeded
+from cskit.reach import (
+    Derivation,
+    LengthEntry,
+    ReachabilitySet,
+    gcp_lengths,
+    has_composition_plan,
+)
 from cskit.search import Rows, _column_order, canonical_rows
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, ensure_verified, verify
@@ -245,3 +252,64 @@ def random_cs4(q: int, rng, max_pair_len: int = 10) -> ComplementarySet:
     pair_a = random_gcp(q, rng, max_pair_len)
     pair_b = random_gcp(q, rng, max_pair_len)
     return cs4_from_pairs(pair_a, pair_b, random_admissible_coeffs4(q, rng))
+
+
+# ---------------------------------------------------------------------------
+# Reachability oracle: the candidate-list enumeration that cskit.reach
+# replaced. It lists every (operands, constructive, kind) candidate per
+# length and picks one; the library keeps one witness per length instead.
+
+Candidate = tuple[tuple[int, ...], bool, str]
+
+
+def cs4_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
+    """Every pair-sum M+N (M <= N) of two pattern lengths, per length."""
+    pattern = gcp_lengths(q, max_len)
+    feasible = {m: has_composition_plan(q, m) for m in pattern}
+    by_length: dict[int, list[Candidate]] = {}
+    for i, m in enumerate(pattern):
+        for n in pattern[i:]:
+            total = m + n
+            if total > max_len:
+                break
+            by_length.setdefault(total, []).append(
+                ((m, n), feasible[m] and feasible[n], "pair-sum")
+            )
+    return by_length
+
+
+def cs8_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
+    """Every stack and every M+P (pattern M, size-4 length P), per length."""
+    pattern = gcp_lengths(q, max_len)
+    feasible = {m: has_composition_plan(q, m) for m in pattern}
+    by_length: dict[int, list[Candidate]] = {}
+    for entry in oracle_reachable_lengths(q, 4, max_len).entries:
+        by_length.setdefault(entry.length, []).append(
+            ((entry.length,), entry.constructive, "stack")
+        )
+        for m in pattern:
+            total = m + entry.length
+            if total > max_len:
+                break
+            by_length.setdefault(total, []).append(
+                ((m, entry.length), feasible[m] and entry.constructive, "pair-plus-set4")
+            )
+    return by_length
+
+
+def _pick(candidates: list[Candidate]) -> tuple[Derivation, bool]:
+    """Prefer a constructive witness; ties break on smallest operands."""
+    constructive = [c for c in candidates if c[1]]
+    pool = constructive or candidates
+    operands, is_con, kind = min(pool)
+    return Derivation(kind, operands), is_con
+
+
+def oracle_reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:
+    """The ReachabilitySet that picks from the full candidate lists."""
+    by_length = (cs4_candidates if set_size == 4 else cs8_candidates)(q, max_len)
+    entries = []
+    for length in sorted(by_length):
+        witness, constructive = _pick(by_length[length])
+        entries.append(LengthEntry(length, witness, constructive))
+    return ReachabilitySet(q, set_size, max_len, tuple(entries))

@@ -8,6 +8,7 @@ import pytest
 from cskit import cli
 from cskit.cli import main
 from cskit.io import parse_set, read_set_file
+from cskit.reach import ReachabilitySet
 from cskit.verify import verify
 
 from helpers import rootsum_accf
@@ -207,6 +208,24 @@ def test_enumerate_json_records(capsys):
     lengths = [e["length"] for e in payload["lengths"]]
     assert lengths == [2] + list(range(3, 14))
     assert all("witness" in e for e in payload["lengths"])
+
+
+def test_enumerate_max_above_cap_exit3_before_any_work(capsys, monkeypatch):
+    # the stub records the calls that pass the cap; no real call above it runs
+    called = []
+
+    def stub(q, size, max_len):
+        called.append(max_len)
+        return ReachabilitySet(q, size, max_len, ())
+
+    monkeypatch.setattr(cli, "reachable_lengths", stub)
+    cap = cli.ENUMERATE_MAX_CAP
+    code, out, err = run(capsys, "enumerate", "--q", "4", "--size", "8", "--max", str(cap + 1))
+    assert (code, out, called) == (3, "", [])
+    assert err == f"error: work-bound: enumerate --max {cap + 1} is above the cap of {cap}\n"
+    code, out, _ = run(capsys, "enumerate", "--q", "4", "--size", "8", "--max", str(cap))
+    assert (code, called) == (0, [cap])
+    assert out == f"q=4 size=8 max={cap}: 0 lengths\n"
 
 
 def test_search_streams_sets(capsys):

@@ -1,13 +1,16 @@
 """Length reachability: pattern enumeration, witnesses, reference-row diffs."""
 
+import random
+
 import pytest
 
+import helpers
+from cskit import reach as reach_module
 from cskit.errors import InputError
 from cskit.reach import (
     PUBLISHED_ROWS,
     cs4_lengths,
     cs8_lengths,
-    derivations_for,
     gcp_lengths,
     gcp_pattern_factorizations,
     has_composition_plan,
@@ -150,8 +153,8 @@ def test_cs8_quaternary_lengths_to_34():
 
 
 def test_cs8_length13_admits_the_8_plus_5_derivation():
-    kinds = derivations_for(2, 8, 13)
-    assert any(d.kind == "pair-plus-set4" and d.operands == (8, 5) for d in kinds)
+    candidates = helpers.cs8_candidates(2, 13)[13]
+    assert any(kind == "pair-plus-set4" and ops == (8, 5) for ops, _, kind in candidates)
 
 
 def test_cs8_stack_only_length_two():
@@ -173,6 +176,43 @@ def test_cs8_witnesses_check_out():
                 m, p = w.operands
                 assert m + p == entry.length
                 assert m in pattern and p in cs4
+
+
+# ---------------------------------------------------------------------------
+# One witness per length against the candidate-list oracle.
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("size", [4, 8])
+def test_witnesses_match_candidate_list_oracle(q, size):
+    for cap in [*range(1, 301), 2400, 2500, 2600]:
+        assert reachable_lengths(q, size, cap) == helpers.oracle_reachable_lengths(q, size, cap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_witnesses_match_oracle_under_random_plans(monkeypatch, seed):
+    # The real plans never pit a constructive stack against an existence-only
+    # M+P; random plan subsets do, and the stack must win there.
+    rng = random.Random(seed)
+    stacks_beating_pair_sums = 0
+    for q in (2, 4):
+        planned = {m for m in gcp_lengths(q, 300) if rng.random() < 0.5}
+        fake_plan = lambda q_, m: m in planned  # noqa: E731
+        monkeypatch.setattr(reach_module, "has_composition_plan", fake_plan)
+        monkeypatch.setattr(helpers, "has_composition_plan", fake_plan)
+        for size in (4, 8):
+            for cap in (1, 2, 13, 34, 77, 150, 300):
+                assert reachable_lengths(q, size, cap) == helpers.oracle_reachable_lengths(
+                    q, size, cap
+                )
+        candidates = helpers.cs8_candidates(q, 300)
+        for entry in cs8_lengths(q, 300).entries:
+            stacks_beating_pair_sums += (
+                entry.witness.kind == "stack"
+                and entry.constructive
+                and any(kind == "pair-plus-set4" for _, _, kind in candidates[entry.length])
+            )
+    assert stacks_beating_pair_sums > 0
 
 
 # ---------------------------------------------------------------------------
