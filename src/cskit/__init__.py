@@ -1,7 +1,6 @@
 """Toolkit for q-ary complementary sequence sets of non-power-of-two lengths."""
 
 from .algebra import (
-    Alphabet,
     CorrelationProfile,
     RootSum,
     Sequence,
@@ -36,7 +35,6 @@ from .verify import (
     ComplementarySet,
     VerificationReport,
     ensure_verified,
-    is_gcp,
     sum_aacf,
     verify,
 )
@@ -44,7 +42,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "Coeffs4",
     "Coeffs8",
     "ComplementarySet",
@@ -75,7 +72,6 @@ __all__ = [
     "gcp_for_length",
     "gcp_lengths",
     "golay_double",
-    "is_gcp",
     "load_seeds",
     "papr",
     "parse_set",

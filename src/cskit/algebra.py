@@ -1,11 +1,12 @@
-"""Exact arithmetic over q-th roots of unity and aperiodic correlation.
+"""Exact values over q-th roots of unity and aperiodic correlation.
 
-Sequence entries are stored as integer exponents t modulo q; the entry they
-represent is exp(2*pi*sqrt(-1)*t/q). Correlation values are integer
+A `Sequence` holds its root order q and integer exponents t in [0, q); the
+entry t represents is exp(2*pi*sqrt(-1)*t/q). Correlation values are integer
 combinations of the q-th roots of unity, kept in canonical coordinates of
 the ring Z[zeta_q] (reduced modulo the q-th cyclotomic polynomial), so
 equality and zero tests are exact for every q. For q in {1, 2, 4} the
-canonical coordinates are literally Gaussian integers.
+canonical coordinates are literally Gaussian integers. A `RootSum` holds one
+such value for comparison and display; it has no arithmetic.
 
 `accf` runs one numpy kernel for every q: float64 correlations of the
 entries' canonical coordinates, exact because every partial sum is an
@@ -28,15 +29,6 @@ from .errors import InputError
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense lists, lowest degree first).
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -112,57 +104,6 @@ class RootSum:
         counts[0] = n
         return cls.from_counts(q, counts)
 
-    @classmethod
-    def zero(cls, q: int) -> "RootSum":
-        return cls.from_int(q, 0)
-
-    def _check(self, other: "RootSum") -> None:
-        if self.q != other.q:
-            raise InputError(f"mixed root orders: {self.q} vs {other.q}")
-
-    def __add__(self, other: "RootSum") -> "RootSum":
-        self._check(other)
-        return RootSum(self.q, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootSum") -> "RootSum":
-        self._check(other)
-        return RootSum(self.q, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "RootSum":
-        return RootSum(self.q, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RootSum(self.q, tuple(a * other for a in self.coords))
-        self._check(other)
-        return RootSum.from_counts(self.q, _poly_mul(list(self.coords), list(other.coords)))
-
-    __rmul__ = __mul__
-
-    def rotated(self, t: int) -> "RootSum":
-        """Multiply by zeta_q^t."""
-        return self * RootSum.from_exponent(self.q, t)
-
-    def conjugate(self) -> "RootSum":
-        counts = [0] * self.q
-        for t, c in enumerate(self.coords):
-            counts[(-t) % self.q] += c
-        return RootSum.from_counts(self.q, counts)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def gaussian(self) -> tuple[int, int]:
-        """Exact (real, imag) integer parts; only defined for q in {1, 2, 4}."""
-        if self.q == 1:
-            return self.coords[0], 0
-        if self.q == 2:
-            return self.coords[0], 0
-        if self.q == 4:
-            return self.coords[0], self.coords[1]
-        raise InputError(f"no exact Gaussian form for q={self.q}")
-
     def to_complex(self) -> complex:
         return sum(
             (c * cmath.exp(2j * cmath.pi * t / self.q) for t, c in enumerate(self.coords) if c),
@@ -176,28 +117,6 @@ class RootSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """The group U_q of q-th roots of unity; elements are exponents in [0, q)."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise InputError(f"alphabet order must be >= 1, got {self.q}")
-
-    @property
-    def half(self) -> int:
-        """The exponent of -1; only exists for even q."""
-        if self.q % 2:
-            raise InputError(f"-1 is not a {self.q}-th root of unity")
-        return self.q // 2
-
-    def root(self, t: int) -> complex:
-        return cmath.exp(2j * cmath.pi * (t % self.q) / self.q)
-
-
-_SIGN_TO_EXP = {"+": 0, "-": 1}
 _PRETTY = {2: "+-", 4: "+i-î"}  # exponents 0,1,2,3 over q=4 are 1, i, -1, -i
 
 
@@ -205,29 +124,23 @@ _PRETTY = {2: "+-", 4: "+i-î"}  # exponents 0,1,2,3 over q=4 are 1, i, -1, -i
 class Sequence:
     """A length-N vector over U_q, stored as integer exponents in [0, q)."""
 
-    alphabet: Alphabet
+    q: int
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        q = self.q
+        if q < 1:
+            raise InputError(f"alphabet order must be >= 1, got {q}")
         if len(self.exponents) < 1:
             raise InputError("sequences must be nonempty")
-        q = self.alphabet.q
         for e in self.exponents:
             if not 0 <= e < q:
                 raise InputError(f"exponent {e} outside [0, {q})")
 
     @classmethod
     def from_exponents(cls, q: int, exponents: Iterable[int]) -> "Sequence":
-        return cls(Alphabet(q), tuple(e % q for e in exponents))
-
-    @classmethod
-    def from_signs(cls, signs: str) -> "Sequence":
-        """Binary shorthand: '+' is +1, '-' is -1, over q=2."""
-        try:
-            exps = tuple(_SIGN_TO_EXP[ch] for ch in signs)
-        except KeyError as exc:
-            raise InputError(f"bad sign character {exc.args[0]!r}") from None
-        return cls(Alphabet(2), exps)
+        # q < 1 reaches the check in __post_init__ instead of a modulo by zero
+        return cls(q, tuple(e % q for e in exponents) if q >= 1 else ())
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -235,46 +148,26 @@ class Sequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self.exponents)
 
-    @property
-    def q(self) -> int:
-        return self.alphabet.q
-
     def scale(self, u: int) -> "Sequence":
         """Multiply every entry by zeta_q^u."""
         q = self.q
         if not 0 <= u < q:
             raise InputError(f"scale exponent {u} outside [0, {q})")
-        return Sequence(self.alphabet, tuple((e + u) % q for e in self.exponents))
+        return Sequence(q, tuple((e + u) % q for e in self.exponents))
 
     def negate(self) -> "Sequence":
-        return self.scale(self.alphabet.half)
-
-    def reverse(self) -> "Sequence":
-        return Sequence(self.alphabet, tuple(reversed(self.exponents)))
-
-    def conjugate(self) -> "Sequence":
-        q = self.q
-        return Sequence(self.alphabet, tuple((-e) % q for e in self.exponents))
+        if self.q % 2:
+            raise InputError(f"-1 is not a {self.q}-th root of unity")
+        return self.scale(self.q // 2)
 
     def concat(self, other: "Sequence") -> "Sequence":
-        if self.alphabet != other.alphabet:
+        if self.q != other.q:
             raise InputError("concat needs a shared alphabet")
-        return Sequence(self.alphabet, self.exponents + other.exponents)
-
-    def prefix(self, m: int) -> "Sequence":
-        if not 1 <= m <= len(self):
-            raise InputError(f"prefix length {m} outside [1, {len(self)}]")
-        return Sequence(self.alphabet, self.exponents[:m])
-
-    def embed(self, q: int) -> "Sequence":
-        """Reinterpret over a larger alphabet whose order is a multiple of q."""
-        if q % self.q:
-            raise InputError(f"cannot embed U_{self.q} into U_{q}")
-        step = q // self.q
-        return Sequence(Alphabet(q), tuple(e * step for e in self.exponents))
+        return Sequence(self.q, self.exponents + other.exponents)
 
     def as_complex(self) -> list[complex]:
-        return [self.alphabet.root(e) for e in self.exponents]
+        q = self.q
+        return [cmath.exp(2j * cmath.pi * e / q) for e in self.exponents]
 
     def render(self, pretty: bool = False) -> str:
         """Digit string by default; +,-,i,î glyphs for q in {2, 4} with pretty."""
@@ -330,14 +223,6 @@ class CorrelationProfile:
     def peak(self) -> RootSum:
         return self.at(0)
 
-    def shifts(self) -> range:
-        n = self.length_n
-        return range(-(n - 1), n)
-
-    @property
-    def values(self) -> tuple[RootSum, ...]:
-        return tuple(RootSum(self.q, tuple(row)) for row in self.coords.tolist())
-
     def nonzero_shifts(self) -> list[int]:
         """The shifts whose value is not exactly zero, in increasing order."""
         return (np.flatnonzero(self.coords.any(axis=1)) - (self.length_n - 1)).tolist()
@@ -364,7 +249,7 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
     where C_il correlates coordinate l of conj(b) with coordinate i of a;
     the module docstring bounds these float64 correlations below 2^53.
     """
-    if a.alphabet != b.alphabet:
+    if a.q != b.q:
         raise InputError("correlation needs a shared alphabet")
     if len(a) != len(b):
         raise InputError(f"correlation needs equal lengths, got {len(a)} and {len(b)}")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success / verified, 1 verification-negative (or no pair
-available), 2 input error, 3 work bound exceeded.
+available), 2 input error, 3 work bound exceeded or a request above its cap.
 """
 
 from __future__ import annotations
@@ -9,18 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import io as setio
-from .algebra import Sequence
 from .construct import (
     Coeffs4,
     Coeffs8,
     cs4_from_pairs,
     cs8_from_pair_and_set,
-    golay_double,
     stack,
-    turyn_product,
 )
 from .errors import InputError, SeedError, WorkBoundExceeded
 from .papr import DEFAULT_OVERSAMPLE, papr
@@ -31,6 +27,8 @@ from .verify import ComplementarySet, ensure_verified, verify
 
 _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
 ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
+GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
+PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
 
 
 def _load(path: str) -> ComplementarySet:
@@ -136,6 +134,8 @@ def cmd_stack(args) -> int:
 
 
 def cmd_gcp(args) -> int:
+    if args.len > GCP_LEN_CAP:
+        raise WorkBoundExceeded(f"gcp --len {args.len} is above the cap of {GCP_LEN_CAP}")
     result = gcp_for_length(args.q, args.len)
     if not result.available:
         print(f"no q={args.q} pair of length {args.len}: {result.reason}")
@@ -185,6 +185,10 @@ def cmd_search(args) -> int:
 
 def cmd_papr(args) -> int:
     cs = _load(args.file)
+    if args.oversample * cs.length > PAPR_GRID_CAP:
+        raise WorkBoundExceeded(
+            f"papr --oversample {args.oversample} on length {cs.length} is above "
+            f"the cap of {PAPR_GRID_CAP} grid points")
     rows = []
     for i, row in enumerate(cs.rows):
         result = papr(row, args.oversample)

@@ -71,9 +71,6 @@ class Coeffs4:
             ]
         return []
 
-    def is_admissible(self, q: int) -> bool:
-        return not self.violations(q)
-
 
 @dataclass(frozen=True)
 class Coeffs8:
@@ -112,9 +109,6 @@ class Coeffs8:
             )
         return out
 
-    def is_admissible(self, q: int) -> bool:
-        return not self.violations(q)
-
 
 def cs4_from_pairs(
     pair_a: ComplementarySet, pair_b: ComplementarySet, coeffs: Coeffs4
@@ -125,7 +119,7 @@ def cs4_from_pairs(
     """
     _require_pair(pair_a, "pair_a")
     _require_pair(pair_b, "pair_b")
-    if pair_a.alphabet != pair_b.alphabet:
+    if pair_a.q != pair_b.q:
         raise InputError("both pairs must share one alphabet")
     q = pair_a.q
     bad = coeffs.violations(q)
@@ -151,7 +145,7 @@ def cs8_from_pair_and_set(
     _require_verified(set4, "set4")
     if set4.size != 4:
         raise InputError(f"set4 must have exactly 4 rows, got {set4.size}")
-    if pair.alphabet != set4.alphabet:
+    if pair.q != set4.q:
         raise InputError("pair and set4 must share one alphabet")
     q = pair.q
     bad = coeffs.violations(q)
@@ -181,7 +175,7 @@ def stack(sets: Seq[ComplementarySet]) -> ComplementarySet:
     rows: list[Sequence] = []
     for i, cs in enumerate(sets):
         _require_verified(cs, f"sets[{i}]")
-        if cs.alphabet != first.alphabet:
+        if cs.q != first.q:
             raise InputError("stacked sets must share one alphabet")
         if cs.length != first.length:
             raise InputError("stacked sets must share one length")

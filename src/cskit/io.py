@@ -1,14 +1,12 @@
-"""Sequence-set file formats.
+"""The text format for sequence sets.
 
-Text format: a header line `q=<int> rows=<int> len=<int>`, optional `#`
-note lines, then one line per row of exactly `len` digit characters (the
-exponent of each entry; q <= 10). For q=2 that makes `0` mean +1 and `1`
-mean -1. The JSON variant carries the same fields as one record.
+A header line `q=<int> rows=<int> len=<int>`, optional `#` note lines, then
+one line per row of exactly `len` ASCII digits (the exponent of each entry;
+q <= 10). For q=2 that makes `0` mean +1 and `1` mean -1. Files are UTF-8.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Optional, Union
@@ -17,7 +15,7 @@ from .algebra import Sequence
 from .errors import InputError, ParseError
 from .verify import ComplementarySet
 
-_HEADER = re.compile(r"^q=(\d+) rows=(\d+) len=(\d+)$")
+_HEADER = re.compile(r"^q=([0-9]+) rows=([0-9]+) len=([0-9]+)$")
 
 
 def require_text_q(q: int) -> None:
@@ -64,7 +62,7 @@ def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
             )
         exps = []
         for col, ch in enumerate(raw, start=1):
-            if not ch.isdigit():
+            if not "0" <= ch <= "9":
                 raise ParseError(f"bad character {ch!r}", lineno, col)
             e = int(ch)
             if e >= q:
@@ -80,46 +78,19 @@ def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
 
 
 def read_set_file(path: Union[str, Path]) -> tuple[ComplementarySet, Optional[str]]:
-    return parse_set(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8", line, exc.start - line_start + 1
+        ) from None
+    return parse_set(text)
 
 
 def write_set_file(
     path: Union[str, Path], cs: ComplementarySet, note: Optional[str] = None
 ) -> None:
     Path(path).write_text(serialize_set(cs, note), encoding="utf-8")
-
-
-def to_json_record(cs: ComplementarySet, note: Optional[str] = None) -> dict:
-    record: dict = {"q": cs.q, "rows": [list(row.exponents) for row in cs.rows]}
-    if note:
-        record["note"] = note
-    return record
-
-
-def from_json_record(record: dict) -> tuple[ComplementarySet, Optional[str]]:
-    try:
-        q = int(record["q"])
-        rows = record["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad JSON record: {exc}") from None
-    if not isinstance(rows, list) or not rows:
-        raise InputError("bad JSON record: 'rows' must be a nonempty list")
-    seqs = []
-    for r in rows:
-        exps = tuple(int(e) for e in r)
-        if any(not 0 <= e < q for e in exps):
-            raise InputError(f"bad JSON record: exponent outside [0, {q})")
-        seqs.append(Sequence.from_exponents(q, exps))
-    return ComplementarySet(tuple(seqs)), record.get("note")
-
-
-def dumps_json(cs: ComplementarySet, note: Optional[str] = None) -> str:
-    return json.dumps(to_json_record(cs, note), separators=(", ", ": "))
-
-
-def loads_json(text: str) -> tuple[ComplementarySet, Optional[str]]:
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from None
-    return from_json_record(record)

@@ -38,14 +38,6 @@ class LengthFactorization:
     q: int
     exponents: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        if self.q == 2:
-            a, b, c = self.exponents
-            return 2**a * 10**b * 26**c
-        a, b, c, e, z, u = self.exponents
-        return 2 ** (a + u) * 3**b * 5**c * 11**e * 13**z
-
     def describe(self) -> str:
         if self.q == 2:
             a, b, c = self.exponents
@@ -214,12 +206,6 @@ class ReachabilitySet:
 
     def lengths(self) -> list[int]:
         return [e.length for e in self.entries]
-
-    def entry(self, length: int) -> Optional[LengthEntry]:
-        for e in self.entries:
-            if e.length == length:
-                return e
-        return None
 
 
 def _bits(mask: int):

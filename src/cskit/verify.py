@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Alphabet, CorrelationProfile, RootSum, Sequence, aacf
+from .algebra import CorrelationProfile, RootSum, Sequence, aacf
 from .errors import InputError
 
 
@@ -32,7 +32,7 @@ class ComplementarySet:
             raise InputError("a complementary set needs at least one row")
         first = self.rows[0]
         for row in self.rows[1:]:
-            if row.alphabet != first.alphabet:
+            if row.q != first.q:
                 raise InputError("all rows must share one alphabet")
             if len(row) != len(first):
                 raise InputError("all rows must share one length")
@@ -40,10 +40,6 @@ class ComplementarySet:
     @classmethod
     def of(cls, *rows: Sequence) -> "ComplementarySet":
         return cls(tuple(rows))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.rows[0].alphabet
 
     @property
     def q(self) -> int:
@@ -64,10 +60,6 @@ class VerificationReport:
     sum_profile: CorrelationProfile
     first_defect_shift: Optional[int] = None
     defect_magnitudes: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def peak(self) -> RootSum:
-        return self.sum_profile.peak
 
 
 def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
@@ -105,8 +97,3 @@ def ensure_verified(candidate: ComplementarySet) -> ComplementarySet:
             f"not a complementary set: first defect at shift {report.first_defect_shift}"
         )
     return dataclasses.replace(candidate, verified=True)
-
-
-def is_gcp(a: Sequence, b: Sequence) -> bool:
-    """True iff (a, b) is a Golay complementary pair."""
-    return verify(ComplementarySet.of(a, b)).is_cs

@@ -29,10 +29,13 @@ from cskit.verify import ComplementarySet, ensure_verified, verify
 
 from conftest import GOLDEN_DIR, load_golden
 from helpers import (
+    conj_rootsum,
+    conjugate,
     random_admissible_coeffs4,
     random_admissible_coeffs8,
     random_cs4,
     random_gcp,
+    reverse,
 )
 
 
@@ -64,8 +67,8 @@ def test_criterion_01_golden_size4_reconstruction():
         assert serialize_set(built).encode() == packaged
         report = verify(built)
         assert report.is_cs
-        assert report.peak == RootSum.from_int(2, 56)
-        assert all(report.sum_profile.at(tau).is_zero for tau in range(1, 14))
+        assert report.sum_profile.peak == RootSum.from_int(2, 56)
+        assert not any(any(report.sum_profile.at(tau).coords) for tau in range(1, 14))
 
 
 def test_criterion_02_golden_size8_reconstruction():
@@ -77,7 +80,7 @@ def test_criterion_02_golden_size8_reconstruction():
         assert serialize_set(built).encode() == packaged
         report = verify(built)
         assert report.is_cs
-        assert report.peak == RootSum.from_int(2, 104)
+        assert report.sum_profile.peak == RootSum.from_int(2, 104)
 
 
 def test_criterion_03_quaternary_length29_witness():
@@ -89,7 +92,7 @@ def test_criterion_03_quaternary_length29_witness():
         assert built.length == 29 and built.size == 4 and built.q == 4
         report = verify(built)
         assert report.is_cs
-        assert report.peak == RootSum.from_int(4, 4 * 29)
+        assert report.sum_profile.peak == RootSum.from_int(4, 4 * 29)
 
 
 def test_criterion_04_reference_row_reproduction(capsys):
@@ -126,11 +129,10 @@ def test_criterion_05_binary_constructive_coverage():
 
 def test_criterion_06_quaternary_desk_scale_coverage():
     with criterion(6, 30.0, "verified quaternary size-4 set for every length in [2, 40]"):
-        reach = reachable_lengths(4, 4, 40)
-        lengths = set(reach.lengths())
-        assert set(range(2, 41)) <= lengths
+        by_length = {e.length: e for e in reachable_lengths(4, 4, 40).entries}
+        assert set(range(2, 41)) <= set(by_length)
         for length in range(2, 41):
-            entry = reach.entry(length)
+            entry = by_length[length]
             m, n = entry.witness.operands
             pair_a = gcp_for_length(4, m)
             pair_b = gcp_for_length(4, n)
@@ -227,14 +229,15 @@ def test_criterion_10_core_algebra_invariants():
                 b = Sequence.from_exponents(q, [rng.randrange(q) for _ in range(n)])
                 ab = accf(a, b)
                 ba = accf(b, a)
-                for tau in ab.shifts():
-                    assert ab.at(tau) == ba.at(-tau).conjugate()
+                shifts = range(-(n - 1), n)
+                for tau in shifts:
+                    assert ab.at(tau) == conj_rootsum(ba.at(-tau))
                 u = rng.randrange(q)
                 assert accf(a.scale(u), b.scale(u)) == ab
                 fwd = aacf(a)
-                rev = aacf(a.reverse())
-                conj = aacf(a.conjugate())
-                for tau in fwd.shifts():
-                    assert rev.at(tau) == fwd.at(tau).conjugate()
-                    assert conj.at(tau) == fwd.at(tau).conjugate()
+                rev = aacf(reverse(a))
+                conj = aacf(conjugate(a))
+                for tau in shifts:
+                    assert rev.at(tau) == conj_rootsum(fwd.at(tau))
+                    assert conj.at(tau) == conj_rootsum(fwd.at(tau))
                 assert fwd.peak == RootSum.from_int(q, n)

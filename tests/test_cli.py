@@ -8,10 +8,12 @@ import pytest
 from cskit import cli
 from cskit.cli import main
 from cskit.io import parse_set, read_set_file
+from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet
+from cskit.seeds import GcpLookup
 from cskit.verify import verify
 
-from helpers import rootsum_accf
+from helpers import rootsum_accf, sum_rootsums
 
 
 def run(capsys, *argv):
@@ -50,9 +52,9 @@ def test_verify_json_sum_profile_matches_rootsum_oracle(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path), "--report", "json")
     cs, _ = read_set_file(str(path))
     per_row = [rootsum_accf(row, row) for row in cs.rows]
-    total = [sum(values[1:], values[0]) for values in zip(*per_row)][cs.length - 1:]
+    total = [sum_rootsums(values) for values in zip(*per_row)][cs.length - 1:]
     assert code == 1
-    assert [v.is_zero for v in total] == [False, False, True, False, True, False]
+    assert [not any(v.coords) for v in total] == [False, False, True, False, True, False]
     assert json.loads(out)["sum_profile"] == [[v.to_complex().real, v.to_complex().imag] for v in total]
 
 
@@ -85,6 +87,15 @@ def test_verify_missing_file_exit2(capsys, tmp_path, target):
     assert err.startswith("error: input: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "papr"])
+def test_non_utf8_set_file_exit2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"q=2 rows=1 len=2\n\xff\xfe\n")
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: input: byte 0xff is not UTF-8 (line 2, column 1)\n"
 
 
 def test_theorem1_reproduces_packaged_output(capsys, golden_dir, tmp_path):
@@ -192,6 +203,24 @@ def test_gcp_unavailable_exit1(capsys):
     code, out, _ = run(capsys, "gcp", "--q", "2", "--len", "3")
     assert code == 1
     assert "2^a * 10^b * 26^c" in out
+
+
+def test_gcp_len_above_cap_exit3_before_any_work(capsys, monkeypatch):
+    # the stub records the calls that pass the cap; no real call above it runs
+    called = []
+
+    def stub(q, length):
+        called.append(length)
+        return GcpLookup(q, length, reason="stub")
+
+    monkeypatch.setattr(cli, "gcp_for_length", stub)
+    cap = cli.GCP_LEN_CAP
+    code, out, err = run(capsys, "gcp", "--q", "2", "--len", str(cap + 1))
+    assert (code, out, called) == (3, "", [])
+    assert err == f"error: work-bound: gcp --len {cap + 1} is above the cap of {cap}\n"
+    code, out, _ = run(capsys, "gcp", "--q", "2", "--len", str(cap))
+    assert (code, called) == (1, [cap])
+    assert out == f"no q=2 pair of length {cap}: stub\n"
 
 
 def test_enumerate_table_and_diff(capsys):
@@ -318,6 +347,26 @@ def test_papr_json(capsys, golden_dir):
     assert len(rows) == 4
     assert all(r["papr"] <= 4 + 1e-9 for r in rows)
     assert all(r["oversample"] == 8 for r in rows)
+
+
+def test_papr_grid_above_cap_exit3_before_any_work(capsys, golden_dir, monkeypatch):
+    # the stub records the calls that pass the cap; no real call above it runs
+    called = []
+
+    def stub(row, oversample):
+        called.append(oversample)
+        return PaprResult(1.0, 0.0, oversample)
+
+    monkeypatch.setattr(cli, "papr", stub)
+    cap = cli.PAPR_GRID_CAP
+    path = golden(golden_dir, "pair_q2_len10.txt")
+    over = cap // 10 + 1
+    code, out, err = run(capsys, "papr", path, "--oversample", str(over))
+    assert (code, out, called) == (3, "", [])
+    assert err == (f"error: work-bound: papr --oversample {over} on length 10 is above "
+                   f"the cap of {cap} grid points\n")
+    code, _, _ = run(capsys, "papr", path, "--oversample", str(over - 1))
+    assert (code, called) == (0, [over - 1, over - 1])
 
 
 def test_pretty_rendering(capsys, golden_dir):

@@ -18,7 +18,7 @@ from cskit.construct import (
 )
 from cskit.errors import InputError
 from cskit.seeds import gcp_for_length, seed_pair
-from cskit.verify import ComplementarySet, ensure_verified, is_gcp, verify
+from cskit.verify import ComplementarySet, ensure_verified, verify
 
 from conftest import load_golden
 from helpers import (
@@ -27,11 +27,14 @@ from helpers import (
     random_admissible_coeffs8,
     random_cs4,
     random_gcp,
+    rotate_rootsum,
+    signs,
+    sum_rootsums,
 )
 
 
-def pair_of(*signs):
-    return ensure_verified(ComplementarySet.of(*(Sequence.from_signs(s) for s in signs)))
+def pair_of(*rows):
+    return ensure_verified(ComplementarySet.of(*(signs(s) for s in rows)))
 
 
 ONES = pair_of("+", "+")
@@ -48,7 +51,7 @@ def test_size4_reproduces_golden_length14():
     assert cs.rows == load_golden("cs4_q2_len14.txt").rows
     assert cs.verified
     report = verify(cs)
-    assert report.peak == RootSum.from_int(2, 56)
+    assert report.sum_profile.peak == RootSum.from_int(2, 56)
 
 
 def test_size4_trivial_length_one_seeds():
@@ -114,7 +117,7 @@ def test_constructor_computes_each_output_autocorrelation_once(monkeypatch):
 
 
 def test_recheck_failure_is_an_internal_error():
-    rows = (Sequence.from_signs("++"), Sequence.from_signs("++"))
+    rows = (signs("++"), signs("++"))
     with pytest.raises(RuntimeError, match="internal error: doubling failed verification"):
         _recheck(rows, "doubling")
 
@@ -126,14 +129,15 @@ def test_coeffs4_admissibility_matches_complex_identity(q):
             for y0 in range(q):
                 for y1 in range(q):
                     c = Coeffs4(x0, x1, y0, y1)
-                    z = RootSum.from_exponent(q, x0 - y0) + RootSum.from_exponent(q, x1 - y1)
-                    assert c.is_admissible(q) == z.is_zero
+                    z = sum_rootsums([RootSum.from_exponent(q, x0 - y0),
+                                      RootSum.from_exponent(q, x1 - y1)])
+                    assert (not c.violations(q)) == (not any(z.coords))
 
 
 def test_coeffs_odd_q_never_admissible():
     for q in (1, 3, 5):
-        assert not Coeffs4(0, 0, 0, 0).is_admissible(q)
-        assert not Coeffs8(0, 0, 0, 0, 0, 0).is_admissible(q)
+        assert Coeffs4(0, 0, 0, 0).violations(q)
+        assert Coeffs8(0, 0, 0, 0, 0, 0).violations(q)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ def test_size8_reproduces_golden_length13():
     set4 = ensure_verified(load_golden("cs4_q2_len5.txt"))
     cs = cs8_from_pair_and_set(pair, set4, Coeffs8(0, 1, 1, 0, 0, 0))
     assert cs.rows == load_golden("cs8_q2_len13.txt").rows
-    assert verify(cs).peak == RootSum.from_int(2, 104)
+    assert verify(cs).sum_profile.peak == RootSum.from_int(2, 104)
 
 
 def test_size8_smallest_composition():
@@ -164,7 +168,7 @@ def test_size8_equal_leading_coefficients_force_opposition():
                 x2 = (x0 - x0 + y1 + q // 2) % q
                 x3 = (x1 - x0 + y1 + q // 2) % q
                 c = Coeffs8(x0, x1, x2, x3, x0, y1)
-                assert c.is_admissible(q)
+                assert not c.violations(q)
                 assert x2 == (y1 + q // 2) % q
 
 
@@ -184,8 +188,9 @@ def test_size8_rejects_inadmissible():
 # the admissibility sums, with seam cross-terms computed independently.
 
 
-def coeff_sum(q, e1, e2):
-    return RootSum.from_exponent(q, e1) + RootSum.from_exponent(q, e2)
+def times_coeff_sum(q, e1, e2, v):
+    """(zeta_q^e1 + zeta_q^e2) * v, exactly."""
+    return sum_rootsums([rotate_rootsum(v, e1), rotate_rootsum(v, e2)])
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -204,10 +209,9 @@ def test_size4_offpeak_sum_factors_through_admissibility(q):
             b.scale(x1).concat(d.scale(y1)),
         )
         total = verify(ComplementarySet(rows)).sum_profile
-        s = coeff_sum(q, x0 - y0, x1 - y1)
         for tau in range(1, len(a) + len(c)):
-            seam = cross_tail(q, a, c, tau) + cross_tail(q, b, d, tau)
-            assert total.at(tau) == s * seam
+            seam = sum_rootsums([cross_tail(q, a, c, tau), cross_tail(q, b, d, tau)])
+            assert total.at(tau) == times_coeff_sum(q, x0 - y0, x1 - y1, seam)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -230,12 +234,13 @@ def test_size8_offpeak_sum_factors_through_admissibility(q):
             b.scale(x3).concat(h.scale(y1)),
         )
         total = verify(ComplementarySet(rows)).sum_profile
-        s1 = coeff_sum(q, x0 - y0, x2 - y1)
-        s2 = coeff_sum(q, x1 - y0, x3 - y1)
         for tau in range(1, pair.length + set4.length):
-            seam1 = cross_tail(q, a, e, tau) + cross_tail(q, b, f, tau)
-            seam2 = cross_tail(q, a, g, tau) + cross_tail(q, b, h, tau)
-            assert total.at(tau) == s1 * seam1 + s2 * seam2
+            seam1 = sum_rootsums([cross_tail(q, a, e, tau), cross_tail(q, b, f, tau)])
+            seam2 = sum_rootsums([cross_tail(q, a, g, tau), cross_tail(q, b, h, tau)])
+            assert total.at(tau) == sum_rootsums([
+                times_coeff_sum(q, x0 - y0, x2 - y1, seam1),
+                times_coeff_sum(q, x1 - y0, x3 - y1, seam2),
+            ])
 
 
 def test_size4_shift_ranges_vanish_independently():
@@ -247,7 +252,7 @@ def test_size4_shift_ranges_vanish_independently():
     total = verify(cs).sum_profile
     ranges = [range(1, m), range(m, n), range(n, m + n)]
     for rng_ in ranges:
-        assert all(total.at(tau).is_zero for tau in rng_)
+        assert not any(any(total.at(tau).coords) for tau in rng_)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +322,13 @@ def test_double_length_one():
 def test_double_golden_length4_pair():
     out = golay_double(ensure_verified(load_golden("pair_q2_len4.txt")))
     assert [r.render(pretty=True) for r in out.rows] == ["++-++++-", "++-+---+"]
-    assert is_gcp(*out.rows)
+    assert verify(out).is_cs
 
 
 def test_double_golden_length10_pair():
     out = golay_double(ensure_verified(load_golden("pair_q2_len10.txt")))
     assert out.length == 20
-    assert is_gcp(*out.rows)
+    assert verify(out).is_cs
 
 
 def test_double_rejects_odd_alphabet():
@@ -347,7 +352,7 @@ def test_turyn_binary_products_verify():
     assert turyn_product(two, twentysix).length == 52
     big = turyn_product(ten, ten)
     assert big.length == 100
-    assert is_gcp(*big.rows)
+    assert verify(big).is_cs
 
 
 def test_turyn_embeds_binary_into_quaternary():
@@ -355,7 +360,7 @@ def test_turyn_embeds_binary_into_quaternary():
     q3 = seed_pair(4, 3).pair
     out = turyn_product(ten, q3)
     assert out.q == 4 and out.length == 30
-    assert is_gcp(*out.rows)
+    assert verify(out).is_cs
 
 
 def test_turyn_rejects_nonbinary_first_pair():

@@ -1,4 +1,4 @@
-"""Text and JSON sequence-set formats."""
+"""The text sequence-set format."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 
 from cskit.algebra import Sequence
 from cskit.errors import InputError, ParseError
-from cskit.io import (
-    dumps_json,
-    loads_json,
-    parse_set,
-    serialize_set,
-    to_json_record,
-    from_json_record,
-)
+from cskit.io import parse_set, serialize_set
 from cskit.verify import ComplementarySet
+
+from helpers import signs
 
 
 def make_set(q, rows):
@@ -43,7 +38,7 @@ def test_text_format_shape():
 def test_binary_digit_convention():
     # '0' carries +1 and '1' carries -1
     cs, _ = parse_set("q=2 rows=1 len=4\n0010\n")
-    assert cs.rows[0] == Sequence.from_signs("++-+")
+    assert cs.rows[0] == signs("++-+")
 
 
 def test_note_lines_round_trip():
@@ -63,22 +58,6 @@ def test_text_round_trip(cs):
     assert serialize_set(parsed) == serialize_set(cs)
 
 
-@given(stacks())
-@settings(max_examples=80, deadline=None)
-def test_json_round_trip(cs):
-    parsed, note = loads_json(dumps_json(cs, note="x"))
-    assert parsed.rows == cs.rows
-    assert note == "x"
-
-
-def test_json_record_fields():
-    cs = make_set(4, [[0, 3], [2, 1]])
-    record = to_json_record(cs)
-    assert record == {"q": 4, "rows": [[0, 3], [2, 1]]}
-    back, _ = from_json_record(record)
-    assert back.rows == cs.rows
-
-
 @pytest.mark.parametrize(
     "text,line,col",
     [
@@ -91,6 +70,9 @@ def test_json_record_fields():
         ("q=2 rows=1 len=3\n020\n", 2, 2),
         ("q=2 rows=2 len=2\n00\n", 2, 1),
         ("q=2 rows=1 len=2\n00\n# note after data\n", 3, 1),
+        ("q=4 rows=2 len=2\n0\u00b2\n00\n", 2, 2),
+        ("q=4 rows=1 len=1\n\u0663\n", 2, 1),
+        ("q=\u0664 rows=1 len=1\n0\n", 1, 1),
     ],
 )
 def test_parse_errors_carry_line_and_column(text, line, col):
@@ -104,14 +86,3 @@ def test_serialize_rejects_wide_alphabets():
     cs = make_set(12, [[0, 11]])
     with pytest.raises(InputError, match="q <= 10"):
         serialize_set(cs)
-
-
-def test_json_rejects_bad_records():
-    with pytest.raises(InputError):
-        from_json_record({"q": 2})
-    with pytest.raises(InputError):
-        from_json_record({"q": 2, "rows": []})
-    with pytest.raises(InputError):
-        from_json_record({"q": 2, "rows": [[0, 5]]})
-    with pytest.raises(InputError):
-        loads_json("{not json")

@@ -10,13 +10,13 @@ from cskit.papr import papr
 from cskit.seeds import gcp_for_length, load_seeds
 
 from conftest import load_golden
-from helpers import random_gcp
+from helpers import random_gcp, signs
 
 TOL = 1e-9
 
 
 def test_constant_sequence_peaks_coherently():
-    result = papr(Sequence.from_signs("++++"))
+    result = papr(signs("++++"))
     assert result.papr == pytest.approx(4.0)
     assert result.peak_t == 0.0
 
@@ -80,10 +80,10 @@ def test_papr_at_least_one():
 
 
 def test_peak_position_in_unit_interval():
-    result = papr(Sequence.from_signs("+-+-"), 16)
+    result = papr(signs("+-+-"), 16)
     assert 0 <= result.peak_t < 1
 
 
 def test_oversample_validated():
     with pytest.raises(InputError):
-        papr(Sequence.from_signs("+"), 0)
+        papr(signs("+"), 0)

@@ -6,7 +6,7 @@ import pytest
 
 from cskit.errors import InputError, SeedError
 from cskit.seeds import REQUIRED_LENGTHS, gcp_for_length, load_seeds, seed_pair
-from cskit.verify import is_gcp
+from cskit.verify import verify
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -19,7 +19,7 @@ def test_required_lengths_present_and_verified(q):
     for record in records:
         assert record.pair.verified
         assert record.provenance in ("paper-example", "derived-search", "literature")
-        assert is_gcp(*record.pair.rows)
+        assert verify(record.pair).is_cs
 
 
 def test_worked_example_seed_is_packaged():
@@ -104,7 +104,7 @@ def test_binary_pattern_coverage_to_64():
         assert result.available, result.reason
         assert result.pair.verified
         assert result.pair.length == length
-        assert is_gcp(*result.pair.rows)
+        assert verify(result.pair).is_cs
 
 
 def test_binary_length52_uses_the_26_kernel():
@@ -131,7 +131,7 @@ def test_quaternary_composites_verify():
         result = gcp_for_length(4, length)
         assert result.available, result.reason
         assert fragment in result.chain
-        assert is_gcp(*result.pair.rows)
+        assert verify(result.pair).is_cs
 
 
 def test_quaternary_pattern_gap_reported_honestly():

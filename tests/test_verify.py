@@ -10,21 +10,31 @@ from cskit.algebra import RootSum, Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
 from cskit.seeds import gcp_for_length
-from cskit.verify import ComplementarySet, ensure_verified, is_gcp, verify
+from cskit.verify import ComplementarySet, ensure_verified, verify
 
 from conftest import load_golden
-from helpers import float_sum_profile, random_cs4, random_gcp, rootsum_accf
+from helpers import (
+    conjugate,
+    float_sum_profile,
+    profile_values,
+    random_cs4,
+    random_gcp,
+    reverse,
+    rootsum_accf,
+    signs,
+    sum_rootsums,
+)
 
 
 def binary_set(*rows):
-    return ComplementarySet.of(*(Sequence.from_signs(r) for r in rows))
+    return ComplementarySet.of(*(signs(r) for r in rows))
 
 
 def test_golden_size4_length5_set():
     cs = load_golden("cs4_q2_len5.txt")
     report = verify(cs)
     assert report.is_cs
-    assert report.peak == RootSum.from_int(2, 20)
+    assert report.sum_profile.peak == RootSum.from_int(2, 20)
     assert report.first_defect_shift is None
     assert report.defect_magnitudes == {}
 
@@ -43,30 +53,30 @@ def test_two_identical_rows_cannot_cancel():
 
 def test_is_gcp_golden_length10():
     cs = load_golden("pair_q2_len10.txt")
-    assert is_gcp(*cs.rows)
+    assert verify(cs).is_cs
 
 
 def test_is_gcp_length_one():
-    one = Sequence.from_signs("+")
-    assert is_gcp(one, one)
+    one = signs("+")
+    assert verify(ComplementarySet.of(one, one)).is_cs
 
 
 def test_is_gcp_quaternary_length3():
     a = Sequence.from_exponents(4, (0, 0, 2))
     b = Sequence.from_exponents(4, (0, 1, 0))
-    assert is_gcp(a, b)
+    assert verify(ComplementarySet.of(a, b)).is_cs
 
 
 def test_is_gcp_rejects_mismatch():
     with pytest.raises(InputError):
-        is_gcp(Sequence.from_signs("++"), Sequence.from_signs("+++"))
+        verify(ComplementarySet.of(signs("++"), signs("+++")))
 
 
 def test_set_constructor_rejects_ragged_and_mixed():
     with pytest.raises(InputError):
-        ComplementarySet.of(Sequence.from_signs("++"), Sequence.from_signs("+++"))
+        ComplementarySet.of(signs("++"), signs("+++"))
     with pytest.raises(InputError):
-        ComplementarySet.of(Sequence.from_signs("++"), Sequence.from_exponents(4, (0, 0)))
+        ComplementarySet.of(signs("++"), Sequence.from_exponents(4, (0, 0)))
     with pytest.raises(InputError):
         ComplementarySet(())
 
@@ -116,12 +126,12 @@ def test_invariant_under_single_row_scaling(verified_examples):
 
 def test_invariant_under_simultaneous_reversal(verified_examples):
     for cs in verified_examples:
-        assert verify(ComplementarySet(tuple(r.reverse() for r in cs.rows))).is_cs
+        assert verify(ComplementarySet(tuple(reverse(r) for r in cs.rows))).is_cs
 
 
 def test_invariant_under_simultaneous_conjugation(verified_examples):
     for cs in verified_examples:
-        assert verify(ComplementarySet(tuple(r.conjugate() for r in cs.rows))).is_cs
+        assert verify(ComplementarySet(tuple(conjugate(r) for r in cs.rows))).is_cs
 
 
 def test_stacking_two_verified_sets_verifies():
@@ -136,7 +146,7 @@ def test_stacking_two_verified_sets_verifies():
         combined = ComplementarySet(a.rows + b.rows)
         report = verify(combined)
         assert report.is_cs
-        assert report.peak == RootSum.from_int(q, (a.size + b.size) * a.length)
+        assert report.sum_profile.peak == RootSum.from_int(q, (a.size + b.size) * a.length)
 
 
 def test_verify_agrees_with_float_recomputation(verified_examples):
@@ -150,7 +160,7 @@ def test_verify_agrees_with_float_recomputation(verified_examples):
         for tau in range(1, cs.length):
             exact = report.sum_profile.at(tau).to_complex()
             assert abs(exact - floats[tau]) < 1e-9
-            assert report.sum_profile.at(tau).is_zero == (abs(floats[tau]) < 1e-9)
+            assert (not any(report.sum_profile.at(tau).coords)) == (abs(floats[tau]) < 1e-9)
         assert abs(floats[0] - cs.size * cs.length) < 1e-9 or not report.is_cs
 
 
@@ -162,7 +172,7 @@ def test_random_pairs_verify_and_transform(q, seed):
     assert pair.verified
     report = verify(pair)
     assert report.is_cs
-    assert report.peak == RootSum.from_int(q, 2 * pair.length)
+    assert report.sum_profile.peak == RootSum.from_int(q, 2 * pair.length)
 
 
 def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
@@ -180,9 +190,9 @@ def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
 
     n = bad.length
     per_row = [rootsum_accf(row, row) for row in bad.rows]
-    total = [sum(values[1:], values[0]) for values in zip(*per_row)]
+    total = [sum_rootsums(values) for values in zip(*per_row)]
     defects = {tau: abs(total[tau + n - 1]) for tau in range(1, n)
-               if not total[tau + n - 1].is_zero}
+               if any(total[tau + n - 1].coords)}
     peak_ok = total[n - 1] == RootSum.from_int(4, 8 * n)
 
     assert defects
@@ -190,4 +200,4 @@ def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
     assert report.is_cs == (not defects and peak_ok)
     assert report.first_defect_shift == min(defects)
     assert report.defect_magnitudes == defects
-    assert report.sum_profile.values == tuple(total)
+    assert profile_values(report.sum_profile) == tuple(total)
