@@ -1,5 +1,5 @@
 """Micro-benchmarks of the exact correlation kernel, the paths built on it,
-the search engine and the reachable-length enumeration.
+the search engine, the reachable-length enumeration and the CLI paths.
 
     PYTHONPATH=src python3 -m pytest bench --benchmark-json=out.json
 
@@ -19,6 +19,7 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
+from cskit.io import write_set_file
 from cskit.reach import reachable_lengths
 from cskit.search import _backtrack, first_cs, search_cs
 from cskit.seeds import gcp_for_length, seed_pair
@@ -74,6 +75,16 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
     assert benchmark(_backtrack, q, p, n, lambda rows: False, 10**9) == nodes
 
 
+@pytest.mark.parametrize("q,p,n,limit,nodes,classes", [
+    (2, 2, 16, None, 67009, 96),
+    (4, 2, 8, None, 31202, 76),
+    (2, 1100, 2, 1, 1101, 1),
+])
+def test_search_cs(benchmark, q, p, n, limit, nodes, classes):
+    result = benchmark(search_cs, q, p, n, limit)
+    assert (result.nodes, len(result.sets)) == (nodes, classes)
+
+
 def test_first_cs_q4_len11(benchmark):
     pair = benchmark(first_cs, 4, 2, 11)
     assert pair.rows == seed_pair(4, 11).pair.rows
@@ -85,14 +96,51 @@ def test_search_refuted_pair(benchmark):
     assert result.sets == () and result.complete
 
 
-def test_cli_search_q2_size4_len5(benchmark):
-    def search():
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = cli.main(["search", "--q", "2", "--size", "4", "--len", "5"])
-        return code, out.getvalue()
+def run_cli(*argv):
+    """Exit code and stdout of one in-process CLI call."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(list(argv))
+    return code, out.getvalue()
 
-    code, out = benchmark(search)
+
+def test_cli_search_q2_size4_len5(benchmark):
+    code, out = benchmark(run_cli, "search", "--q", "2", "--size", "4", "--len", "5")
     assert code == 0 and out.count("q=2 rows=4 len=5\n") == 24
+
+
+def test_cli_build_parser(benchmark):
+    assert benchmark(cli.build_parser).prog == "cskit"
+
+
+def test_cli_gcp_q4_len520_cold(benchmark):
+    def cold():
+        gcp_for_length.cache_clear()
+        return run_cli("gcp", "--q", "4", "--len", "520")
+
+    code, out = benchmark(cold)
+    assert code == 0 and out.startswith("derivation: ") and "q=4 rows=2 len=520\n" in out
+
+
+def test_cli_enumerate_q4_size8_max2600(benchmark):
+    code, out = benchmark(run_cli, "enumerate", "--q", "4", "--size", "8", "--max", "2600")
+    assert code == 0 and out.startswith("q=4 size=8 max=2600: 2599 lengths\n")
+
+
+def test_cli_papr_cs8_q4_len1040(benchmark, cs8_q4_len1040, tmp_path):
+    path = tmp_path / "cs8.txt"
+    write_set_file(path, cs8_q4_len1040)
+    code, out = benchmark(run_cli, "papr", str(path))
+    assert code == 0 and out.count("row=") == 8
+
+
+def test_cli_selftest(benchmark):
+    code, _ = benchmark(run_cli, "selftest")
+    assert code == 0
+
+
+def test_cli_seeds_list(benchmark):
+    code, out = benchmark(run_cli, "seeds", "list")
+    assert code == 0 and out.count("provenance=") == 10
 
 
 REACH_ENTRIES = {

@@ -41,6 +41,23 @@ def _recheck(rows: tuple[Sequence, ...], what: str) -> ComplementarySet:
         raise RuntimeError(f"internal error: {what} failed verification ({exc})") from None
 
 
+def _violated(coeffs, q: int, *identities: str) -> list[str]:
+    """A message for each identity a*conj(b) + c*conj(d) = 0, given as the
+    field names "a b c d", that the reduced coefficients of an even q miss:
+    the identity holds when (a - b) == (c - d) + q/2 (mod q)."""
+    out = []
+    for names in identities:
+        a, b, c, d = names.split()
+        lhs = (getattr(coeffs, a) - getattr(coeffs, b)) % q
+        rhs = (getattr(coeffs, c) - getattr(coeffs, d) + q // 2) % q
+        if lhs != rhs:
+            out.append(
+                f"{a}*conj({b}) + {c}*conj({d}) != 0: "
+                f"({a}-{b}) mod {q} = {lhs} but ({c}-{d}) + {q // 2} mod {q} = {rhs}"
+            )
+    return out
+
+
 @dataclass(frozen=True)
 class Coeffs4:
     """Unimodular constants (as U_q exponents) steering the size-4 rule.
@@ -61,15 +78,7 @@ class Coeffs4:
     def violations(self, q: int) -> list[str]:
         if q % 2:
             return [f"q={q} is odd, but x0*conj(y0) + x1*conj(y1) = 0 needs -1 in U_q"]
-        c = self.reduced(q)
-        lhs = (c.x0 - c.y0) % q
-        rhs = (c.x1 - c.y1 + q // 2) % q
-        if lhs != rhs:
-            return [
-                "x0*conj(y0) + x1*conj(y1) != 0: "
-                f"(x0-y0) mod {q} = {lhs} but (x1-y1) + {q // 2} mod {q} = {rhs}"
-            ]
-        return []
+        return _violated(self.reduced(q), q, "x0 y0 x1 y1")
 
 
 @dataclass(frozen=True)
@@ -93,21 +102,7 @@ class Coeffs8:
     def violations(self, q: int) -> list[str]:
         if q % 2:
             return [f"q={q} is odd, but the defining identities need -1 in U_q"]
-        c = self.reduced(q)
-        out = []
-        if (c.x0 - c.y0) % q != (c.x2 - c.y1 + q // 2) % q:
-            out.append(
-                "x0*conj(y0) + x2*conj(y1) != 0: "
-                f"(x0-y0) mod {q} = {(c.x0 - c.y0) % q} but "
-                f"(x2-y1) + {q // 2} mod {q} = {(c.x2 - c.y1 + q // 2) % q}"
-            )
-        if (c.x1 - c.y0) % q != (c.x3 - c.y1 + q // 2) % q:
-            out.append(
-                "x1*conj(y0) + x3*conj(y1) != 0: "
-                f"(x1-y0) mod {q} = {(c.x1 - c.y0) % q} but "
-                f"(x3-y1) + {q // 2} mod {q} = {(c.x3 - c.y1 + q // 2) % q}"
-            )
-        return out
+        return _violated(self.reduced(q), q, "x0 y0 x2 y1", "x1 y0 x3 y1")
 
 
 def cs4_from_pairs(

@@ -77,17 +77,21 @@ def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
     return cs, note
 
 
-def read_set_file(path: Union[str, Path]) -> tuple[ComplementarySet, Optional[str]]:
-    data = Path(path).read_bytes()
+def decode_text(data: bytes) -> str:
+    """The UTF-8 text of a set file's bytes; a ParseError names the first
+    byte that is not UTF-8."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_start = data.rfind(b"\n", 0, exc.start) + 1
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(
             f"byte 0x{data[exc.start]:02x} is not UTF-8", line, exc.start - line_start + 1
         ) from None
-    return parse_set(text)
+
+
+def read_set_file(path: Union[str, Path]) -> tuple[ComplementarySet, Optional[str]]:
+    return parse_set(decode_text(Path(path).read_bytes()))
 
 
 def write_set_file(

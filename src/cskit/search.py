@@ -8,10 +8,16 @@ lands at a fixed slot and gets an exact zero test there, and every
 partially known shift prunes with the triangle inequality (|known part|
 can exceed the number of missing unimodular terms only on a dead branch).
 
-Every alphabet shares one per-shift state. An exact integer packs the
-canonical Z[zeta_q] coordinates of the partial sum; it is zero exactly
-when the sum is, and it alone decides a completed shift. A complex copy of
-the sum is used only to prune, with a 1e-6 margin that keeps the prune
+The per-shift state holds every partial sum exactly. For q dividing 4
+(q in {1, 2, 4}) each q-th root is a Gaussian integer, so one number per
+shift is the sum itself: an int for q <= 2, and for q = 4 a complex whose
+parts are integers of size at most P*N < 2^53, which float addition keeps
+exact. It is zero exactly when the sum is, it alone decides a completed
+shift, and its abs prunes, against the count of missing terms plus 1e-6,
+a margin far above the rounding of abs, so no live branch is pruned. For any
+other q, an exact integer packs the canonical Z[zeta_q] coordinates of the
+partial sum and alone decides a completed shift, and a complex copy of the
+sum is used only to prune, with the same 1e-6 margin keeping that prune
 conservative. Which shifts a slot touches, and how many terms each still
 misses, does not depend on the data, so both are tabled once per column
 before the search. Each depth keeps its own copy of the state, filled from
@@ -170,6 +176,10 @@ def _norm_refuted(q: int, p: int, n: int) -> bool:
         power = add(power, power)
 
 
+# The q whose q-th roots are all Gaussian integers (q divides 4).
+_GAUSSIAN = (1, 2, 4)
+
+
 def _column_order(n: int) -> list[int]:
     cols = []
     lo, hi = 0, n - 1
@@ -188,32 +198,40 @@ def _slot_tables(q: int, p: int, n: int) -> list:
     Returns (c, first, middle, last): the tables of rows 0, 1..p-2 and p-1
     of column c (one table serves every middle row). The entry v of row r
     in column c touches a shift tau once per earlier column c2, adding the
-    root pk[d] (packed int) and rt[d] (complex), d = row[c2] - v. A table is
-    (exacts, solved, checks, scaled), its touches grouped by shift:
+    root of d = row[c2] - v. For q in _GAUSSIAN that root is one exact
+    value ex[d] (an int for q <= 2, a complex with integer parts for q = 4);
+    for any other q it is ex[d], a packed int, together with its complex
+    shadow rt[d]. Below, "ex, *rt" stands for ex alone or for ex, rt. A
+    table is (exacts, solved, checks, scaled), its touches grouped by shift:
 
-    - exacts: (tau, c2, pk, c2', pk'), a shift the row completes, decided by
-      its exact int alone (pk' is all zeros for a single touch; the first of
-      two touches is also in checks, as it leaves one term missing);
+    - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
+      its exact value alone (ex' is all zeros for a single touch; the first
+      of two touches is also in checks, as it leaves one term missing);
     - solved: (tau, c2, exponent_of), one shift completed by a single touch,
-      whose one live value of pk[d] is -exact[tau]; or None;
-    - checks: (tau, c2, pk, rt, lim), a touch of a shift still missing
+      whose one live value of ex[d] is -exact[tau]; or None;
+    - checks: (tau, c2, ex, *rt, lim), a touch of a shift still missing
       terms, pruned when abs(z) > lim, 1e-6 above the terms still missing;
-    - scaled: the same for the middle rows, (tau, c2, pk, rt, m, k), with
+    - scaled: the same for the middle rows, (tau, c2, ex, *rt, m, k), with
       m - r*k terms still missing after row r's touch.
 
     Shifts with the fewest terms missing come first, and the touches of one
     shift keep their order. The tables take O(N^2) space for any P.
     """
-    # A shift sums at most p*n roots, so every coordinate stays below
-    # radix/2 in magnitude and the packing into one int is injective.
     coords = root_coords(q).tolist()
-    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
-    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
-    roots = [cmath.exp(2j * cmath.pi * e / q) for e in range(q)]
+    if q in _GAUSSIAN:
+        # The q-th roots are Gaussian integers, so a partial sum of at most
+        # p*n of them has integer parts of size <= p*n < 2^53, which an int
+        # (q <= 2) or a complex (q = 4) holds exactly.
+        left = ([complex(*cs) if q == 4 else cs[0] for cs in coords],)
+    else:
+        # A shift sums at most p*n roots, so every coordinate stays below
+        # radix/2 in magnitude and the packing into one int is injective.
+        radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+        packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+        left = (packed, [cmath.exp(2j * cmath.pi * e / q) for e in range(q)])
     # d lies in (-q, q) and negative indices wrap, so these give the root
     # of row[c2] - v (c2 < c) or, negated, of v - row[c2] (c2 > c)
-    left = (packed, roots)
-    right = ([packed[-d] for d in range(q)], [roots[-d] for d in range(q)])
+    right = tuple([vs[-d] for d in range(q)] for vs in left)
     zeros = [0] * q
 
     def row_tables(by_shift, r, shared=False):
@@ -225,21 +243,21 @@ def _slot_tables(q: int, p: int, n: int) -> list:
             touches = by_shift[tau]
             k = len(touches)
             if missing[tau] == 0:
-                (c2, pk, rt), *more = touches
+                (c2, ex, *rt), *more = touches
                 if more:
-                    checks.append((tau, c2, pk, rt, 1 + 1e-6))
-                    exacts.append((tau, c2, pk) + more[0][:2])
+                    checks.append((tau, c2, ex, *rt, 1 + 1e-6))
+                    exacts.append((tau, c2, ex) + more[0][:2])
                 elif solved is None:
-                    solved = (tau, c2, {x: d for d, x in enumerate(pk)})
+                    solved = (tau, c2, {x: d for d, x in enumerate(ex)})
                 else:
-                    exacts.append((tau, c2, pk, c2, zeros))
+                    exacts.append((tau, c2, ex, c2, zeros))
             else:
-                for j, (c2, pk, rt) in enumerate(touches):
+                for j, (c2, ex, *rt) in enumerate(touches):
                     m = missing[tau] + k - 1 - j  # after this touch
                     if shared:
-                        scaled.append((tau, c2, pk, rt, m + r * k, k))
+                        scaled.append((tau, c2, ex, *rt, m + r * k, k))
                     else:
-                        checks.append((tau, c2, pk, rt, m + 1e-6))
+                        checks.append((tau, c2, ex, *rt, m + 1e-6))
         return exacts, solved, checks, scaled
 
     cols = _column_order(n)  # column 0 is pinned to exponent 0
@@ -249,8 +267,8 @@ def _slot_tables(q: int, p: int, n: int) -> list:
         c = cols[i]
         by_shift: dict[int, list] = {}
         for c2 in cols[:i]:
-            tau, (pk, rt) = (c - c2, left) if c2 < c else (c2 - c, right)
-            by_shift.setdefault(tau, []).append((c2, pk, rt))
+            tau, roots = (c - c2, left) if c2 < c else (c2 - c, right)
+            by_shift.setdefault(tau, []).append((c2, *roots))
         for tau, touches in by_shift.items():
             remaining[tau] -= p * len(touches)
         last = row_tables(by_shift, p - 1)
@@ -343,9 +361,13 @@ def _backtrack(
     # stack on the filled columns; every map's image does on column 0, and
     # for q <= 2 conjugation is the identity
     leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
-    # state[i] is (exact, approx) after the first i slots; deeper levels are
-    # allocated as the path first reaches them
-    state = [([0] * n, [0j] * n)]
+    # state[i] is (exact, approx) after the first i slots, approx None for
+    # q in _GAUSSIAN; deeper levels are allocated as the path first reaches
+    # them
+    def level():
+        return [0] * n, None if q in _GAUSSIAN else [0j] * n
+
+    state = [level()]
 
     nodes = 0
     tried = [0] * len(slots)
@@ -391,32 +413,46 @@ def _backtrack(
             tried[idx] = 0
             idx -= 1
             continue
-        for tau, c2, pk, c3, pk3 in exacts:
-            if parent_exact[tau] + pk[row[c2] - v] + pk3[row[c3] - v]:
+        for tau, c2, ex, c3, ex3 in exacts:
+            if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
                 break
         else:
             if idx + 1 == len(state):
-                state.append(([0] * n, [0j] * n))
+                state.append(level())
             exact, approx = state[idx + 1]
             exact[:] = parent_exact
-            approx[:] = parent_approx
             alive = True  # a row's table has checks or scaled, not both
-            for tau, c2, pk, rt, lim in checks:
-                d = row[c2] - v
-                exact[tau] += pk[d]
-                z = approx[tau] + rt[d]
-                approx[tau] = z
-                if abs(z) > lim:
-                    alive = False
-                    break
-            for tau, c2, pk, rt, m, k in scaled:
-                d = row[c2] - v
-                exact[tau] += pk[d]
-                z = approx[tau] + rt[d]
-                approx[tau] = z
-                if abs(z) > m - r * k + 1e-6:
-                    alive = False
-                    break
+            if approx is None:  # the exact value prunes too
+                for tau, c2, ex, lim in checks:
+                    z = exact[tau] + ex[row[c2] - v]
+                    exact[tau] = z
+                    if abs(z) > lim:
+                        alive = False
+                        break
+                for tau, c2, ex, m, k in scaled:
+                    z = exact[tau] + ex[row[c2] - v]
+                    exact[tau] = z
+                    if abs(z) > m - r * k + 1e-6:
+                        alive = False
+                        break
+            else:
+                approx[:] = parent_approx
+                for tau, c2, ex, rt, lim in checks:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > lim:
+                        alive = False
+                        break
+                for tau, c2, ex, rt, m, k in scaled:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > m - r * k + 1e-6:
+                        alive = False
+                        break
             if alive:
                 row[c] = v
                 if above is not None:

@@ -47,9 +47,9 @@ def _default_seed_dir():
     return resources.files("cskit").joinpath("data").joinpath("seeds")
 
 
-def _parse_seed(name: str, text: str) -> SeedRecord:
+def _parse_seed(name: str, data: bytes) -> SeedRecord:
     try:
-        cs, note = setio.parse_set(text)
+        cs, note = setio.parse_set(setio.decode_text(data))
     except InputError as exc:
         raise SeedError(f"seed {name}: {exc}") from None
     if cs.size != 2:
@@ -82,8 +82,7 @@ def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
         m = _FILENAME.match(name)
         if not m or int(m.group(1)) != q:
             continue
-        text = directory.joinpath(name).read_text(encoding="utf-8")
-        record = _parse_seed(name, text)
+        record = _parse_seed(name, directory.joinpath(name).read_bytes())
         if record.q != q:
             raise SeedError(f"seed {name}: header q={record.q} does not match filename")
         if record.length != int(m.group(2)):

@@ -9,6 +9,7 @@ coordinates of the summed profile; no epsilon is involved.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,11 +64,18 @@ class VerificationReport:
 
 
 def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
-    """Sum of the per-row autocorrelation profiles."""
-    total = aacf(candidate.rows[0])
-    for row in candidate.rows[1:]:
-        total = total + aacf(row)
-    return total
+    """Sum of the per-row autocorrelation profiles.
+
+    Each distinct row is correlated once, and its integer profile is scaled
+    by the number of times the row occurs.
+    """
+    total = None
+    for row, k in Counter(candidate.rows).items():
+        coords = aacf(row).coords
+        if k > 1:
+            coords = coords * k
+        total = coords if total is None else total + coords
+    return CorrelationProfile(candidate.q, candidate.length, total)
 
 
 def verify(candidate: ComplementarySet) -> VerificationReport:

@@ -183,6 +183,19 @@ def test_size8_rejects_inadmissible():
         cs8_from_pair_and_set(ONES, set4, Coeffs8(0, 1, 1, 1, 0, 0))
 
 
+def test_violation_messages_name_each_failed_identity():
+    assert Coeffs4(1, 0, 0, 0).violations(4) == [
+        "x0*conj(y0) + x1*conj(y1) != 0: (x0-y0) mod 4 = 1 but (x1-y1) + 2 mod 4 = 2"
+    ]
+    assert Coeffs8(0, 1, 3, 2, 5, 1).violations(6) == [
+        "x0*conj(y0) + x2*conj(y1) != 0: (x0-y0) mod 6 = 1 but (x2-y1) + 3 mod 6 = 5",
+        "x1*conj(y0) + x3*conj(y1) != 0: (x1-y0) mod 6 = 2 but (x3-y1) + 3 mod 6 = 4",
+    ]
+    assert Coeffs8(0, 1, 3, 2, 5, 1).violations(3) == [
+        "q=3 is odd, but the defining identities need -1 in U_q"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Structural identity: the off-peak sum of the construction factors through
 # the admissibility sums, with seam cross-terms computed independently.

@@ -126,7 +126,7 @@ def test_constructed_size4_sets_appear_in_oracle_output():
 
 
 PINNED_NODES = {(2, 2, 10): 1283, (4, 2, 5): 770, (3, 3, 4): 376, (6, 2, 4): 1317,
-                (2, 4, 4): 154, (3, 3, 5): 946}
+                (2, 4, 4): 154, (3, 3, 5): 946, (4, 4, 3): 485, (4, 2, 6): 2866}
 
 
 @pytest.mark.parametrize("q,p,n", PINNED_NODES)
@@ -259,6 +259,9 @@ def test_oracle_shapes_reach_every_engine_path():
     # a completed shift touched twice by one slot (its second table is not zero)
     assert any(any(e[4]) for exacts, _, _, _ in tables for e in exacts)
     assert any(scaled for _, _, _, scaled in tables)  # rows between first and last
+    # both per-shift states: one exact value (q in {1, 2, 4}), or a packed
+    # int with its complex shadow
+    assert {len(e) for _, _, checks, _ in tables for e in checks} == {4, 5}
     outcomes = [run_engine(search._enumerate, *shape, work_bound=2000)[1]
                 for shape in ORACLE_SHAPES]
     assert any(isinstance(o, str) for o in outcomes)

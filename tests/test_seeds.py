@@ -85,6 +85,16 @@ def test_corrupting_one_exponent_fails_load(name, tmp_path, seed_dir):
         load_seeds(q, target)
 
 
+def test_non_utf8_seed_file_names_the_file(tmp_path, seed_dir):
+    target = tmp_path / "seeds"
+    shutil.copytree(seed_dir, target)
+    path = target / "q2_len1.txt"
+    path.write_bytes(path.read_bytes().replace(b"\n0\n0\n", b"\n\xff\n0\n"))
+    message = r"seed q2_len1\.txt: byte 0xff is not UTF-8 \(line 4, column 1\)"
+    with pytest.raises(SeedError, match=message):
+        load_seeds(2, target)
+
+
 def test_tampered_provenance_rejected(tmp_path, seed_dir):
     target = tmp_path / "seeds"
     shutil.copytree(seed_dir, target)

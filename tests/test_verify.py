@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cskit.algebra import RootSum, Sequence
+from cskit.algebra import RootSum, Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
 from cskit.seeds import gcp_for_length
-from cskit.verify import ComplementarySet, ensure_verified, verify
+from cskit.verify import ComplementarySet, ensure_verified, sum_aacf, verify
 
 from conftest import load_golden
 from helpers import (
@@ -173,6 +173,22 @@ def test_random_pairs_verify_and_transform(q, seed):
     report = verify(pair)
     assert report.is_cs
     assert report.sum_profile.peak == RootSum.from_int(q, 2 * pair.length)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_repeated_rows_sum_like_one_profile_per_row(q):
+    # sum_aacf correlates each distinct row once and scales its profile
+    rng = random.Random(q)
+    a, b, c = (Sequence.from_exponents(q, [rng.randrange(q) for _ in range(9)])
+               for _ in range(3))
+    rows = (a, a, b, a, c, c, a)
+    profile = sum_aacf(ComplementarySet(rows))
+    per_row = aacf(a)
+    for row in rows[1:]:
+        per_row = per_row + aacf(row)
+    assert profile == per_row
+    oracle = [sum_rootsums(values) for values in zip(*(rootsum_accf(r, r) for r in rows))]
+    assert profile_values(profile) == tuple(oracle)
 
 
 def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
