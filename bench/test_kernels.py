@@ -18,8 +18,8 @@ import pytest
 
 from cskit import cli
 from cskit.algebra import Sequence, aacf
-from cskit.construct import Coeffs4, cs4_from_pairs, stack
-from cskit.io import write_set_file
+from cskit.construct import Coeffs4, cs4_from_pairs, stack, turyn_product
+from cskit.io import parse_set, serialize_set, write_set_file
 from cskit.reach import reachable_lengths
 from cskit.search import _backtrack, first_cs, search_cs
 from cskit.seeds import gcp_for_length, seed_pair
@@ -61,6 +61,23 @@ def test_cs4_from_pairs_len2048(benchmark):
     pair = gcp_for_length(2, 1024).pair
     cs = benchmark(cs4_from_pairs, pair, pair, Coeffs4(0, 0, 0, 1))
     assert (cs.size, cs.length) == (4, 2048)
+
+
+def test_parse_set_cs8_q4_len1040(benchmark, cs8_q4_len1040):
+    text = serialize_set(cs8_q4_len1040)
+    cs, _ = benchmark(parse_set, text)
+    assert cs.rows == cs8_q4_len1040.rows
+
+
+def test_serialize_set_cs8_q4_len1040(benchmark, cs8_q4_len1040):
+    text = benchmark(serialize_set, cs8_q4_len1040)
+    assert len(text) == len("q=4 rows=8 len=1040\n") + 8 * 1041
+
+
+def test_turyn_product_q4_len1040(benchmark):
+    # the last step of gcp_for_length(4, 1040): binary length 80, kernel 13
+    pair = benchmark(turyn_product, gcp_for_length(2, 80).pair, seed_pair(4, 13).pair)
+    assert pair.rows == gcp_for_length(4, 1040).pair.rows
 
 
 def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
@@ -131,6 +148,13 @@ def test_cli_papr_cs8_q4_len1040(benchmark, cs8_q4_len1040, tmp_path):
     write_set_file(path, cs8_q4_len1040)
     code, out = benchmark(run_cli, "papr", str(path))
     assert code == 0 and out.count("row=") == 8
+
+
+def test_cli_verify_cs8_q4_len1040(benchmark, cs8_q4_len1040, tmp_path):
+    path = tmp_path / "cs8.txt"
+    write_set_file(path, cs8_q4_len1040)
+    code, out = benchmark(run_cli, "verify", str(path))
+    assert code == 0 and out.startswith("is_cs: True\n")
 
 
 def test_cli_selftest(benchmark):

@@ -1,18 +1,21 @@
 """Exact values over q-th roots of unity and aperiodic correlation.
 
 A `Sequence` holds its root order q and integer exponents t in [0, q); the
-entry t represents is exp(2*pi*sqrt(-1)*t/q). Correlation values are integer
-combinations of the q-th roots of unity, kept in canonical coordinates of
-the ring Z[zeta_q] (reduced modulo the q-th cyclotomic polynomial), so
-equality and zero tests are exact for every q. For q in {1, 2, 4} the
-canonical coordinates are literally Gaussian integers. A `RootSum` holds one
-such value for comparison and display; it has no arithmetic.
+entry t represents is exp(2*pi*sqrt(-1)*t/q). Its maps (`scale`, `render`,
+`as_complex`) look every entry up in a q-entry table in C (`bytes.translate`
+or `map`). Correlation values are integer combinations of the q-th roots of
+unity, kept in canonical coordinates of the ring Z[zeta_q] (reduced modulo
+the q-th cyclotomic polynomial), so equality and zero tests are exact for
+every q. For q in {1, 2, 4} the canonical coordinates are literally Gaussian
+integers. A `RootSum` holds one such value for comparison and display; it
+has no arithmetic.
 
-`accf` runs one numpy kernel for every q: float64 correlations of the
-entries' canonical coordinates, exact because every partial sum is an
-integer of magnitude at most N * max|c|^2 < 2^53 (c over the coordinates of
-the q-th roots), folded into canonical coordinates in int64. Otherwise
-floating point appears only in display helpers (`to_complex`, `abs`).
+`accf` runs one numpy kernel for every q: each row becomes an index array
+once (`aacf` reuses it), and float64 correlations of the entries' canonical
+coordinates are exact because every partial sum is an integer of magnitude
+at most N * max|c|^2 < 2^53 (c over the coordinates of the q-th roots),
+folded into canonical coordinates in int64. Otherwise floating point
+appears only in display helpers (`to_complex`, `abs`, `as_complex`).
 """
 
 from __future__ import annotations
@@ -94,15 +97,11 @@ class RootSum:
 
     @classmethod
     def from_exponent(cls, q: int, t: int) -> "RootSum":
-        counts = [0] * q
-        counts[t % q] = 1
-        return cls.from_counts(q, counts)
+        return cls.from_counts(q, [int(d == t % q) for d in range(q)])
 
     @classmethod
     def from_int(cls, q: int, n: int) -> "RootSum":
-        counts = [0] * q
-        counts[0] = n
-        return cls.from_counts(q, counts)
+        return cls.from_counts(q, [n] + [0] * (q - 1))
 
     def to_complex(self) -> complex:
         return sum(
@@ -118,6 +117,7 @@ class RootSum:
 
 
 _PRETTY = {2: "+-", 4: "+i-î"}  # exponents 0,1,2,3 over q=4 are 1, i, -1, -i
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,10 @@ class Sequence:
             raise InputError(f"alphabet order must be >= 1, got {q}")
         if len(self.exponents) < 1:
             raise InputError("sequences must be nonempty")
-        for e in self.exponents:
-            if not 0 <= e < q:
-                raise InputError(f"exponent {e} outside [0, {q})")
+        distinct = set(self.exponents)  # at most q values left for min and max
+        if min(distinct) < 0 or max(distinct) >= q:
+            bad = next(e for e in self.exponents if not 0 <= e < q)
+            raise InputError(f"exponent {bad} outside [0, {q})")
 
     @classmethod
     def from_exponents(cls, q: int, exponents: Iterable[int]) -> "Sequence":
@@ -153,7 +154,10 @@ class Sequence:
         q = self.q
         if not 0 <= u < q:
             raise InputError(f"scale exponent {u} outside [0, {q})")
-        return Sequence(q, tuple((e + u) % q for e in self.exponents))
+        table = [*range(u, q), *range(u)]  # entry e holds (e + u) % q
+        if q > 256:  # the exponents do not fit bytes.translate
+            return Sequence(q, tuple(map(table.__getitem__, self.exponents)))
+        return Sequence(q, tuple(bytes(self.exponents).translate(bytes(table).ljust(256))))
 
     def negate(self) -> "Sequence":
         if self.q % 2:
@@ -166,17 +170,16 @@ class Sequence:
         return Sequence(self.q, self.exponents + other.exponents)
 
     def as_complex(self) -> list[complex]:
-        q = self.q
-        return [cmath.exp(2j * cmath.pi * e / q) for e in self.exponents]
+        roots = [cmath.exp(2j * cmath.pi * t / self.q) for t in range(self.q)]
+        return list(map(roots.__getitem__, self.exponents))
 
     def render(self, pretty: bool = False) -> str:
         """Digit string by default; +,-,i,î glyphs for q in {2, 4} with pretty."""
         if pretty and self.q in _PRETTY:
-            glyphs = _PRETTY[self.q]
-            return "".join(glyphs[e] for e in self.exponents)
+            return "".join(map(_PRETTY[self.q].__getitem__, self.exponents))
         if self.q > 10:
             raise InputError("digit rendering needs q <= 10")
-        return "".join(str(e) for e in self.exponents)
+        return bytes(self.exponents).translate(_DIGITS).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +260,9 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
     n = len(a)
     roots, fold = _kernel_tables(q)
     phi = roots.shape[0]
-    ca = roots[:, a.exponents]
-    cb = roots[:, [-e % q for e in b.exponents]]
+    ia = np.array(a.exponents, dtype=np.intp)
+    ca = roots[:, ia]
+    cb = roots[:, -(ia if b is a else np.array(b.exponents, dtype=np.intp)) % q]
     corr = np.empty((2 * n - 1, phi * phi))
     for i in range(phi):
         for l in range(phi):

@@ -18,7 +18,7 @@ from .construct import (
     cs8_from_pair_and_set,
     stack,
 )
-from .errors import InputError, SeedError, WorkBoundExceeded
+from .errors import InputError, ParseError, SeedError, WorkBoundExceeded
 from .papr import DEFAULT_OVERSAMPLE, papr
 from .reach import published_row_diff, reachable_lengths
 from .search import DEFAULT_WORK_BOUND, search_cs
@@ -29,10 +29,13 @@ _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
 ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
 GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
+SET_LEN_CAP = 2**16  # rows of set files; theorem2 on capped gcp pairs emits 49,152
 
 
 def _load(path: str) -> ComplementarySet:
     cs, _ = setio.read_set_file(path)
+    if cs.length > SET_LEN_CAP:
+        raise WorkBoundExceeded(f"{path}: row length {cs.length} is above the cap of {SET_LEN_CAP}")
     return cs
 
 
@@ -228,7 +231,11 @@ def _selftest_golden(data_dir) -> list[str]:
     }
     loaded = {}
     for name, (q, size, length) in expect.items():
-        cs, _ = setio.parse_set(gold.joinpath(name).read_text(encoding="utf-8"))
+        try:
+            cs, _ = setio.parse_set(setio.decode_text(gold.joinpath(name).read_bytes()))
+        except ParseError as exc:
+            failures.append(f"{name}: {exc}")
+            continue
         if (cs.q, cs.size, cs.length) != (q, size, length):
             failures.append(f"{name}: wrong shape")
             continue

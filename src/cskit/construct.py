@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence as Seq
 
+import numpy as np
+
 from .algebra import Sequence
 from .errors import InputError
 from .verify import ComplementarySet, ensure_verified
@@ -186,18 +188,13 @@ def golay_double(pair: ComplementarySet) -> ComplementarySet:
     return _recheck(rows, "doubling")
 
 
-def _binary_bits(seq: Sequence) -> list[int]:
+def _binary_bits(seq: Sequence) -> np.ndarray:
     """Entries of a (+1/-1)-valued sequence as 0/1 bits, or raise."""
-    q = seq.q
-    bits = []
-    for e in seq.exponents:
-        if e == 0:
-            bits.append(0)
-        elif q % 2 == 0 and e == q // 2:
-            bits.append(1)
-        else:
-            raise InputError("turyn_product needs a (+1/-1)-valued first pair")
-    return bits
+    e = np.array(seq.exponents)
+    minus = seq.q // 2 if seq.q % 2 == 0 else 0  # the exponent of -1, if U_q has it
+    if np.any((e != 0) & (e != minus)):
+        raise InputError("turyn_product needs a (+1/-1)-valued first pair")
+    return (e != 0).astype(np.int64)
 
 
 def turyn_product(pair_bin: ComplementarySet, pair_q: ComplementarySet) -> ComplementarySet:
@@ -221,21 +218,11 @@ def turyn_product(pair_bin: ComplementarySet, pair_q: ComplementarySet) -> Compl
     q = pair_q.q
     if q % 2:
         raise InputError("turyn_product needs an even target alphabet")
-    a_bits = _binary_bits(pair_bin.rows[0])
-    b_bits = _binary_bits(pair_bin.rows[1])
+    a_bits, b_bits = (_binary_bits(row) for row in pair_bin.rows)
     half = q // 2
-    ec, ed = pair_q.rows[0].exponents, pair_q.rows[1].exponents
-    m, n = len(a_bits), len(ec)
-    out1: list[int] = []
-    out2: list[int] = []
-    for i in range(n):
-        for j in range(m):
-            base = half * a_bits[j]
-            if a_bits[j] == b_bits[j]:
-                out1.append((ec[i] + base) % q)
-                out2.append((ed[i] + base) % q)
-            else:
-                out1.append((-ed[n - 1 - i] + base) % q)
-                out2.append((half - ec[n - 1 - i] + base) % q)
-    rows = (Sequence.from_exponents(q, out1), Sequence.from_exponents(q, out2))
+    # one row of the (N, M) grid per i, broadcast against the columns j
+    ec, ed = (np.array(row.exponents)[:, None] for row in pair_q.rows)
+    same, base = a_bits == b_bits, half * a_bits
+    grids = (np.where(same, ec, -ed[::-1]) + base, np.where(same, ed, half - ec[::-1]) + base)
+    rows = tuple(Sequence(q, tuple((g % q).ravel().tolist())) for g in grids)
     return _recheck(rows, "turyn product")

@@ -3,6 +3,8 @@
 A header line `q=<int> rows=<int> len=<int>`, optional `#` note lines, then
 one line per row of exactly `len` ASCII digits (the exponent of each entry;
 q <= 10). For q=2 that makes `0` mean +1 and `1` mean -1. Files are UTF-8.
+A row costs one regex scan, which finds its first invalid character (a
+ParseError names its line and column), and one `bytes.translate`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .errors import InputError, ParseError
 from .verify import ComplementarySet
 
 _HEADER = re.compile(r"^q=([0-9]+) rows=([0-9]+) len=([0-9]+)$")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def require_text_q(q: int) -> None:
@@ -60,19 +63,17 @@ def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
                 lineno,
                 min(len(raw) + 1, length + 1),
             )
-        exps = []
-        for col, ch in enumerate(raw, start=1):
+        bad = re.search(f"[^0-{q - 1}]", raw)  # the first character that is no digit below q
+        if bad:
+            ch, col = bad.group(), bad.start() + 1
             if not "0" <= ch <= "9":
                 raise ParseError(f"bad character {ch!r}", lineno, col)
-            e = int(ch)
-            if e >= q:
-                raise ParseError(f"exponent {e} outside [0, {q})", lineno, col)
-            exps.append(e)
-        data.append(tuple(exps))
+            raise ParseError(f"exponent {ch} outside [0, {q})", lineno, col)
+        data.append(tuple(raw.encode("ascii").translate(_DIGIT_VALUES)))
     if len(data) != rows:
         raise ParseError(f"expected {rows} rows, found {len(data)}", len(lines), 1)
 
-    cs = ComplementarySet(tuple(Sequence.from_exponents(q, r) for r in data))
+    cs = ComplementarySet(tuple(Sequence(q, r) for r in data))
     note = "\n".join(note_parts) if note_parts else None
     return cs, note
 

@@ -506,7 +506,7 @@ def search_cs(
         canon = canonical_rows(q, rows)
         if canon in found:
             raise RuntimeError("internal error: enumerator emitted a class twice")
-        built = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in canon))
+        built = ComplementarySet.of(*(Sequence(q, r) for r in canon))
         try:
             found[canon] = ensure_verified(built)
         except InputError:

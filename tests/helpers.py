@@ -15,7 +15,8 @@ import numpy as np
 
 from cskit.algebra import RootSum, Sequence
 from cskit.construct import Coeffs4, cs4_from_pairs
-from cskit.errors import InputError, WorkBoundExceeded
+from cskit.errors import InputError, ParseError, WorkBoundExceeded
+from cskit.io import _HEADER
 from cskit.reach import (
     Derivation,
     LengthEntry,
@@ -298,6 +299,113 @@ def random_cs4(q: int, rng, max_pair_len: int = 10) -> ComplementarySet:
     pair_a = random_gcp(q, rng, max_pair_len)
     pair_b = random_gcp(q, rng, max_pair_len)
     return cs4_from_pairs(pair_a, pair_b, random_admissible_coeffs4(q, rng))
+
+
+# ---------------------------------------------------------------------------
+# The per-entry Python loops that the set-file path replaced with C-level
+# operations (regex scan, bytes.translate, table lookups, a numpy grid),
+# kept verbatim as oracles: the library must give the same values, the
+# same bytes and the same errors.
+
+
+def oracle_parse_set(text: str):
+    """parse_set with one Python step per character."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1, 1)
+    m = _HEADER.match(lines[0])
+    if not m:
+        raise ParseError("header must be 'q=<int> rows=<int> len=<int>'", 1, 1)
+    q, rows, length = (int(g) for g in m.groups())
+    if q < 1 or q > 10:
+        raise ParseError(f"q={q} outside [1, 10]", 1, 3)
+    if rows < 1 or length < 1:
+        raise ParseError("rows and len must be >= 1", 1, 1)
+
+    note_parts: list[str] = []
+    data: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw.startswith("#"):
+            if data:
+                raise ParseError("note lines must precede the data rows", lineno, 1)
+            note_parts.append(raw[1:].lstrip())
+            continue
+        if len(raw) != length:
+            raise ParseError(
+                f"row must have exactly {length} characters, got {len(raw)}",
+                lineno,
+                min(len(raw) + 1, length + 1),
+            )
+        exps = []
+        for col, ch in enumerate(raw, start=1):
+            if not "0" <= ch <= "9":
+                raise ParseError(f"bad character {ch!r}", lineno, col)
+            e = int(ch)
+            if e >= q:
+                raise ParseError(f"exponent {e} outside [0, {q})", lineno, col)
+            exps.append(e)
+        data.append(tuple(exps))
+    if len(data) != rows:
+        raise ParseError(f"expected {rows} rows, found {len(data)}", len(lines), 1)
+
+    cs = ComplementarySet(tuple(Sequence.from_exponents(q, r) for r in data))
+    note = "\n".join(note_parts) if note_parts else None
+    return cs, note
+
+
+def oracle_scale(seq: Sequence, u: int) -> tuple[int, ...]:
+    return tuple((e + u) % seq.q for e in seq.exponents)
+
+
+def oracle_render(seq: Sequence, pretty: bool = False) -> str:
+    if pretty and seq.q in (2, 4):
+        glyphs = {2: "+-", 4: "+i-î"}[seq.q]
+        return "".join(glyphs[e] for e in seq.exponents)
+    if seq.q > 10:
+        raise InputError("digit rendering needs q <= 10")
+    return "".join(str(e) for e in seq.exponents)
+
+
+def oracle_as_complex(seq: Sequence) -> list[complex]:
+    q = seq.q
+    return [cmath.exp(2j * cmath.pi * e / q) for e in seq.exponents]
+
+
+def _oracle_binary_bits(seq: Sequence) -> list[int]:
+    q = seq.q
+    bits = []
+    for e in seq.exponents:
+        if e == 0:
+            bits.append(0)
+        elif q % 2 == 0 and e == q // 2:
+            bits.append(1)
+        else:
+            raise InputError("turyn_product needs a (+1/-1)-valued first pair")
+    return bits
+
+
+def oracle_turyn_rows(
+    pair_bin: ComplementarySet, pair_q: ComplementarySet
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponent rows of turyn_product, one m*n double loop."""
+    q = pair_q.q
+    a_bits = _oracle_binary_bits(pair_bin.rows[0])
+    b_bits = _oracle_binary_bits(pair_bin.rows[1])
+    half = q // 2
+    ec, ed = pair_q.rows[0].exponents, pair_q.rows[1].exponents
+    m, n = len(a_bits), len(ec)
+    out1: list[int] = []
+    out2: list[int] = []
+    for i in range(n):
+        for j in range(m):
+            base = half * a_bits[j]
+            if a_bits[j] == b_bits[j]:
+                out1.append((ec[i] + base) % q)
+                out2.append((ed[i] + base) % q)
+            else:
+                out1.append((-ed[n - 1 - i] + base) % q)
+                out2.append((half - ec[n - 1 - i] + base) % q)
+    return tuple(out1), tuple(out2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ from cskit.errors import InputError
 from helpers import (
     conj_rootsum,
     conjugate,
+    oracle_as_complex,
+    oracle_render,
+    oracle_scale,
     profile_values,
     reverse,
     rootsum_accf,
@@ -151,6 +154,9 @@ def test_sequence_constructor_invariants():
         Sequence(0, (0,))
     with pytest.raises(InputError, match="alphabet order"):
         Sequence.from_exponents(0, (0,))
+    # the message names the first entry out of range, not the extreme one
+    with pytest.raises(InputError, match=r"^exponent 5 outside \[0, 4\)$"):
+        Sequence(4, (0, 5, -1, 9))
 
 
 def test_render_pretty_quaternary():
@@ -229,3 +235,38 @@ def test_accf_matches_rootsum_oracle(q, n, data):
     b = data.draw(sequences(q, n, n))
     assert profile_values(accf(a, b)) == rootsum_accf(a, b)
     assert profile_values(aacf(a)) == rootsum_accf(a, a)
+
+
+# ---------------------------------------------------------------------------
+# Entry maps against the per-entry loops they replaced.
+
+
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 10, 12, 255, 256, 257, 300]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scale_and_negate_match_loop_oracle(q, data):
+    a = data.draw(sequences(q, 1, 40))
+    u = data.draw(st.integers(0, q - 1))
+    assert a.scale(u).exponents == oracle_scale(a, u)
+    if q % 2 == 0:
+        assert a.negate().exponents == oracle_scale(a, q // 2)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 8, 10, 11, 12]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_render_matches_loop_oracle(q, pretty, data):
+    a = data.draw(sequences(q, 1, 40))
+    if q > 10:
+        with pytest.raises(InputError, match="q <= 10"):
+            a.render(pretty)
+        with pytest.raises(InputError, match="q <= 10"):
+            oracle_render(a, pretty)
+    else:
+        assert a.render(pretty) == oracle_render(a, pretty)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 12, 97]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_as_complex_is_bit_identical_to_loop_oracle(q, data):
+    a = data.draw(sequences(q, 1, 40))
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    assert list(map(repr, a.as_complex())) == list(map(repr, oracle_as_complex(a)))

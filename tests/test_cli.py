@@ -7,6 +7,7 @@ import pytest
 
 from cskit import cli
 from cskit.cli import main
+from cskit.errors import InputError
 from cskit.io import parse_set, read_set_file
 from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet
@@ -394,3 +395,38 @@ def test_selftest_passes_on_clean_checkout(capsys):
     assert code == 0
     assert "selftest: all checks passed" in out
     assert "byte-identical" in out
+
+
+def test_selftest_names_a_golden_file_that_is_not_utf8(capsys, golden_dir, tmp_path):
+    shutil.copytree(golden_dir, tmp_path / "golden")
+    path = tmp_path / "golden" / "pair_q2_len4.txt"
+    data = bytearray(path.read_bytes())
+    data[22] = 0xFF  # the first entry of the second row
+    path.write_bytes(bytes(data))
+    failures = cli._selftest_golden(tmp_path)
+    assert failures == ["pair_q2_len4.txt: byte 0xff is not UTF-8 (line 3, column 1)"]
+    out = capsys.readouterr().out
+    assert out.count("verifies\n") == 5 and "reconstruction" not in out
+
+
+def test_set_file_row_length_above_cap_exit3_before_any_verification(
+    capsys, tmp_path, monkeypatch
+):
+    # the stub records the sets that pass the cap; no real verification runs
+    called = []
+
+    def stub(cs):
+        called.append(cs.length)
+        raise InputError("stub")
+
+    monkeypatch.setattr(cli, "verify", stub)
+    cap = cli.SET_LEN_CAP
+    assert cap >= 3 * cli.GCP_LEN_CAP  # theorem2 on a capped pair and set4
+    above, at = tmp_path / "above.txt", tmp_path / "at.txt"
+    above.write_text(f"q=4 rows=1 len={cap + 1}\n{'3' * (cap + 1)}\n")
+    at.write_text(f"q=4 rows=1 len={cap}\n{'3' * cap}\n")
+    code, out, err = run(capsys, "verify", str(above))
+    assert (code, out, called) == (3, "", [])
+    assert err == f"error: work-bound: {above}: row length {cap + 1} is above the cap of {cap}\n"
+    code, _, err = run(capsys, "verify", str(at))
+    assert (code, err, called) == (2, "error: input: stub\n", [cap])

@@ -23,6 +23,7 @@ from cskit.verify import ComplementarySet, ensure_verified, verify
 from conftest import load_golden
 from helpers import (
     cross_tail,
+    oracle_turyn_rows,
     random_admissible_coeffs4,
     random_admissible_coeffs8,
     random_cs4,
@@ -380,3 +381,32 @@ def test_turyn_rejects_nonbinary_first_pair():
     q3 = seed_pair(4, 3).pair
     with pytest.raises(InputError, match=r"\+1/-1"):
         turyn_product(q3, q3)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_turyn_matches_double_loop_oracle(q):
+    rng = random.Random(1200 + q)
+    for _ in range(25):
+        pair_bin = random_gcp(2, rng, 26)
+        pair_q = random_gcp(q, rng, 26)
+        if q == 4 and rng.random() < 0.5:
+            # a binary pair already over the target alphabet: exponents 0 and 2
+            pair_bin = ensure_verified(ComplementarySet(tuple(
+                Sequence(4, tuple(2 * e for e in row.exponents)) for row in pair_bin.rows)))
+        out = turyn_product(pair_bin, pair_q)
+        assert tuple(row.exponents for row in out.rows) == oracle_turyn_rows(pair_bin, pair_q)
+
+
+@pytest.mark.parametrize("first_q", [3, 4, 6])
+def test_turyn_rejects_what_the_loop_oracle_rejects(first_q):
+    # an entry that is neither +1 nor -1 (zeta_3, i, zeta_6) anywhere in the rows
+    q4 = seed_pair(4, 3).pair
+    for col in range(3):
+        rows = tuple(Sequence(first_q, tuple(1 if k == col else 0 for k in range(3)))
+                     for _ in range(2))
+        pair = ComplementarySet(rows, verified=True)  # the shape check only reads entries
+        with pytest.raises(InputError, match=r"\+1/-1") as exc:
+            turyn_product(pair, q4)
+        with pytest.raises(InputError) as expected:
+            oracle_turyn_rows(pair, q4)
+        assert str(exc.value) == str(expected.value)

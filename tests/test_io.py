@@ -9,7 +9,7 @@ from cskit.errors import InputError, ParseError
 from cskit.io import parse_set, serialize_set
 from cskit.verify import ComplementarySet
 
-from helpers import signs
+from helpers import oracle_parse_set, signs
 
 
 def make_set(q, rows):
@@ -86,3 +86,58 @@ def test_serialize_rejects_wide_alphabets():
     cs = make_set(12, [[0, 11]])
     with pytest.raises(InputError, match="q <= 10"):
         serialize_set(cs)
+
+
+# ---------------------------------------------------------------------------
+# parse_set against the per-character oracle.
+
+# characters a mutated row may carry: non-digits, non-ASCII digits
+# (superscript two, Arabic-Indic three, fullwidth zero), a note marker
+_ODD_CHARS = "x #-+\t\u00b2\u0663\uff10\u00e9"
+
+
+@st.composite
+def set_texts(draw):
+    """A set file whose rows are valid, or mutated: one character replaced
+    (by any ASCII digit, digits >= q included, or an odd character), one
+    character dropped or one added."""
+    q, rows, n = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    body = []
+    for _ in range(draw(st.integers(max(rows - 1, 0), rows + 1))):
+        row = draw(st.text("0123456789"[:q], min_size=n, max_size=n))
+        col = draw(st.integers(0, n - 1))
+        mutation = draw(st.sampled_from(["none", "none", "replace", "drop", "add"]))
+        if mutation == "replace":
+            ch = draw(st.sampled_from("0123456789" + _ODD_CHARS))
+            row = row[:col] + ch + row[col + 1:]
+        elif mutation == "drop":
+            row = row[:col] + row[col + 1:]
+        elif mutation == "add":
+            row = row[:col] + draw(st.sampled_from("0123456789" + _ODD_CHARS)) + row[col:]
+        body.append(row)
+    return f"q={q} rows={rows} len={n}\n" + "".join(row + "\n" for row in body)
+
+
+def outcome(parse, text):
+    """(rows, note) of a parse, or the message, line and column of its error."""
+    try:
+        cs, note = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "ok", tuple(row.exponents for row in cs.rows), cs.q, note
+
+
+@given(set_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_per_character_oracle(text):
+    assert outcome(parse_set, text) == outcome(oracle_parse_set, text)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_parse_reports_the_first_invalid_character(q):
+    # the first exponent >= q or non-digit, whichever comes first
+    out = str(q) if q < 10 else "x"
+    for row, col in [("00000" + out + "x", 6), ("0x" + out * 5, 2), ("000000\u0663", 7)]:
+        text = f"q={q} rows=1 len=7\n{row}\n"
+        assert outcome(parse_set, text) == outcome(oracle_parse_set, text)
+        assert outcome(parse_set, text)[3] == col
