@@ -19,6 +19,7 @@ import pytest
 from cskit import cli
 from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack, turyn_product
+from cskit.errors import WorkBoundExceeded
 from cskit.io import parse_set, serialize_set, write_set_file
 from cskit.reach import reachable_lengths
 from cskit.search import _backtrack, first_cs, search_cs
@@ -100,6 +101,20 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
 def test_search_cs(benchmark, q, p, n, limit, nodes, classes):
     result = benchmark(search_cs, q, p, n, limit)
     assert (result.nodes, len(result.sets)) == (nodes, classes)
+
+
+def test_search_cs_work_bound(benchmark):
+    # the perfbench bound-a calls: a binary pair search cut at 24,000 nodes
+    def bounded():
+        with pytest.raises(WorkBoundExceeded):
+            search_cs(2, 2, 18, work_bound=24000)
+
+    benchmark(bounded)
+
+
+def test_first_cs_q2_len20(benchmark):
+    pair = benchmark(first_cs, 2, 2, 20)
+    assert (pair.size, pair.length) == (2, 20)
 
 
 def test_first_cs_q4_len11(benchmark):

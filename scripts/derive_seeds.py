@@ -3,9 +3,9 @@
 
 Every seed that is not transcribed from a worked example is found by the
 backtracking pair search (first solution, ascending exponent order, so
-the result is deterministic) and canonicalized. The long kernels take a
-while: binary length 26 about 5 s, quaternary length 13 about 30 s on one
-2.1 GHz Xeon core. Run with --write to refresh src/cskit/data/seeds/ in place, or
+the result is deterministic) and canonicalized. The quaternary length-13
+kernel takes about 31 s and binary length 26 about 1.6 s on one 2.1 GHz
+Xeon core. Run with --write to refresh src/cskit/data/seeds/ in place, or
 with --check to compare every record byte for byte with the files there
 (exit 1 on a mismatch); with neither the script just prints the records
 it would write.

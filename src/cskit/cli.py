@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import io as setio
 from .construct import (
@@ -30,13 +31,20 @@ ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
 GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
 SET_LEN_CAP = 2**16  # rows of set files; theorem2 on capped gcp pairs emits 49,152
+SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files; theorem2 writes 8 rows
 
 
 def _load(path: str) -> ComplementarySet:
-    cs, _ = setio.read_set_file(path)
-    if cs.length > SET_LEN_CAP:
-        raise WorkBoundExceeded(f"{path}: row length {cs.length} is above the cap of {SET_LEN_CAP}")
-    return cs
+    # the caps are read from the header, before any row is parsed
+    text = setio.decode_text(Path(path).read_bytes())
+    _, rows, length = setio.parse_header(text)
+    if length > SET_LEN_CAP:
+        raise WorkBoundExceeded(f"{path}: row length {length} is above the cap of {SET_LEN_CAP}")
+    if rows * length > SET_ENTRY_CAP:
+        raise WorkBoundExceeded(
+            f"{path}: {rows} rows of length {length} are above the cap of {SET_ENTRY_CAP} entries"
+        )
+    return setio.parse_set(text)[0]
 
 
 def _load_pair(path: str, name: str) -> ComplementarySet:

@@ -36,11 +36,14 @@ def serialize_set(cs: ComplementarySet, note: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
-    lines = text.splitlines()
-    if not lines:
+def parse_header(text: str) -> tuple[int, int, int]:
+    """q, rows and len from a set file's header, read without its rows."""
+    if not text:
         raise ParseError("empty input", 1, 1)
-    m = _HEADER.match(lines[0])
+    end = text.find("\n")
+    # the first of splitlines' lines ends at or before the first "\n"
+    first = (text[:end] if end >= 0 else text).splitlines()
+    m = _HEADER.match(first[0] if first else "")
     if not m:
         raise ParseError("header must be 'q=<int> rows=<int> len=<int>'", 1, 1)
     q, rows, length = (int(g) for g in m.groups())
@@ -48,7 +51,12 @@ def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
         raise ParseError(f"q={q} outside [1, 10]", 1, 3)
     if rows < 1 or length < 1:
         raise ParseError("rows and len must be >= 1", 1, 1)
+    return q, rows, length
 
+
+def parse_set(text: str) -> tuple[ComplementarySet, Optional[str]]:
+    q, rows, length = parse_header(text)
+    lines = text.splitlines()
     note_parts: list[str] = []
     data: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -8,25 +8,37 @@ lands at a fixed slot and gets an exact zero test there, and every
 partially known shift prunes with the triangle inequality (|known part|
 can exceed the number of missing unimodular terms only on a dead branch).
 
-The per-shift state holds every partial sum exactly. For q dividing 4
-(q in {1, 2, 4}) each q-th root is a Gaussian integer, so one number per
-shift is the sum itself: an int for q <= 2, and for q = 4 a complex whose
-parts are integers of size at most P*N < 2^53, which float addition keeps
-exact. It is zero exactly when the sum is, it alone decides a completed
-shift, and its abs prunes, against the count of missing terms plus 1e-6,
-a margin far above the rounding of abs, so no live branch is pruned. For any
-other q, an exact integer packs the canonical Z[zeta_q] coordinates of the
-partial sum and alone decides a completed shift, and a complex copy of the
-sum is used only to prune, with the same 1e-6 margin keeping that prune
-conservative. Which shifts a slot touches, and how many terms each still
-misses, does not depend on the data, so both are tabled once per column
-before the search. Each depth keeps its own copy of the state, filled from
-its parent's when a value is tried, so backtracking restores nothing and
-float error does not build up. Where a slot completes a shift with a single
-touch, the exact test has at most one solution; it is looked up, and the
-other values are counted as dead nodes without being tried. The search
-runs on an explicit stack, so its depth is bounded by memory, not by the
-interpreter's recursion limit.
+For q in {1, 2} every entry x is +1 or -1, and the per-shift state is one
+int z per depth: with w-bit fields, where 4*P*N < 2^(w-1) = B, field tau
+holds the partial sum S_tau of shift tau. Each row keeps its filled
+entries as two packed ints, forward (x_c in field c) and reversed (field
+N-1-c). Shifted right by w*c and by w*(N-1-c) and added, they hold in
+field tau the entries tau columns after and before c, so placing x_c adds
+x_c times that sum. A floor shift drops the lower fields and leaves -1 or
+0 in field 0, which no shift uses; on a path that junk stays below
+2*P*N in magnitude. A slot's limit int holds B + M_tau in field tau, with
+M_tau the terms of shift tau still missing after it, and B in field 0.
+Every field of lim + z and lim - z then lies within B +- 2*P*N, inside
+[0, 2^w), so no field borrows or carries, and its high bit is set exactly
+when |S_tau| <= M_tau: one AND of the two, masked to those bits, decides
+the node with integers only. Each limit is the previous slot's less the
+packed count of its column's touches.
+
+For q = 4 each root is a Gaussian integer, so one complex per shift, whose
+parts are integers of size at most P*N < 2^53, holds the sum exactly: it
+alone decides a completed shift, and its abs prunes against the count of
+missing terms plus 1e-6, a margin far above the rounding of abs, so no
+live branch is pruned. For any other q, an exact integer packs the
+canonical Z[zeta_q] coordinates of the partial sum and alone decides a
+completed shift, and a complex copy of the sum only prunes, with the same
+margin. For q > 2, which shifts a slot touches, and how many terms each
+still misses, is tabled once per column before the search. Each depth
+keeps its own copy of the state, filled from its parent's when a value is
+tried, so backtracking restores nothing. Where a slot completes a shift
+with a single touch, the exact test has at most one solution; it is
+looked up, and the other values are counted as dead nodes without being
+tried. The search runs on an explicit stack, so its depth is bounded by
+memory, not by the interpreter's recursion limit.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows permuted, and the whole matrix mapped by simultaneous
@@ -176,10 +188,6 @@ def _norm_refuted(q: int, p: int, n: int) -> bool:
         power = add(power, power)
 
 
-# The q whose q-th roots are all Gaussian integers (q divides 4).
-_GAUSSIAN = (1, 2, 4)
-
-
 def _column_order(n: int) -> list[int]:
     cols = []
     lo, hi = 0, n - 1
@@ -193,16 +201,15 @@ def _column_order(n: int) -> list[int]:
 
 
 def _slot_tables(q: int, p: int, n: int) -> list:
-    """The touch tables of every free column c, in fill order.
+    """The touch tables of every slot, in slot order, for q > 2.
 
-    Returns (c, first, middle, last): the tables of rows 0, 1..p-2 and p-1
-    of column c (one table serves every middle row). The entry v of row r
-    in column c touches a shift tau once per earlier column c2, adding the
-    root of d = row[c2] - v. For q in _GAUSSIAN that root is one exact
-    value ex[d] (an int for q <= 2, a complex with integer parts for q = 4);
-    for any other q it is ex[d], a packed int, together with its complex
-    shadow rt[d]. Below, "ex, *rt" stands for ex alone or for ex, rt. A
-    table is (exacts, solved, checks, scaled), its touches grouped by shift:
+    The rows strictly between the first and the last of a column share one
+    table. The entry v of row r in column c touches a shift tau once per
+    earlier column c2, adding the root of d = row[c2] - v. For q = 4 that
+    root is one exact value ex[d], a complex with integer parts; for any
+    other q it is ex[d], a packed int, together with its complex shadow
+    rt[d]. Below, "ex, *rt" stands for ex alone or for ex, rt. A table is
+    (solved, (exacts, checks, scaled)), its touches grouped by shift:
 
     - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
       its exact value alone (ex' is all zeros for a single touch; the first
@@ -218,11 +225,11 @@ def _slot_tables(q: int, p: int, n: int) -> list:
     shift keep their order. The tables take O(N^2) space for any P.
     """
     coords = root_coords(q).tolist()
-    if q in _GAUSSIAN:
-        # The q-th roots are Gaussian integers, so a partial sum of at most
-        # p*n of them has integer parts of size <= p*n < 2^53, which an int
-        # (q <= 2) or a complex (q = 4) holds exactly.
-        left = ([complex(*cs) if q == 4 else cs[0] for cs in coords],)
+    if q == 4:
+        # The 4th roots are Gaussian integers, so a partial sum of at most
+        # p*n of them has integer parts of size <= p*n < 2^53, which a
+        # complex holds exactly.
+        left = ([complex(*cs) for cs in coords],)
     else:
         # A shift sums at most p*n roots, so every coordinate stays below
         # radix/2 in magnitude and the packing into one int is injective.
@@ -258,7 +265,7 @@ def _slot_tables(q: int, p: int, n: int) -> list:
                         scaled.append((tau, c2, ex, *rt, m + r * k, k))
                     else:
                         checks.append((tau, c2, ex, *rt, m + 1e-6))
-        return exacts, solved, checks, scaled
+        return solved, (exacts, checks, scaled)
 
     cols = _column_order(n)  # column 0 is pinned to exponent 0
     remaining = [p * (n - tau) for tau in range(n)]
@@ -271,10 +278,8 @@ def _slot_tables(q: int, p: int, n: int) -> list:
             by_shift.setdefault(tau, []).append((c2, *roots))
         for tau, touches in by_shift.items():
             remaining[tau] -= p * len(touches)
-        last = row_tables(by_shift, p - 1)
-        first = row_tables(by_shift, 0) if p > 1 else last
         middle = row_tables(by_shift, p - 2, shared=True) if p > 2 else None
-        tables.append((c, first, middle, last))
+        tables += [middle if 0 < r < p - 1 else row_tables(by_shift, r) for r in range(p)]
     return tables
 
 
@@ -316,6 +321,29 @@ def _enumerate(
     return _backtrack(q, set_size, length, emit, work_bound)
 
 
+def _packed_tests(p: int, n: int) -> tuple[int, int, list]:
+    """The field width w, the high bits of fields 1..n-1 and, per slot, the
+    test (None, (lim, w*c, w*(n-1-c), 2^(w*c), 2^(w*(n-1-c)))) for q <= 2
+    (the module notes; None: no solved lookup). The limits are built in
+    O(P*N) big-int steps."""
+    w = (4 * p * n).bit_length() + 1
+    ones = (1 << w * n) // ((1 << w) - 1)  # 1 in every field
+    high = (ones - 1) << (w - 1)
+    lim = (ones << (w - 1)) + p * sum((n - tau) << w * tau for tau in range(1, n))
+    filled, mirrored = 1, 1 << w * (n - 1)  # column 0
+    tests = []
+    for c in _column_order(n)[1:]:
+        bit, mirror_bit = 1 << w * c, 1 << w * (n - 1 - c)
+        # field tau: the filled columns tau before or after c
+        touches = (filled >> w * c) + (mirrored >> w * (n - 1 - c))
+        for _ in range(p):
+            lim -= touches
+            tests.append((None, (lim, w * c, w * (n - 1 - c), bit, mirror_bit)))
+        filled += bit
+        mirrored += mirror_bit
+    return w, high, tests
+
+
 def _backtrack(
     q: int,
     set_size: int,
@@ -335,11 +363,15 @@ def _backtrack(
     p, n = set_size, length
     exps = [[0] * n for _ in range(p)]
     cols = _column_order(n)
+    packed = q <= 2
+    if packed:
+        w, high, tests = _packed_tests(p, n)
+    else:
+        tests = _slot_tables(q, p, n)
     slots = []
     check = -1  # the slot of the last lex-leader check so far
-    for i, (c, first, middle, last) in enumerate(_slot_tables(q, p, n), 1):
+    for i, c in enumerate(cols[1:], 1):
         for r in range(p):
-            tables = first if r == 0 else last if r == p - 1 else middle
             # the row above (None for row 0) and the slot of this row one
             # column earlier, whose tie flag holds (-1: the first column)
             above = exps[r - 1] if r else None
@@ -353,7 +385,8 @@ def _backtrack(
                 images = ((1, mirror, n - 1), (-1, filled, 0), (-1, mirror, n - 1))
                 leader = (check, filled, images)
                 check = len(slots)
-            slots.append((exps[r], c, r, above, max(len(slots) - p, -1), leader) + tables)
+            slots.append((exps[r], c, r, above, max(len(slots) - p, -1), leader)
+                         + tests[len(slots)])
     # tied[i]: the rows of slot i and the row above agree on every column
     # filled up to slot i; tied[-1] stands for column 0, equal in every row
     tied = [False] * len(slots) + [True]
@@ -361,13 +394,17 @@ def _backtrack(
     # stack on the filled columns; every map's image does on column 0, and
     # for q <= 2 conjugation is the identity
     leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
-    # state[i] is (exact, approx) after the first i slots, approx None for
-    # q in _GAUSSIAN; deeper levels are allocated as the path first reaches
-    # them
-    def level():
-        return [0] * n, None if q in _GAUSSIAN else [0j] * n
+    if packed:
+        # packs[i]: after slot i, its row's forward and reversed ints and
+        # the packed shift sums; packs[-1]: column 0 (+1) and no sums
+        packs = [None] * len(slots) + [(1, 1 << w * (n - 1), 0)]
+    else:
+        # state[i]: (exact, approx) after the first i slots, approx None for
+        # q = 4; deeper levels are allocated as the path first reaches them
+        def level():
+            return [0] * n, None if q == 4 else [0j] * n
 
-    state = [level()]
+        state = [level()]
 
     nodes = 0
     tried = [0] * len(slots)
@@ -378,8 +415,7 @@ def _backtrack(
                 break
             idx -= 1
             continue
-        row, c, r, above, back, leader, exacts, solved, checks, scaled = slots[idx]
-        parent_exact, parent_approx = state[idx]
+        row, c, r, above, back, leader, solved, test = slots[idx]
         v = tried[idx]
         # A row tied with the row above starts at its exponent. The ones that
         # fail the solved test are dead without a try; each still counts as
@@ -396,7 +432,7 @@ def _backtrack(
         else:
             lo = above[c] if above is not None and tied[back] else 0
             tau, c2, exponent_of = solved
-            d = exponent_of.get(-parent_exact[tau])
+            d = exponent_of.get(-state[idx][0][tau])
             if d is not None:
                 v = (row[c2] - d) % q
             if d is None or v < lo:
@@ -413,59 +449,74 @@ def _backtrack(
             tried[idx] = 0
             idx -= 1
             continue
-        for tau, c2, ex, c3, ex3 in exacts:
-            if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
-                break
+        if packed:
+            lim, shift, mirror_shift, bit, mirror_bit = test
+            forward, reverse, _ = packs[back]
+            z = (forward >> shift) + (reverse >> mirror_shift)
+            sums = packs[idx - 1][2]
+            z = sums - z if v else sums + z  # v = 1: the entry is -1
+            if (lim + z) & (lim - z) & high != high:
+                continue
+            packs[idx] = ((forward - bit, reverse - mirror_bit, z) if v
+                          else (forward + bit, reverse + mirror_bit, z))
         else:
-            if idx + 1 == len(state):
-                state.append(level())
-            exact, approx = state[idx + 1]
-            exact[:] = parent_exact
-            alive = True  # a row's table has checks or scaled, not both
-            if approx is None:  # the exact value prunes too
-                for tau, c2, ex, lim in checks:
-                    z = exact[tau] + ex[row[c2] - v]
-                    exact[tau] = z
-                    if abs(z) > lim:
-                        alive = False
-                        break
-                for tau, c2, ex, m, k in scaled:
-                    z = exact[tau] + ex[row[c2] - v]
-                    exact[tau] = z
-                    if abs(z) > m - r * k + 1e-6:
-                        alive = False
-                        break
+            exacts, checks, scaled = test
+            parent_exact, parent_approx = state[idx]
+            for tau, c2, ex, c3, ex3 in exacts:
+                if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
+                    alive = False
+                    break
             else:
-                approx[:] = parent_approx
-                for tau, c2, ex, rt, lim in checks:
-                    d = row[c2] - v
-                    exact[tau] += ex[d]
-                    z = approx[tau] + rt[d]
-                    approx[tau] = z
-                    if abs(z) > lim:
-                        alive = False
-                        break
-                for tau, c2, ex, rt, m, k in scaled:
-                    d = row[c2] - v
-                    exact[tau] += ex[d]
-                    z = approx[tau] + rt[d]
-                    approx[tau] = z
-                    if abs(z) > m - r * k + 1e-6:
-                        alive = False
-                        break
-            if alive:
-                row[c] = v
-                if above is not None:
-                    tied[idx] = tied[back] and v == above[c]
-                if leader is not None:
-                    prev, filled, images = leader
-                    ties = leaders[prev]
-                    if ties:
-                        ties = _tied_images(q, exps, filled, images, ties)
-                        if ties is None:
-                            continue
-                    leaders[idx] = ties
-                idx += 1
+                if idx + 1 == len(state):
+                    state.append(level())
+                exact, approx = state[idx + 1]
+                exact[:] = parent_exact
+                alive = True  # a row's table has checks or scaled, not both
+                if approx is None:  # the exact value prunes too
+                    for tau, c2, ex, lim in checks:
+                        z = exact[tau] + ex[row[c2] - v]
+                        exact[tau] = z
+                        if abs(z) > lim:
+                            alive = False
+                            break
+                    for tau, c2, ex, m, k in scaled:
+                        z = exact[tau] + ex[row[c2] - v]
+                        exact[tau] = z
+                        if abs(z) > m - r * k + 1e-6:
+                            alive = False
+                            break
+                else:
+                    approx[:] = parent_approx
+                    for tau, c2, ex, rt, lim in checks:
+                        d = row[c2] - v
+                        exact[tau] += ex[d]
+                        z = approx[tau] + rt[d]
+                        approx[tau] = z
+                        if abs(z) > lim:
+                            alive = False
+                            break
+                    for tau, c2, ex, rt, m, k in scaled:
+                        d = row[c2] - v
+                        exact[tau] += ex[d]
+                        z = approx[tau] + rt[d]
+                        approx[tau] = z
+                        if abs(z) > m - r * k + 1e-6:
+                            alive = False
+                            break
+            if not alive:
+                continue
+        row[c] = v
+        if above is not None:
+            tied[idx] = tied[back] and v == above[c]
+        if leader is not None:
+            prev, filled, images = leader
+            ties = leaders[prev]
+            if ties:
+                ties = _tied_images(q, exps, filled, images, ties)
+                if ties is None:
+                    continue
+            leaders[idx] = ties
+        idx += 1
     return nodes
 
 

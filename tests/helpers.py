@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from cskit.algebra import RootSum, Sequence
+from cskit.algebra import RootSum, Sequence, root_coords
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import InputError, ParseError, WorkBoundExceeded
 from cskit.io import _HEADER
@@ -24,7 +24,7 @@ from cskit.reach import (
     gcp_lengths,
     has_composition_plan,
 )
-from cskit.search import Rows, _column_order, canonical_rows
+from cskit.search import Rows, _column_order, _tied_images, canonical_rows
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, ensure_verified, verify
 
@@ -233,6 +233,257 @@ def undo_log_enumerate(
         if alive:
             idx += 1
     return nodes
+
+
+# ---------------------------------------------------------------------------
+# The search engine before the packed test for q <= 2, kept verbatim as the
+# oracle of that test: per-column touch tables, one exact number per shift
+# for q in {1, 2, 4}, and the solved-shift lookup. For q <= 2 the engine must
+# emit the same tuples in the same order, count the same nodes and raise the
+# same work-bound error.
+
+# The q whose q-th roots are all Gaussian integers (q divides 4).
+_GAUSSIAN = (1, 2, 4)
+
+
+def per_touch_slot_tables(q: int, p: int, n: int) -> list:
+    """The touch tables of every free column c, in fill order.
+
+    Returns (c, first, middle, last): the tables of rows 0, 1..p-2 and p-1
+    of column c (one table serves every middle row). The entry v of row r
+    in column c touches a shift tau once per earlier column c2, adding the
+    root of d = row[c2] - v. For q in _GAUSSIAN that root is one exact
+    value ex[d] (an int for q <= 2, a complex with integer parts for q = 4);
+    for any other q it is ex[d], a packed int, together with its complex
+    shadow rt[d]. Below, "ex, *rt" stands for ex alone or for ex, rt. A
+    table is (exacts, solved, checks, scaled), its touches grouped by shift:
+
+    - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
+      its exact value alone (ex' is all zeros for a single touch; the first
+      of two touches is also in checks, as it leaves one term missing);
+    - solved: (tau, c2, exponent_of), one shift completed by a single touch,
+      whose one live value of ex[d] is -exact[tau]; or None;
+    - checks: (tau, c2, ex, *rt, lim), a touch of a shift still missing
+      terms, pruned when abs(z) > lim, 1e-6 above the terms still missing;
+    - scaled: the same for the middle rows, (tau, c2, ex, *rt, m, k), with
+      m - r*k terms still missing after row r's touch.
+
+    Shifts with the fewest terms missing come first, and the touches of one
+    shift keep their order. The tables take O(N^2) space for any P.
+    """
+    coords = root_coords(q).tolist()
+    if q in _GAUSSIAN:
+        # The q-th roots are Gaussian integers, so a partial sum of at most
+        # p*n of them has integer parts of size <= p*n < 2^53, which an int
+        # (q <= 2) or a complex (q = 4) holds exactly.
+        left = ([complex(*cs) if q == 4 else cs[0] for cs in coords],)
+    else:
+        # A shift sums at most p*n roots, so every coordinate stays below
+        # radix/2 in magnitude and the packing into one int is injective.
+        radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+        packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+        left = (packed, [cmath.exp(2j * cmath.pi * e / q) for e in range(q)])
+    # d lies in (-q, q) and negative indices wrap, so these give the root
+    # of row[c2] - v (c2 < c) or, negated, of v - row[c2] (c2 > c)
+    right = tuple([vs[-d] for d in range(q)] for vs in left)
+    zeros = [0] * q
+
+    def row_tables(by_shift, r, shared=False):
+        # remaining[tau]: terms of tau still missing once the column is full
+        exacts, solved, checks, scaled = [], None, [], []
+        missing = {tau: remaining[tau] + (p - 1 - r) * len(touches)
+                   for tau, touches in by_shift.items()}
+        for tau in sorted(missing, key=missing.get):
+            touches = by_shift[tau]
+            k = len(touches)
+            if missing[tau] == 0:
+                (c2, ex, *rt), *more = touches
+                if more:
+                    checks.append((tau, c2, ex, *rt, 1 + 1e-6))
+                    exacts.append((tau, c2, ex) + more[0][:2])
+                elif solved is None:
+                    solved = (tau, c2, {x: d for d, x in enumerate(ex)})
+                else:
+                    exacts.append((tau, c2, ex, c2, zeros))
+            else:
+                for j, (c2, ex, *rt) in enumerate(touches):
+                    m = missing[tau] + k - 1 - j  # after this touch
+                    if shared:
+                        scaled.append((tau, c2, ex, *rt, m + r * k, k))
+                    else:
+                        checks.append((tau, c2, ex, *rt, m + 1e-6))
+        return exacts, solved, checks, scaled
+
+    cols = _column_order(n)  # column 0 is pinned to exponent 0
+    remaining = [p * (n - tau) for tau in range(n)]
+    tables = []
+    for i in range(1, len(cols)):
+        c = cols[i]
+        by_shift: dict[int, list] = {}
+        for c2 in cols[:i]:
+            tau, roots = (c - c2, left) if c2 < c else (c2 - c, right)
+            by_shift.setdefault(tau, []).append((c2, *roots))
+        for tau, touches in by_shift.items():
+            remaining[tau] -= p * len(touches)
+        last = row_tables(by_shift, p - 1)
+        first = row_tables(by_shift, 0) if p > 1 else last
+        middle = row_tables(by_shift, p - 2, shared=True) if p > 2 else None
+        tables.append((c, first, middle, last))
+    return tables
+
+
+def per_touch_backtrack(
+    q: int,
+    set_size: int,
+    length: int,
+    emit: Callable[[Rows], bool],
+    work_bound: int,
+) -> int:
+    """The backtracking enumeration; emit returns True to stop early.
+
+    Exponents are tried in ascending order, so stacks are reached in
+    ascending slot order, and only the least member of each class is
+    emitted, by the row-order bound and the lex-leader check of the module
+    notes. Returns the number of assignment nodes visited; the exponents
+    skipped by the row-order bound are not counted. Raises
+    WorkBoundExceeded if that number would pass work_bound.
+    """
+    p, n = set_size, length
+    exps = [[0] * n for _ in range(p)]
+    cols = _column_order(n)
+    slots = []
+    check = -1  # the slot of the last lex-leader check so far
+    for i, (c, first, middle, last) in enumerate(per_touch_slot_tables(q, p, n), 1):
+        for r in range(p):
+            tables = first if r == 0 else last if r == p - 1 else middle
+            # the row above (None for row 0) and the slot of this row one
+            # column earlier, whose tie flag holds (-1: the first column)
+            above = exps[r - 1] if r else None
+            # the last row of a column after which the filled columns (the
+            # first i + 1 in fill order) are closed under c -> n-1-c
+            leader = None
+            if r == p - 1 and (i % 2 or i == n - 1):
+                filled = cols[: i + 1]
+                mirror = [n - 1 - f for f in filled]
+                # reversal (rows rescaled to lead with 0), conjugation, both
+                images = ((1, mirror, n - 1), (-1, filled, 0), (-1, mirror, n - 1))
+                leader = (check, filled, images)
+                check = len(slots)
+            slots.append((exps[r], c, r, above, max(len(slots) - p, -1), leader) + tables)
+    # tied[i]: the rows of slot i and the row above agree on every column
+    # filled up to slot i; tied[-1] stands for column 0, equal in every row
+    tied = [False] * len(slots) + [True]
+    # leaders[i]: after the check at slot i, the maps whose image equals the
+    # stack on the filled columns; every map's image does on column 0, and
+    # for q <= 2 conjugation is the identity
+    leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
+    # state[i] is (exact, approx) after the first i slots, approx None for
+    # q in _GAUSSIAN; deeper levels are allocated as the path first reaches
+    # them
+    def level():
+        return [0] * n, None if q in _GAUSSIAN else [0j] * n
+
+    state = [level()]
+
+    nodes = 0
+    tried = [0] * len(slots)
+    idx = 0
+    while idx >= 0:
+        if idx == len(slots):
+            if emit(tuple(tuple(row) for row in exps)):
+                break
+            idx -= 1
+            continue
+        row, c, r, above, back, leader, exacts, solved, checks, scaled = slots[idx]
+        parent_exact, parent_approx = state[idx]
+        v = tried[idx]
+        # A row tied with the row above starts at its exponent. The ones that
+        # fail the solved test are dead without a try; each still counts as
+        # one node, in the order the values are tried.
+        if solved is None:
+            if not v and above is not None and tied[back]:
+                v = above[c]
+            if v < q:
+                tried[idx] = v + 1
+                nodes += 1
+        elif v:  # back from the one exponent that passed the solved test
+            nodes += q - v
+            v = q
+        else:
+            lo = above[c] if above is not None and tied[back] else 0
+            tau, c2, exponent_of = solved
+            d = exponent_of.get(-parent_exact[tau])
+            if d is not None:
+                v = (row[c2] - d) % q
+            if d is None or v < lo:
+                nodes += q - lo
+                v = q
+            else:
+                tried[idx] = v + 1
+                nodes += v + 1 - lo
+        if nodes > work_bound:
+            raise WorkBoundExceeded(
+                f"search exceeded the work bound of {work_bound} nodes"
+            )
+        if v == q:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        for tau, c2, ex, c3, ex3 in exacts:
+            if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
+                break
+        else:
+            if idx + 1 == len(state):
+                state.append(level())
+            exact, approx = state[idx + 1]
+            exact[:] = parent_exact
+            alive = True  # a row's table has checks or scaled, not both
+            if approx is None:  # the exact value prunes too
+                for tau, c2, ex, lim in checks:
+                    z = exact[tau] + ex[row[c2] - v]
+                    exact[tau] = z
+                    if abs(z) > lim:
+                        alive = False
+                        break
+                for tau, c2, ex, m, k in scaled:
+                    z = exact[tau] + ex[row[c2] - v]
+                    exact[tau] = z
+                    if abs(z) > m - r * k + 1e-6:
+                        alive = False
+                        break
+            else:
+                approx[:] = parent_approx
+                for tau, c2, ex, rt, lim in checks:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > lim:
+                        alive = False
+                        break
+                for tau, c2, ex, rt, m, k in scaled:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > m - r * k + 1e-6:
+                        alive = False
+                        break
+            if alive:
+                row[c] = v
+                if above is not None:
+                    tied[idx] = tied[back] and v == above[c]
+                if leader is not None:
+                    prev, filled, images = leader
+                    ties = leaders[prev]
+                    if ties:
+                        ties = _tied_images(q, exps, filled, images, ties)
+                        if ties is None:
+                            continue
+                    leaders[idx] = ties
+                idx += 1
+    return nodes
+
 
 
 def cross_tail(q: int, u: Sequence, v: Sequence, tau: int) -> RootSum:

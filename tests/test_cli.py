@@ -430,3 +430,27 @@ def test_set_file_row_length_above_cap_exit3_before_any_verification(
     assert err == f"error: work-bound: {above}: row length {cap + 1} is above the cap of {cap}\n"
     code, _, err = run(capsys, "verify", str(at))
     assert (code, err, called) == (2, "error: input: stub\n", [cap])
+
+
+def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
+    # garbage rows: a file above a cap exits 3 before any row is parsed, and
+    # one at the caps reaches the parser (exit 2)
+    cap, entries = cli.SET_LEN_CAP, cli.SET_ENTRY_CAP
+    assert entries == 8 * cap  # theorem2 writes 8 rows
+    cases = [
+        (f"q=2 rows=1 len={cap + 1}", f"row length {cap + 1} is above the cap of {cap}"),
+        (f"q=2 rows=9 len={cap}",
+         f"9 rows of length {cap} are above the cap of {entries} entries"),
+        (f"q=2 rows={entries + 1} len=1",
+         f"{entries + 1} rows of length 1 are above the cap of {entries} entries"),
+    ]
+    for header, message in cases:
+        path = tmp_path / "above.txt"
+        path.write_text(f"{header}\nx\n")
+        expected = (3, "", f"error: work-bound: {path}: {message}\n")
+        assert run(capsys, "verify", str(path)) == expected
+    for header in (f"q=2 rows=8 len={cap}", f"q=2 rows={entries} len=1"):
+        path = tmp_path / "at.txt"
+        path.write_text(f"{header}\nx\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and err.startswith("error: input: ") and "(line 2, column" in err

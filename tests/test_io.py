@@ -133,6 +133,16 @@ def test_parse_matches_per_character_oracle(text):
     assert outcome(parse_set, text) == outcome(oracle_parse_set, text)
 
 
+@pytest.mark.parametrize("text", [
+    "", "\n", "\nq=2 rows=1 len=1\n0\n", "q=2 rows=1 len=1", "q=2 rows=1 len=1\r\n0\r\n",
+    "q=2 rows=1 len=1\x850\n", "q=2 rows=1 len=1\u2028\n0\n", "q=2 rows=1\x85 len=1\n0\n",
+    "q=2 rows=1 len=1\r", "q=11 rows=1 len=1\n0\n", "q=2 rows=0 len=1\n",
+])
+def test_header_line_ends_where_splitlines_ends_it(text):
+    # parse_header reads the header without splitting the whole text
+    assert outcome(parse_set, text) == outcome(oracle_parse_set, text)
+
+
 @pytest.mark.parametrize("q", range(1, 11))
 def test_parse_reports_the_first_invalid_character(q):
     # the first exponent >= q or non-digit, whichever comes first

@@ -18,7 +18,7 @@ from cskit.search import canonical_rows, first_cs, search_cs
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, verify
 
-from helpers import brute_force_cs, undo_log_enumerate
+from helpers import brute_force_cs, per_touch_backtrack, undo_log_enumerate
 
 
 def rows_of(cs):
@@ -126,7 +126,8 @@ def test_constructed_size4_sets_appear_in_oracle_output():
 
 
 PINNED_NODES = {(2, 2, 10): 1283, (4, 2, 5): 770, (3, 3, 4): 376, (6, 2, 4): 1317,
-                (2, 4, 4): 154, (3, 3, 5): 946, (4, 4, 3): 485, (4, 2, 6): 2866}
+                (2, 4, 4): 154, (3, 3, 5): 946, (4, 4, 3): 485, (4, 2, 6): 2866,
+                (2, 2, 13): 10661, (2, 2, 16): 67009}
 
 
 @pytest.mark.parametrize("q,p,n", PINNED_NODES)
@@ -250,22 +251,47 @@ def test_each_class_is_canonicalized_once(monkeypatch, q, p, n):
     assert len(calls) == len(result.sets)
 
 
-def test_oracle_shapes_reach_every_engine_path():
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_engine_matches_per_touch_oracle(data):
+    # For q <= 2 the packed test must make every live/dead decision the
+    # per-touch engine made: same emits in the same order, same node count
+    # or the same work-bound error.
+    q = data.draw(st.sampled_from((1, 2)), label="q")
+    p = data.draw(st.integers(1, 5), label="p")
+    n = data.draw(st.integers(1, min(12, 40 // p)), label="n")
+    stop_at = data.draw(st.none() | st.integers(1, 4), label="limit")
+    bound = data.draw(st.integers(0, 12000), label="work_bound")
+    assert (run_engine(search._backtrack, q, p, n, stop_at, bound)
+            == run_engine(per_touch_backtrack, q, p, n, stop_at, bound))
+
+
+def test_oracle_shapes_reach_every_engine_path(monkeypatch):
     assert {q for q, _, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5, 6, 8}
     assert {p for _, p, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
-    tables = [t for shape in ORACLE_SHAPES for _, *rows in search._slot_tables(*shape)
-              for t in rows if t is not None]
-    assert any(solved for _, solved, _, _ in tables)
-    # a completed shift touched twice by one slot (its second table is not zero)
-    assert any(any(e[4]) for exacts, _, _, _ in tables for e in exacts)
-    assert any(scaled for _, _, _, scaled in tables)  # rows between first and last
-    # both per-shift states: one exact value (q in {1, 2, 4}), or a packed
-    # int with its complex shadow
-    assert {len(e) for _, _, checks, _ in tables for e in checks} == {4, 5}
-    outcomes = [run_engine(search._enumerate, *shape, work_bound=2000)[1]
-                for shape in ORACLE_SHAPES]
+    # q <= 2 runs the packed test and builds no touch tables; every other q
+    # builds them
+    paths = []
+    slot_tables, packed_tests = search._slot_tables, search._packed_tests
+    monkeypatch.setattr(search, "_slot_tables",
+                        lambda q, p, n: paths.append("tables") or slot_tables(q, p, n))
+    monkeypatch.setattr(search, "_packed_tests",
+                        lambda p, n: paths.append("packed") or packed_tests(p, n))
+    outcomes = []
+    for q, p, n in ORACLE_SHAPES:
+        paths.clear()
+        outcomes.append(run_engine(search._backtrack, q, p, n, work_bound=2000)[1])
+        assert paths == ["packed" if q <= 2 else "tables"]
     assert any(isinstance(o, str) for o in outcomes)
     assert any(isinstance(o, int) for o in outcomes)
+    tables = [t for shape in ORACLE_SHAPES if shape[0] > 2 for t in slot_tables(*shape)]
+    assert any(solved for solved, _ in tables)
+    # a completed shift touched twice by one slot (its second table is not zero)
+    assert any(any(e[4]) for _, (exacts, _, _) in tables for e in exacts)
+    assert any(scaled for _, (_, _, scaled) in tables)  # rows between first and last
+    # both table states: one Gaussian complex (q = 4), or a packed int with
+    # its complex shadow
+    assert {len(e) for _, (_, checks, _) in tables for e in checks} == {4, 5}
 
 
 # ---------------------------------------------------------------------------
