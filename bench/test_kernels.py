@@ -87,7 +87,7 @@ def test_report_dict_cs8_q4_len1040(benchmark, cs8_q4_len1040):
     assert record["is_cs"] and len(record["sum_profile"]) == 1040
 
 
-@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 18203), (4, 2, 7, 8334)])
+@pytest.mark.parametrize("q,p,n,nodes", [(2, 2, 14, 18203), (4, 2, 7, 8158)])
 def test_enumerate_full(benchmark, q, p, n, nodes):
     # the engine alone: the norm test refutes (2, 2, 14) before a node
     assert benchmark(_backtrack, q, p, n, lambda rows: False, 10**9) == nodes
@@ -95,7 +95,7 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
 
 @pytest.mark.parametrize("q,p,n,limit,nodes,classes", [
     (2, 2, 16, None, 67009, 96),
-    (4, 2, 8, None, 31202, 76),
+    (4, 2, 8, None, 30658, 76),
     (2, 1100, 2, 1, 1101, 1),
 ])
 def test_search_cs(benchmark, q, p, n, limit, nodes, classes):

@@ -217,7 +217,7 @@ def cmd_papr(args) -> int:
 
 
 def cmd_seeds(args) -> int:
-    qs = [args.q] if args.q else [2, 4]
+    qs = [2, 4] if args.q is None else [args.q]
     for q in qs:
         for record in load_seeds(q):
             print(f"q={record.q} len={record.length:3d} provenance={record.provenance}")

@@ -8,30 +8,34 @@ lands at a fixed slot and gets an exact zero test there, and every
 partially known shift prunes with the triangle inequality (|known part|
 can exceed the number of missing unimodular terms only on a dead branch).
 
-For q in {1, 2} every entry x is +1 or -1, and the per-shift state is one
-int z per depth: with w-bit fields, where 4*P*N < 2^(w-1) = B, field tau
-holds the partial sum S_tau of shift tau. Each row keeps its filled
-entries as two packed ints, forward (x_c in field c) and reversed (field
-N-1-c). Shifted right by w*c and by w*(N-1-c) and added, they hold in
-field tau the entries tau columns after and before c, so placing x_c adds
-x_c times that sum. A floor shift drops the lower fields and leaves -1 or
-0 in field 0, which no shift uses; on a path that junk stays below
-2*P*N in magnitude. A slot's limit int holds B + M_tau in field tau, with
-M_tau the terms of shift tau still missing after it, and B in field 0.
+For q in {1, 2, 4} the per-shift state is one int z per depth: with w-bit
+fields, where 4*P*N < 2^(w-1) = B, field tau holds the partial sum S_tau
+of shift tau; for q <= 2 every entry x is +1 or -1. For q = 4, S_tau =
+a + b*i is held as u = a + b in field tau and v = a - b in field 2N + tau,
+so each 4th root adds +1 or -1 to both. Each row keeps its filled entries
+packed forward (x_c in field c) and reversed (field N-1-c); for q = 4 a
+pair for x_c = 1, holding conj(x) and x, and one for x_c = i, holding
+i*conj(x) and -i*x. Shifted right by w*c and by w*(N-1-c) and added, a
+pair holds in field tau the terms of the entries tau columns after and
+before c: placing the exponent v adds the touch of v mod q/2, negated
+when v >= q/2. A floor shift leaves -1 or 0 in field 0, and for q = 4
+moves the v terms of the columns it passes between u and v, into fields
+no shift uses, whose junk stays below 2*P*N in magnitude on a path. A
+slot's limit int holds B + M_tau in field tau (and 2N + tau), M_tau the
+terms of shift tau still missing after it, and B in every other field.
 Every field of lim + z and lim - z then lies within B +- 2*P*N, inside
 [0, 2^w), so no field borrows or carries, and its high bit is set exactly
-when |S_tau| <= M_tau: one AND of the two, masked to those bits, decides
-the node with integers only. Each limit is the previous slot's less the
-packed count of its column's touches.
+when |S_tau| <= M_tau, or for q = 4 |u|, |v| <= M_tau, that is |a| + |b|
+<= M_tau, exactly the sums M_tau unit terms can cancel: one AND of the
+two, masked to those bits, decides the node with integers only. Each
+limit is the previous slot's less the packed count of its column's
+touches; a slot forms its sum for every value once, at the first value.
 
-For q = 4 each root is a Gaussian integer, so one complex per shift, whose
-parts are integers of size at most P*N < 2^53, holds the sum exactly: it
-alone decides a completed shift, and its abs prunes against the count of
-missing terms plus 1e-6, a margin far above the rounding of abs, so no
-live branch is pruned. For any other q, an exact integer packs the
-canonical Z[zeta_q] coordinates of the partial sum and alone decides a
-completed shift, and a complex copy of the sum only prunes, with the same
-margin. For q > 2, which shifts a slot touches, and how many terms each
+For any other q, an exact integer packs the canonical Z[zeta_q]
+coordinates of the partial sum and alone decides a completed shift, and a
+complex copy of the sum only prunes, against the count of missing terms
+plus 1e-6, a margin far above the rounding of abs, so no live branch is
+pruned. For these q, which shifts a slot touches, and how many terms each
 still misses, is tabled once per column before the search. Each depth
 keeps its own copy of the state, filled from its parent's when a value is
 tried, so backtracking restores nothing. Where a slot completes a shift
@@ -201,41 +205,33 @@ def _column_order(n: int) -> list[int]:
 
 
 def _slot_tables(q: int, p: int, n: int) -> list:
-    """The touch tables of every slot, in slot order, for q > 2.
+    """The touch tables of every slot, in slot order, for q not in {1, 2, 4}.
 
     The rows strictly between the first and the last of a column share one
     table. The entry v of row r in column c touches a shift tau once per
-    earlier column c2, adding the root of d = row[c2] - v. For q = 4 that
-    root is one exact value ex[d], a complex with integer parts; for any
-    other q it is ex[d], a packed int, together with its complex shadow
-    rt[d]. Below, "ex, *rt" stands for ex alone or for ex, rt. A table is
-    (solved, (exacts, checks, scaled)), its touches grouped by shift:
+    earlier column c2, adding the root of d = row[c2] - v: ex[d], a packed
+    int, together with its complex shadow rt[d]. A table is (solved,
+    (exacts, checks, scaled)), its touches grouped by shift:
 
     - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
       its exact value alone (ex' is all zeros for a single touch; the first
       of two touches is also in checks, as it leaves one term missing);
     - solved: (tau, c2, exponent_of), one shift completed by a single touch,
       whose one live value of ex[d] is -exact[tau]; or None;
-    - checks: (tau, c2, ex, *rt, lim), a touch of a shift still missing
+    - checks: (tau, c2, ex, rt, lim), a touch of a shift still missing
       terms, pruned when abs(z) > lim, 1e-6 above the terms still missing;
-    - scaled: the same for the middle rows, (tau, c2, ex, *rt, m, k), with
+    - scaled: the same for the middle rows, (tau, c2, ex, rt, m, k), with
       m - r*k terms still missing after row r's touch.
 
     Shifts with the fewest terms missing come first, and the touches of one
     shift keep their order. The tables take O(N^2) space for any P.
     """
     coords = root_coords(q).tolist()
-    if q == 4:
-        # The 4th roots are Gaussian integers, so a partial sum of at most
-        # p*n of them has integer parts of size <= p*n < 2^53, which a
-        # complex holds exactly.
-        left = ([complex(*cs) for cs in coords],)
-    else:
-        # A shift sums at most p*n roots, so every coordinate stays below
-        # radix/2 in magnitude and the packing into one int is injective.
-        radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
-        packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
-        left = (packed, [cmath.exp(2j * cmath.pi * e / q) for e in range(q)])
+    # A shift sums at most p*n roots, so every coordinate stays below
+    # radix/2 in magnitude and the packing into one int is injective.
+    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
+    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
+    left = (packed, [cmath.exp(2j * cmath.pi * e / q) for e in range(q)])
     # d lies in (-q, q) and negative indices wrap, so these give the root
     # of row[c2] - v (c2 < c) or, negated, of v - row[c2] (c2 > c)
     right = tuple([vs[-d] for d in range(q)] for vs in left)
@@ -250,21 +246,21 @@ def _slot_tables(q: int, p: int, n: int) -> list:
             touches = by_shift[tau]
             k = len(touches)
             if missing[tau] == 0:
-                (c2, ex, *rt), *more = touches
+                (c2, ex, rt), *more = touches
                 if more:
-                    checks.append((tau, c2, ex, *rt, 1 + 1e-6))
+                    checks.append((tau, c2, ex, rt, 1 + 1e-6))
                     exacts.append((tau, c2, ex) + more[0][:2])
                 elif solved is None:
                     solved = (tau, c2, {x: d for d, x in enumerate(ex)})
                 else:
                     exacts.append((tau, c2, ex, c2, zeros))
             else:
-                for j, (c2, ex, *rt) in enumerate(touches):
+                for j, (c2, ex, rt) in enumerate(touches):
                     m = missing[tau] + k - 1 - j  # after this touch
                     if shared:
-                        scaled.append((tau, c2, ex, *rt, m + r * k, k))
+                        scaled.append((tau, c2, ex, rt, m + r * k, k))
                     else:
-                        checks.append((tau, c2, ex, *rt, m + 1e-6))
+                        checks.append((tau, c2, ex, rt, m + 1e-6))
         return solved, (exacts, checks, scaled)
 
     cols = _column_order(n)  # column 0 is pinned to exponent 0
@@ -321,21 +317,24 @@ def _enumerate(
     return _backtrack(q, set_size, length, emit, work_bound)
 
 
-def _packed_tests(p: int, n: int) -> tuple[int, int, list]:
-    """The field width w, the high bits of fields 1..n-1 and, per slot, the
-    test (None, (lim, w*c, w*(n-1-c), 2^(w*c), 2^(w*(n-1-c)))) for q <= 2
-    (the module notes; None: no solved lookup). The limits are built in
-    O(P*N) big-int steps."""
+def _packed_tests(q: int, p: int, n: int) -> tuple[int, int, list]:
+    """The field width w, the high bits of fields 1..n-1 (and 2n+1..3n-1
+    for q = 4) and, per slot, the test (None, (lim, w*c, w*(n-1-c),
+    2^(w*c), 2^(w*(n-1-c)))) for q in {1, 2, 4} (the module notes; None: no
+    solved lookup). The limits are built in O(P*N) big-int steps."""
     w = (4 * p * n).bit_length() + 1
-    ones = (1 << w * n) // ((1 << w) - 1)  # 1 in every field
-    high = (ones - 1) << (w - 1)
-    lim = (ones << (w - 1)) + p * sum((n - tau) << w * tau for tau in range(1, n))
+    ones = (1 << w * n) // ((1 << w) - 1)  # 1 in every field of a region
+    # times spread, a region's fields are copied to v's (q = 4)
+    spread, top = (1 + (1 << 2 * w * n), 3 * n) if q == 4 else (1, n)
+    high = ((ones - 1) << (w - 1)) * spread
+    lim = ((((1 << w * top) // ((1 << w) - 1)) << (w - 1))
+           + p * sum((n - tau) << w * tau for tau in range(1, n)) * spread)
     filled, mirrored = 1, 1 << w * (n - 1)  # column 0
     tests = []
     for c in _column_order(n)[1:]:
         bit, mirror_bit = 1 << w * c, 1 << w * (n - 1 - c)
         # field tau: the filled columns tau before or after c
-        touches = (filled >> w * c) + (mirrored >> w * (n - 1 - c))
+        touches = ((filled >> w * c) + (mirrored >> w * (n - 1 - c))) * spread
         for _ in range(p):
             lim -= touches
             tests.append((None, (lim, w * c, w * (n - 1 - c), bit, mirror_bit)))
@@ -363,9 +362,9 @@ def _backtrack(
     p, n = set_size, length
     exps = [[0] * n for _ in range(p)]
     cols = _column_order(n)
-    packed = q <= 2
+    packed = q in (1, 2, 4)
     if packed:
-        w, high, tests = _packed_tests(p, n)
+        w, high, tests = _packed_tests(q, p, n)
     else:
         tests = _slot_tables(q, p, n)
     slots = []
@@ -395,32 +394,58 @@ def _backtrack(
     # for q <= 2 conjugation is the identity
     leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
     if packed:
-        # packs[i]: after slot i, its row's forward and reversed ints and
-        # the packed shift sums; packs[-1]: column 0 (+1) and no sums
-        packs = [None] * len(slots) + [(1, 1 << w * (n - 1), 0)]
+        # packs[i]: after slot i, its row's forward and reversed ints (two
+        # pairs for q = 4) and the packed shift sums; packs[-1]: column 0
+        # (exponent 0) and no sums. g moves a field from u to v.
+        g, last = 2 * w * n, 1 << w * (n - 1)
+        column0 = ((1 + (1 << g), last + (last << g), 1 - (1 << g), (last << g) - last)
+                   if q == 4 else (1, last))
+        packs = [None] * len(slots) + [column0 + (0,)]
+        zs = [None] * len(slots)  # the sums after each value of a slot
     else:
-        # state[i]: (exact, approx) after the first i slots, approx None for
-        # q = 4; deeper levels are allocated as the path first reaches them
+        # state[i]: (exact, approx) after the first i slots; deeper levels
+        # are allocated as the path first reaches them
         def level():
-            return [0] * n, None if q == 4 else [0j] * n
+            return [0] * n, [0j] * n
 
         state = [level()]
 
     nodes = 0
-    tried = [0] * len(slots)
+    end = len(slots)
+    tried = [0] * end
     idx = 0
     while idx >= 0:
-        if idx == len(slots):
+        if idx == end:
             if emit(tuple(tuple(row) for row in exps)):
                 break
             idx -= 1
             continue
         row, c, r, above, back, leader, solved, test = slots[idx]
         v = tried[idx]
-        # A row tied with the row above starts at its exponent. The ones that
-        # fail the solved test are dead without a try; each still counts as
-        # one node, in the order the values are tried.
-        if solved is None:
+        # A row tied with the row above starts at its exponent. Each value
+        # tried is one node, in order: the packed test scans to the first
+        # live value, and the values failing the solved test die untried.
+        if packed:
+            lim, shift, mirror_shift, bit, mirror_bit = test
+            ints = packs[back]
+            if not v:
+                if above is not None and tied[back]:
+                    v = above[c]
+                sums = packs[idx - 1][-1]
+                t0 = (ints[0] >> shift) + (ints[1] >> mirror_shift)
+                if q == 4:
+                    t1 = (ints[2] >> shift) + (ints[3] >> mirror_shift)
+                    zs[idx] = (sums + t0, sums + t1, sums - t0, sums - t1)
+                else:
+                    zs[idx] = (sums + t0, sums - t0)
+            z = zs[idx]
+            while v < q:
+                nodes += 1
+                zv = z[v]
+                if (lim + zv) & (lim - zv) & high == high:
+                    break
+                v += 1
+        elif solved is None:
             if not v and above is not None and tied[back]:
                 v = above[c]
             if v < q:
@@ -450,15 +475,20 @@ def _backtrack(
             idx -= 1
             continue
         if packed:
-            lim, shift, mirror_shift, bit, mirror_bit = test
-            forward, reverse, _ = packs[back]
-            z = (forward >> shift) + (reverse >> mirror_shift)
-            sums = packs[idx - 1][2]
-            z = sums - z if v else sums + z  # v = 1: the entry is -1
-            if (lim + z) & (lim - z) & high != high:
-                continue
-            packs[idx] = ((forward - bit, reverse - mirror_bit, z) if v
-                          else (forward + bit, reverse + mirror_bit, z))
+            tried[idx] = v + 1
+            if q == 4:
+                # x = 1 or i is (u, v) = (1, 1) or (1, -1), and i maps (u, v)
+                # to (v, -u): the ints gain conj(x), x, i*conj(x), -i*x
+                fa, ra, fb, rb, _ = ints
+                bv, rv = bit << g, mirror_bit << g
+                d = ((bv - bit, mirror_bit - rv, bit + bv, mirror_bit + rv) if v & 1
+                     else (bit + bv, mirror_bit + rv, bit - bv, rv - mirror_bit))
+                packs[idx] = ((fa - d[0], ra - d[1], fb - d[2], rb - d[3], zv) if v & 2
+                              else (fa + d[0], ra + d[1], fb + d[2], rb + d[3], zv))
+            else:
+                forward, reverse, _ = ints
+                packs[idx] = ((forward - bit, reverse - mirror_bit, zv) if v
+                              else (forward + bit, reverse + mirror_bit, zv))
         else:
             exacts, checks, scaled = test
             parent_exact, parent_approx = state[idx]
@@ -471,38 +501,24 @@ def _backtrack(
                     state.append(level())
                 exact, approx = state[idx + 1]
                 exact[:] = parent_exact
+                approx[:] = parent_approx
                 alive = True  # a row's table has checks or scaled, not both
-                if approx is None:  # the exact value prunes too
-                    for tau, c2, ex, lim in checks:
-                        z = exact[tau] + ex[row[c2] - v]
-                        exact[tau] = z
-                        if abs(z) > lim:
-                            alive = False
-                            break
-                    for tau, c2, ex, m, k in scaled:
-                        z = exact[tau] + ex[row[c2] - v]
-                        exact[tau] = z
-                        if abs(z) > m - r * k + 1e-6:
-                            alive = False
-                            break
-                else:
-                    approx[:] = parent_approx
-                    for tau, c2, ex, rt, lim in checks:
-                        d = row[c2] - v
-                        exact[tau] += ex[d]
-                        z = approx[tau] + rt[d]
-                        approx[tau] = z
-                        if abs(z) > lim:
-                            alive = False
-                            break
-                    for tau, c2, ex, rt, m, k in scaled:
-                        d = row[c2] - v
-                        exact[tau] += ex[d]
-                        z = approx[tau] + rt[d]
-                        approx[tau] = z
-                        if abs(z) > m - r * k + 1e-6:
-                            alive = False
-                            break
+                for tau, c2, ex, rt, lim in checks:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > lim:
+                        alive = False
+                        break
+                for tau, c2, ex, rt, m, k in scaled:
+                    d = row[c2] - v
+                    exact[tau] += ex[d]
+                    z = approx[tau] + rt[d]
+                    approx[tau] = z
+                    if abs(z) > m - r * k + 1e-6:
+                        alive = False
+                        break
             if not alive:
                 continue
         row[c] = v
@@ -551,6 +567,8 @@ def search_cs(
     """
     if limit is not None and limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
+    if work_bound < 0:
+        raise InputError(f"work bound must be >= 0, got {work_bound}")
     found: dict[Rows, ComplementarySet] = {}
 
     def emit(rows: Rows) -> bool:

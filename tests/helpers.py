@@ -236,11 +236,12 @@ def undo_log_enumerate(
 
 
 # ---------------------------------------------------------------------------
-# The search engine before the packed test for q <= 2, kept verbatim as the
-# oracle of that test: per-column touch tables, one exact number per shift
-# for q in {1, 2, 4}, and the solved-shift lookup. For q <= 2 the engine must
-# emit the same tuples in the same order, count the same nodes and raise the
-# same work-bound error.
+# The search engine before the packed test, kept as the oracle of that test:
+# per-column touch tables, one exact number per shift for q in {1, 2, 4},
+# and the solved-shift lookup. With `norm` pruning on |Re| + |Im| (abs for
+# q <= 2) the engine must emit the same tuples in the same order, count the
+# same nodes and raise the same work-bound error for q in {1, 2, 4}; with
+# the default abs it prunes less for q = 4.
 
 # The q whose q-th roots are all Gaussian integers (q divides 4).
 _GAUSSIAN = (1, 2, 4)
@@ -338,6 +339,7 @@ def per_touch_backtrack(
     length: int,
     emit: Callable[[Rows], bool],
     work_bound: int,
+    norm: Callable = abs,
 ) -> int:
     """The backtracking enumeration; emit returns True to stop early.
 
@@ -346,7 +348,9 @@ def per_touch_backtrack(
     emitted, by the row-order bound and the lex-leader check of the module
     notes. Returns the number of assignment nodes visited; the exponents
     skipped by the row-order bound are not counted. Raises
-    WorkBoundExceeded if that number would pass work_bound.
+    WorkBoundExceeded if that number would pass work_bound. For q in
+    _GAUSSIAN a partial shift sum z is pruned when norm(z) passes the
+    count of its missing terms.
     """
     p, n = set_size, length
     exps = [[0] * n for _ in range(p)]
@@ -442,13 +446,13 @@ def per_touch_backtrack(
                 for tau, c2, ex, lim in checks:
                     z = exact[tau] + ex[row[c2] - v]
                     exact[tau] = z
-                    if abs(z) > lim:
+                    if norm(z) > lim:
                         alive = False
                         break
                 for tau, c2, ex, m, k in scaled:
                     z = exact[tau] + ex[row[c2] - v]
                     exact[tau] = z
-                    if abs(z) > m - r * k + 1e-6:
+                    if norm(z) > m - r * k + 1e-6:
                         alive = False
                         break
             else:

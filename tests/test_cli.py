@@ -4,6 +4,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cskit import cli
 from cskit.cli import main
@@ -304,6 +306,14 @@ def test_search_limit_below_one_exit2(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("length", [3, 24])
+def test_search_negative_work_bound_exit2(capsys, length):
+    # length 24 is refuted before any node, so it would pass any bound
+    code, out, err = run(capsys, "search", "--q", "2", "--size", "2", "--len", str(length),
+                         "--work-bound", "-1")
+    assert (code, out, err) == (2, "", "error: input: work bound must be >= 0, got -1\n")
+
+
 def test_search_work_bound_exit3(capsys):
     code, _, err = run(
         capsys, "search", "--q", "2", "--size", "4", "--len", "4", "--work-bound", "10"
@@ -390,6 +400,12 @@ def test_seeds_list(capsys):
         assert f"len={length:3d}" in out
 
 
+@pytest.mark.parametrize("q", [0, 3])
+def test_seeds_list_unknown_alphabet_exit2(capsys, q):
+    code, out, err = run(capsys, "seeds", "list", "--q", str(q))
+    assert (code, out, err) == (2, "", f"error: input: no seeds for q={q} (supported: 2, 4)\n")
+
+
 def test_selftest_passes_on_clean_checkout(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -454,3 +470,89 @@ def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
         path.write_text(f"{header}\nx\n")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and err.startswith("error: input: ") and "(line 2, column" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every invocation ends with an exit code and a message, never a
+# traceback. Sizes stay small so that each call runs in milliseconds.
+
+SMALL = st.integers(-3, 12).map(str)
+ODD = st.sampled_from(["99999999", "1e3", "", "x", "--q"]) | st.text(max_size=4)
+VALUE = st.one_of(SMALL, SMALL, SMALL, ODD)
+
+
+@st.composite
+def set_file_bytes(draw):
+    # a well-formed file of a small shape, often complementary by chance,
+    # then maybe cut, given a byte that is not UTF-8, or replaced
+    q, rows, length = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    digits = "0123456789"[:q]
+    body = [draw(st.text(alphabet=digits, min_size=length, max_size=length)) for _ in range(rows)]
+    raw = (f"q={q} rows={rows} len={length}\n" + "\n".join(body) + "\n").encode()
+    cut = draw(st.integers(0, len(raw)))
+    return draw(st.sampled_from([raw, raw, raw[:cut], raw[:cut] + b"\xff" + raw[cut:]])
+                | st.binary(max_size=40))
+
+
+@st.composite
+def argv(draw, files):
+    command = draw(st.sampled_from(["verify", "papr", "stack", "theorem1", "theorem2", "gcp",
+                                    "enumerate", "search", "seeds", "selftest"]))
+    coeffs = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "i", "-i", "x"]),
+                      min_size=3, max_size=7).map(",".join)
+
+    def flag(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    if command == "verify":
+        args = [files[0]] + flag("--report", draw(st.sampled_from(["text", "json", "csv"])))
+    elif command == "papr":
+        args = [files[0], "--oversample", draw(VALUE)] + flag("--json")
+    elif command == "stack":
+        args = files[: draw(st.integers(1, 2))] + flag("--pretty")
+    elif command == "theorem1":
+        args = ["--pair-a", files[0], "--pair-b", files[1], "--coeffs", draw(coeffs)]
+        args += flag("--complex") + flag("--pretty")
+    elif command == "theorem2":
+        args = ["--pair", files[0], "--set", files[1], "--coeffs", draw(coeffs)]
+        args += flag("--complex")
+    elif command == "gcp":
+        args = ["--q", draw(VALUE), "--len", draw(VALUE)] + flag("--pretty")
+    elif command == "enumerate":
+        size = draw(st.sampled_from(["4", "8"]) | VALUE)
+        args = ["--q", draw(VALUE), "--size", size, "--max", draw(SMALL)]
+        args += flag("--table1") + flag("--json")
+    elif command == "search":
+        # --len and --size stay small: the search tables grow as their square
+        args = ["--q", draw(SMALL), "--size", draw(SMALL), "--len", draw(SMALL),
+                "--work-bound", str(draw(st.integers(-3, 2000)))]
+        args += flag("--limit", draw(SMALL))
+    elif command == "seeds":
+        args = ["list"] + flag("--q", draw(VALUE))
+    else:
+        args = []
+    tokens = [command] + args
+    if draw(st.integers(0, 4)) == 0:  # drop a token or add a stray one
+        at = draw(st.integers(0, len(tokens)))
+        tokens = tokens[:at] + [draw(VALUE)] + tokens[at:] if draw(st.booleans()) else (
+            tokens[:at] + tokens[at + 1:])
+    return tokens
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_invocations_end_with_an_exit_code(capsys, tmp_path, data):
+    files = []
+    for i in range(2):
+        path = tmp_path / f"fuzz{i}.txt"
+        path.write_bytes(data.draw(set_file_bytes(), label=f"file{i}"))
+        files.append(str(path))
+    tokens = data.draw(argv(files), label="argv")
+    try:
+        code = main(tokens)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -251,47 +251,60 @@ def test_each_class_is_canonicalized_once(monkeypatch, q, p, n):
     assert len(calls) == len(result.sets)
 
 
+def taxicab(z):
+    """|Re z| + |Im z|: a Gaussian integer is a sum of that many 4th roots,
+    and of no fewer."""
+    return abs(z.real) + abs(z.imag)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_engine_matches_per_touch_oracle(data):
-    # For q <= 2 the packed test must make every live/dead decision the
-    # per-touch engine made: same emits in the same order, same node count
-    # or the same work-bound error.
-    q = data.draw(st.sampled_from((1, 2)), label="q")
+    # For q in {1, 2, 4} the packed test must make every live/dead decision
+    # the per-touch engine makes when it prunes on |Re| + |Im|: same emits
+    # in the same order, same node count or the same work-bound error. For
+    # q = 4 the per-touch engine's own abs prunes less: the same emits, no
+    # fewer nodes.
+    q = data.draw(st.sampled_from((1, 2, 4)), label="q")
     p = data.draw(st.integers(1, 5), label="p")
     n = data.draw(st.integers(1, min(12, 40 // p)), label="n")
     stop_at = data.draw(st.none() | st.integers(1, 4), label="limit")
     bound = data.draw(st.integers(0, 12000), label="work_bound")
-    assert (run_engine(search._backtrack, q, p, n, stop_at, bound)
-            == run_engine(per_touch_backtrack, q, p, n, stop_at, bound))
+    emitted, outcome = run_engine(search._backtrack, q, p, n, stop_at, bound)
+    l1_oracle = functools.partial(per_touch_backtrack, norm=taxicab)
+    assert (emitted, outcome) == run_engine(l1_oracle, q, p, n, stop_at, bound)
+    oracle_emitted, oracle_outcome = run_engine(per_touch_backtrack, q, p, n, stop_at, bound)
+    assert emitted[: len(oracle_emitted)] == oracle_emitted
+    if isinstance(oracle_outcome, int):
+        assert emitted == oracle_emitted
+        assert isinstance(outcome, int) and outcome <= oracle_outcome
 
 
 def test_oracle_shapes_reach_every_engine_path(monkeypatch):
     assert {q for q, _, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5, 6, 8}
     assert {p for _, p, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
-    # q <= 2 runs the packed test and builds no touch tables; every other q
-    # builds them
+    # q in {1, 2, 4} runs the packed test and builds no touch tables; every
+    # other q builds them
     paths = []
     slot_tables, packed_tests = search._slot_tables, search._packed_tests
     monkeypatch.setattr(search, "_slot_tables",
                         lambda q, p, n: paths.append("tables") or slot_tables(q, p, n))
     monkeypatch.setattr(search, "_packed_tests",
-                        lambda p, n: paths.append("packed") or packed_tests(p, n))
+                        lambda q, p, n: paths.append("packed") or packed_tests(q, p, n))
     outcomes = []
     for q, p, n in ORACLE_SHAPES:
         paths.clear()
         outcomes.append(run_engine(search._backtrack, q, p, n, work_bound=2000)[1])
-        assert paths == ["packed" if q <= 2 else "tables"]
+        assert paths == ["packed" if q in (1, 2, 4) else "tables"]
     assert any(isinstance(o, str) for o in outcomes)
     assert any(isinstance(o, int) for o in outcomes)
-    tables = [t for shape in ORACLE_SHAPES if shape[0] > 2 for t in slot_tables(*shape)]
+    tables = [t for shape in ORACLE_SHAPES if shape[0] not in (1, 2, 4)
+              for t in slot_tables(*shape)]
     assert any(solved for solved, _ in tables)
     # a completed shift touched twice by one slot (its second table is not zero)
     assert any(any(e[4]) for _, (exacts, _, _) in tables for e in exacts)
     assert any(scaled for _, (_, _, scaled) in tables)  # rows between first and last
-    # both table states: one Gaussian complex (q = 4), or a packed int with
-    # its complex shadow
-    assert {len(e) for _, (_, checks, _) in tables for e in checks} == {4, 5}
+    assert any(checks for _, (_, checks, _) in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +407,20 @@ def test_search_deeper_than_the_recursion_limit():
 def test_work_bound_is_enforced():
     with pytest.raises(WorkBoundExceeded):
         search_cs(2, 4, 4, work_bound=50)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_long_search_stops_at_a_small_work_bound(q):
+    # the packed setup grows as N^2 bits; at N = 1000 it takes well under 1 s
+    with pytest.raises(WorkBoundExceeded):
+        search_cs(q, 2, 1000, work_bound=10)
+
+
+def test_negative_work_bound_is_an_input_error():
+    # (2, 2, 24) is refuted before any node, so only the check can refuse it
+    for shape in [(2, 2, 3), (2, 2, 24)]:
+        with pytest.raises(InputError, match="work bound must be >= 0, got -1"):
+            search_cs(*shape, work_bound=-1)
 
 
 def test_first_cs_finds_quaternary_length5_pair():
