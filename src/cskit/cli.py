@@ -32,6 +32,7 @@ GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
 SET_LEN_CAP = 2**16  # rows of set files; theorem2 on capped gcp pairs emits 49,152
 SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files; theorem2 writes 8 rows
+SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; setup grows so before any node
 
 
 def _load(path: str) -> ComplementarySet:
@@ -185,6 +186,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search(args) -> int:
     setio.require_text_q(args.q)  # before a search whose sets could not be printed
+    if args.size * args.len**2 > SEARCH_SHAPE_CAP:
+        raise WorkBoundExceeded(
+            f"search --size {args.size} --len {args.len} is above the cap of "
+            f"{SEARCH_SHAPE_CAP} for size * len^2")
     result = search_cs(args.q, args.size, args.len, limit=args.limit,
                        work_bound=args.work_bound)
     for cs in result.sets:
@@ -375,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SeedError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputError, SeedError, OSError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 2
     except WorkBoundExceeded as exc:

@@ -7,6 +7,11 @@ live at every sum M+N of two pair lengths, and size-8 sets at every sum
 M+P of a pair length and a size-4 length (or by stacking two size-4 sets
 of equal length).
 
+The pattern is written once, in `in_gcp_pattern`, which factors one length
+over the pattern's primes ({2, 5, 13} for q=2, {2, 3, 5, 11, 13} for q=4)
+and checks the exponents. `gcp_lengths` lists every product of those primes
+up to the maximum and keeps the ones it accepts.
+
 Existence of a pattern length does not imply this toolkit can emit a
 pair: the shipped compositions only multiply a binary-pattern length
 into a single primitive seed. Each enumerated length is therefore
@@ -29,6 +34,7 @@ from typing import Optional
 from .errors import InputError
 
 QUATERNARY_SEED_KERNELS = (13, 11, 5, 3, 2, 1)
+_PATTERN_PRIMES = {2: (2, 5, 13), 4: (2, 3, 5, 11, 13)}
 
 
 @dataclass(frozen=True)
@@ -46,61 +52,22 @@ class LengthFactorization:
         return f"2^({a}+{u}) * 3^{b} * 5^{c} * 11^{e} * 13^{z}"
 
 
-def _binary_factorizations(max_len: int) -> dict[int, LengthFactorization]:
-    out: dict[int, LengthFactorization] = {}
-    c = 0
-    while 26**c <= max_len:
-        b = 0
-        while 26**c * 10**b <= max_len:
-            a = 0
-            while (length := 2**a * 10**b * 26**c) <= max_len:
-                out.setdefault(length, LengthFactorization(2, (a, b, c)))
-                a += 1
-            b += 1
-        c += 1
-    return out
-
-
-def _quaternary_factorizations(max_len: int) -> dict[int, LengthFactorization]:
-    out: dict[int, LengthFactorization] = {}
-    z = 0
-    while 13**z <= max_len:
-        e = 0
-        while 13**z * 11**e <= max_len:
-            c = 0
-            while 13**z * 11**e * 5**c <= max_len:
-                b = 0
-                while (odd := 3**b * 5**c * 11**e * 13**z) <= max_len:
-                    u = 0
-                    while u <= c + z and odd * 2**u <= max_len:
-                        a = 0
-                        while (length := odd * 2 ** (a + u)) <= max_len:
-                            if b + c + e + z <= a + 2 * u + 1:
-                                out.setdefault(
-                                    length, LengthFactorization(4, (a, b, c, e, z, u))
-                                )
-                            a += 1
-                        u += 1
-                    b += 1
-                c += 1
-            e += 1
-        z += 1
-    return out
-
-
-def gcp_pattern_factorizations(q: int, max_len: int) -> dict[int, LengthFactorization]:
-    if max_len < 1:
-        raise InputError("max length must be >= 1")
-    if q == 2:
-        return _binary_factorizations(max_len)
-    if q == 4:
-        return _quaternary_factorizations(max_len)
-    raise InputError(f"no pattern data for q={q} (supported: 2, 4)")
+def _pattern_primes(q: int) -> tuple[int, ...]:
+    if q not in _PATTERN_PRIMES:
+        raise InputError(f"no pattern data for q={q} (supported: 2, 4)")
+    return _PATTERN_PRIMES[q]
 
 
 def gcp_lengths(q: int, max_len: int) -> list[int]:
     """All pattern lengths <= max_len, sorted."""
-    return sorted(gcp_pattern_factorizations(q, max_len))
+    if max_len < 1:
+        raise InputError("max length must be >= 1")
+    smooth = [1]
+    for prime in _pattern_primes(q):
+        for n in smooth[:]:
+            while (n := n * prime) <= max_len:
+                smooth.append(n)
+    return sorted(n for n in smooth if in_gcp_pattern(q, n))
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:
@@ -113,38 +80,30 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
 
 
 def in_gcp_pattern(q: int, length: int) -> Optional[LengthFactorization]:
-    """The pattern witness of one length, as gcp_pattern_factorizations
-    would list it, found by factoring the length itself."""
+    """The pattern witness of one length, found by factoring the length."""
     if length < 1:
         return None
-    if q == 2:
-        plan = binary_composition_plan(length)
-        return None if plan is None else LengthFactorization(2, plan)
-    if q != 4:
-        raise InputError(f"no pattern data for q={q} (supported: 2, 4)")
-    rest = length
     exps = []
-    for prime in (2, 3, 5, 11, 13):
-        t, rest = _valuation(rest, prime)
+    for prime in _pattern_primes(q):
+        t, length = _valuation(length, prime)
         exps.append(t)
+    if length != 1:
+        return None
+    if q == 2:
+        twos, b, c = exps
+        return LengthFactorization(2, (twos - b - c, b, c)) if twos >= b + c else None
     twos, b, c, e, z = exps
-    # the table keeps the first split twos = a + u, the least u that passes
+    # the least u that passes: twos = a + u, b+c+e+z <= a+2u+1, u <= c+z
     u = max(0, b + c + e + z - twos - 1)
-    if rest != 1 or u > min(c + z, twos):
+    if u > min(c + z, twos):
         return None
     return LengthFactorization(4, (twos - u, b, c, e, z, u))
 
 
 def binary_composition_plan(length: int) -> Optional[tuple[int, int, int]]:
     """(doublings, factors of 10, factors of 26) realizing a binary length."""
-    if length < 1:
-        return None
-    t5, rest = _valuation(length, 5)
-    t13, rest = _valuation(rest, 13)
-    a, rest = _valuation(rest, 2)
-    if rest != 1 or a < t5 + t13:
-        return None
-    return (a - t5 - t13, t5, t13)
+    fact = in_gcp_pattern(2, length)
+    return None if fact is None else fact.exponents
 
 
 def quaternary_composition_plan(length: int) -> Optional[tuple[int, tuple[int, int, int]]]:

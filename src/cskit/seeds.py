@@ -21,6 +21,7 @@ from . import io as setio
 from .construct import golay_double, turyn_product
 from .errors import InputError, SeedError
 from .reach import (
+    QUATERNARY_SEED_KERNELS,
     binary_composition_plan,
     in_gcp_pattern,
     quaternary_composition_plan,
@@ -29,7 +30,7 @@ from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
 
-REQUIRED_LENGTHS = {2: (1, 2, 10, 26), 4: (1, 2, 3, 5, 11, 13)}
+REQUIRED_LENGTHS = {2: (1, 2, 10, 26), 4: tuple(sorted(QUATERNARY_SEED_KERNELS))}
 
 _FILENAME = re.compile(r"^q(\d+)_len(\d+)\.txt$")
 

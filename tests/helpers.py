@@ -20,8 +20,8 @@ from cskit.io import _HEADER
 from cskit.reach import (
     Derivation,
     LengthEntry,
+    LengthFactorization,
     ReachabilitySet,
-    gcp_lengths,
     has_composition_plan,
 )
 from cskit.search import Rows, _column_order, _tied_images, canonical_rows
@@ -664,6 +664,63 @@ def oracle_turyn_rows(
 
 
 # ---------------------------------------------------------------------------
+# Pattern oracle: the nested exponent loops that cskit.reach replaced. Each
+# pattern length keeps the first exponent tuple the loops reach, so for q=4
+# the least u; the library factors each length instead.
+
+
+def _binary_factorizations(max_len: int) -> dict[int, LengthFactorization]:
+    out: dict[int, LengthFactorization] = {}
+    c = 0
+    while 26**c <= max_len:
+        b = 0
+        while 26**c * 10**b <= max_len:
+            a = 0
+            while (length := 2**a * 10**b * 26**c) <= max_len:
+                out.setdefault(length, LengthFactorization(2, (a, b, c)))
+                a += 1
+            b += 1
+        c += 1
+    return out
+
+
+def _quaternary_factorizations(max_len: int) -> dict[int, LengthFactorization]:
+    out: dict[int, LengthFactorization] = {}
+    z = 0
+    while 13**z <= max_len:
+        e = 0
+        while 13**z * 11**e <= max_len:
+            c = 0
+            while 13**z * 11**e * 5**c <= max_len:
+                b = 0
+                while (odd := 3**b * 5**c * 11**e * 13**z) <= max_len:
+                    u = 0
+                    while u <= c + z and odd * 2**u <= max_len:
+                        a = 0
+                        while (length := odd * 2 ** (a + u)) <= max_len:
+                            if b + c + e + z <= a + 2 * u + 1:
+                                out.setdefault(
+                                    length, LengthFactorization(4, (a, b, c, e, z, u))
+                                )
+                            a += 1
+                        u += 1
+                    b += 1
+                c += 1
+            e += 1
+        z += 1
+    return out
+
+
+def oracle_pattern_factorizations(q: int, max_len: int) -> dict[int, LengthFactorization]:
+    """Every pattern length <= max_len with its witness, q in {2, 4}."""
+    return (_binary_factorizations if q == 2 else _quaternary_factorizations)(max_len)
+
+
+def oracle_gcp_lengths(q: int, max_len: int) -> list[int]:
+    return sorted(oracle_pattern_factorizations(q, max_len))
+
+
+# ---------------------------------------------------------------------------
 # Reachability oracle: the candidate-list enumeration that cskit.reach
 # replaced. It lists every (operands, constructive, kind) candidate per
 # length and picks one; the library keeps one witness per length instead.
@@ -673,7 +730,7 @@ Candidate = tuple[tuple[int, ...], bool, str]
 
 def cs4_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
     """Every pair-sum M+N (M <= N) of two pattern lengths, per length."""
-    pattern = gcp_lengths(q, max_len)
+    pattern = oracle_gcp_lengths(q, max_len)
     feasible = {m: has_composition_plan(q, m) for m in pattern}
     by_length: dict[int, list[Candidate]] = {}
     for i, m in enumerate(pattern):
@@ -689,7 +746,7 @@ def cs4_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
 
 def cs8_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
     """Every stack and every M+P (pattern M, size-4 length P), per length."""
-    pattern = gcp_lengths(q, max_len)
+    pattern = oracle_gcp_lengths(q, max_len)
     feasible = {m: has_composition_plan(q, m) for m in pattern}
     by_length: dict[int, list[Candidate]] = {}
     for entry in oracle_reachable_lengths(q, 4, max_len).entries:

@@ -13,6 +13,7 @@ from cskit.errors import InputError
 from cskit.io import parse_set, read_set_file
 from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet
+from cskit.search import SearchResult
 from cskit.seeds import GcpLookup
 from cskit.verify import verify
 
@@ -82,14 +83,34 @@ def test_verify_malformed_file_exit2(capsys, tmp_path):
     assert "line 2, column 2" in err
 
 
-@pytest.mark.parametrize("target", ["missing", "directory"])
+def bad_path(tmp_path, kind):
+    """A path the OS refuses to open: missing, a directory, through a
+    regular file, or a name too long."""
+    if kind == "missing":
+        return str(tmp_path / "nope.txt")
+    if kind == "directory":
+        return str(tmp_path)
+    if kind == "through-file":
+        plain = tmp_path / "plainfile"
+        plain.write_text("not a directory\n")
+        return str(plain / "x")
+    return str(tmp_path / ("a" * 5000))
+
+
+@pytest.mark.parametrize("target", ["missing", "directory", "through-file", "too-long"])
 def test_verify_missing_file_exit2(capsys, tmp_path, target):
-    path = tmp_path / "nope.txt" if target == "missing" else tmp_path
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
+    code, out, err = run(capsys, "verify", bad_path(tmp_path, target))
+    assert (code, out) == (2, "")
     assert err.startswith("error: input: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "through-file", "too-long"])
+def test_unwritable_out_path_exit2(capsys, tmp_path, kind):
+    code, out, err = run(capsys, "gcp", "--q", "2", "--len", "4", "--out", bad_path(tmp_path, kind))
+    assert (code, out) == (2, "derivation: double(seed(q=2, len=2))\n")
+    assert err.startswith("error: input: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "papr"])
@@ -258,6 +279,39 @@ def test_enumerate_max_above_cap_exit3_before_any_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "--q", "4", "--size", "8", "--max", str(cap))
     assert (code, called) == (0, [cap])
     assert out == f"q=4 size=8 max={cap}: 0 lengths\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "err"),
+    [
+        (["--q", "3", "--size", "4", "--max", "10"],
+         "error: input: no pattern data for q=3 (supported: 2, 4)\n"),
+        (["--q", "2", "--size", "4", "--max", "0"], "error: input: max length must be >= 1\n"),
+    ],
+)
+def test_enumerate_pattern_errors_exit2(capsys, argv, err):
+    assert run(capsys, "enumerate", *argv) == (2, "", err)
+
+
+def test_search_shape_above_cap_exit3_before_any_work(capsys, monkeypatch):
+    # the stub records the calls that pass the cap; no real call above it runs
+    called = []
+
+    def stub(q, size, length, limit, work_bound):
+        called.append((size, length))
+        return SearchResult(q, size, length, (), True, 0)
+
+    monkeypatch.setattr(cli, "search_cs", stub)
+    cap = cli.SEARCH_SHAPE_CAP
+    assert cap == 2 * 1000**2
+    # the norm test refutes (2, 1001) at once, yet above the cap it exits 3 too
+    for size, length in ((2, 1001), (3, 1000), (cap + 1, 1)):
+        code, out, err = run(capsys, "search", "--q", "2", "--size", str(size), "--len", str(length))
+        assert (code, out, called) == (3, "", [])
+        assert err == (f"error: work-bound: search --size {size} --len {length} is above "
+                       f"the cap of {cap} for size * len^2\n")
+    assert run(capsys, "search", "--q", "2", "--size", "2", "--len", "1000") == (0, "", "")
+    assert called == [(2, 1000)]
 
 
 def test_search_streams_sets(capsys):
@@ -495,7 +549,8 @@ def set_file_bytes(draw):
 
 
 @st.composite
-def argv(draw, files):
+def argv(draw, files, bad):
+    # files: two set files and an output path; bad: paths the OS refuses
     command = draw(st.sampled_from(["verify", "papr", "stack", "theorem1", "theorem2", "gcp",
                                     "enumerate", "search", "seeds", "selftest"]))
     coeffs = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "i", "-i", "x"]),
@@ -504,20 +559,26 @@ def argv(draw, files):
     def flag(*tokens):
         return list(tokens) if draw(st.booleans()) else []
 
+    def path(i):
+        return draw(st.sampled_from([files[i]] * 3 + bad))
+
+    def out():
+        return flag("--out", draw(st.sampled_from([files[2]] + bad)))
+
     if command == "verify":
-        args = [files[0]] + flag("--report", draw(st.sampled_from(["text", "json", "csv"])))
+        args = [path(0)] + flag("--report", draw(st.sampled_from(["text", "json", "csv"])))
     elif command == "papr":
-        args = [files[0], "--oversample", draw(VALUE)] + flag("--json")
+        args = [path(0), "--oversample", draw(VALUE)] + flag("--json")
     elif command == "stack":
-        args = files[: draw(st.integers(1, 2))] + flag("--pretty")
+        args = [path(i) for i in range(draw(st.integers(1, 2)))] + flag("--pretty") + out()
     elif command == "theorem1":
-        args = ["--pair-a", files[0], "--pair-b", files[1], "--coeffs", draw(coeffs)]
-        args += flag("--complex") + flag("--pretty")
+        args = ["--pair-a", path(0), "--pair-b", path(1), "--coeffs", draw(coeffs)]
+        args += flag("--complex") + flag("--pretty") + out()
     elif command == "theorem2":
-        args = ["--pair", files[0], "--set", files[1], "--coeffs", draw(coeffs)]
-        args += flag("--complex")
+        args = ["--pair", path(0), "--set", path(1), "--coeffs", draw(coeffs)]
+        args += flag("--complex") + out()
     elif command == "gcp":
-        args = ["--q", draw(VALUE), "--len", draw(VALUE)] + flag("--pretty")
+        args = ["--q", draw(VALUE), "--len", draw(VALUE)] + flag("--pretty") + out()
     elif command == "enumerate":
         size = draw(st.sampled_from(["4", "8"]) | VALUE)
         args = ["--q", draw(VALUE), "--size", size, "--max", draw(SMALL)]
@@ -548,7 +609,11 @@ def test_fuzzed_invocations_end_with_an_exit_code(capsys, tmp_path, data):
         path = tmp_path / f"fuzz{i}.txt"
         path.write_bytes(data.draw(set_file_bytes(), label=f"file{i}"))
         files.append(str(path))
-    tokens = data.draw(argv(files), label="argv")
+    files.append(str(tmp_path / "out.txt"))
+    plain = tmp_path / "plainfile"
+    plain.write_text("not a directory\n")
+    bad = [str(tmp_path / "missing.txt"), str(plain / "x"), str(tmp_path / ("a" * 5000))]
+    tokens = data.draw(argv(files, bad), label="argv")
     try:
         code = main(tokens)
     except SystemExit as exc:  # argparse: usage errors and --help

@@ -12,7 +12,6 @@ from cskit.reach import (
     cs4_lengths,
     cs8_lengths,
     gcp_lengths,
-    gcp_pattern_factorizations,
     has_composition_plan,
     in_gcp_pattern,
     published_row_diff,
@@ -89,14 +88,24 @@ def test_pattern_factorizations_reproduce_lengths():
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_in_gcp_pattern_matches_the_table(q):
-    table = gcp_pattern_factorizations(q, 3000)
+    table = helpers.oracle_pattern_factorizations(q, 3000)
     for length in range(-1, 3001):
         assert in_gcp_pattern(q, length) == table.get(length)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_gcp_lengths_match_the_nested_loops(q):
+    full = helpers.oracle_gcp_lengths(q, 3000)
+    for max_len in [*range(1, 400), 2600, 3000]:
+        assert gcp_lengths(q, max_len) == [n for n in full if n <= max_len]
+    assert gcp_lengths(q, 100_000) == helpers.oracle_gcp_lengths(q, 100_000)
+
+
 def test_unsupported_alphabet():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^no pattern data for q=3 \(supported: 2, 4\)$"):
         gcp_lengths(3, 10)
+    with pytest.raises(InputError, match="^max length must be >= 1$"):
+        gcp_lengths(3, 0)
     with pytest.raises(InputError):
         reachable_lengths(2, 6, 10)
 
