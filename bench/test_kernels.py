@@ -96,7 +96,8 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
 @pytest.mark.parametrize("q,p,n,limit,nodes,classes", [
     (2, 2, 16, None, 67009, 96),
     (4, 2, 8, None, 30658, 76),
-    (2, 1100, 2, 1, 1101, 1),
+    (4, 2, 7, None, 8158, 0),  # no pair: the lex-leader checks of all three maps, no emit
+    (2, 1100, 2, 1, 1101, 1),  # the perfbench deep probe
 ])
 def test_search_cs(benchmark, q, p, n, limit, nodes, classes):
     result = benchmark(search_cs, q, p, n, limit)

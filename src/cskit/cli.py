@@ -32,7 +32,8 @@ GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
 SET_LEN_CAP = 2**16  # rows of set files; theorem2 on capped gcp pairs emits 49,152
 SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files; theorem2 writes 8 rows
-SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; setup grows so before any node
+SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; a full path's slot records grow so
+SEARCH_SLOT_CAP = 2**16  # search --size * --len; per-slot state is allocated before any node
 
 
 def _load(path: str) -> ComplementarySet:
@@ -152,8 +153,11 @@ def cmd_gcp(args) -> int:
     if not result.available:
         print(f"no q={args.q} pair of length {args.len}: {result.reason}")
         return 1
+    if args.out:  # written first, so a failed write prints no derivation
+        setio.write_set_file(args.out, result.pair)
     print(f"derivation: {result.chain}")
-    _emit_set(result.pair, args.out, args.pretty)
+    if not args.out:
+        _emit_set(result.pair, None, args.pretty)
     return 0
 
 
@@ -186,10 +190,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_search(args) -> int:
     setio.require_text_q(args.q)  # before a search whose sets could not be printed
-    if args.size * args.len**2 > SEARCH_SHAPE_CAP:
-        raise WorkBoundExceeded(
-            f"search --size {args.size} --len {args.len} is above the cap of "
-            f"{SEARCH_SHAPE_CAP} for size * len^2")
+    for cap, value, name in ((SEARCH_SHAPE_CAP, args.size * args.len**2, "size * len^2"),
+                             (SEARCH_SLOT_CAP, args.size * args.len, "size * len")):
+        if value > cap:
+            raise WorkBoundExceeded(f"search --size {args.size} --len {args.len} is above "
+                                    f"the cap of {cap} for {name}")
     result = search_cs(args.q, args.size, args.len, limit=args.limit,
                        work_bound=args.work_bound)
     for cs in result.sets:

@@ -7,42 +7,43 @@ complete once every pair of columns it spans is filled, so its last term
 lands at a fixed slot and gets an exact zero test there, and every
 partially known shift prunes with the triangle inequality (|known part|
 can exceed the number of missing unimodular terms only on a dead branch).
+Two engines run it, each in its own loop over flat slot records on an
+explicit stack, so depth is bounded by memory, not by the recursion limit;
+a column's records are built when the search first reaches the column.
 
-For q in {1, 2, 4} the per-shift state is one int z per depth: with w-bit
-fields, where 4*P*N < 2^(w-1) = B, field tau holds the partial sum S_tau
-of shift tau; for q <= 2 every entry x is +1 or -1. For q = 4, S_tau =
-a + b*i is held as u = a + b in field tau and v = a - b in field 2N + tau,
-so each 4th root adds +1 or -1 to both. Each row keeps its filled entries
-packed forward (x_c in field c) and reversed (field N-1-c); for q = 4 a
-pair for x_c = 1, holding conj(x) and x, and one for x_c = i, holding
-i*conj(x) and -i*x. Shifted right by w*c and by w*(N-1-c) and added, a
-pair holds in field tau the terms of the entries tau columns after and
-before c: placing the exponent v adds the touch of v mod q/2, negated
-when v >= q/2. A floor shift leaves -1 or 0 in field 0, and for q = 4
-moves the v terms of the columns it passes between u and v, into fields
-no shift uses, whose junk stays below 2*P*N in magnitude on a path. A
-slot's limit int holds B + M_tau in field tau (and 2N + tau), M_tau the
-terms of shift tau still missing after it, and B in every other field.
-Every field of lim + z and lim - z then lies within B +- 2*P*N, inside
-[0, 2^w), so no field borrows or carries, and its high bit is set exactly
-when |S_tau| <= M_tau, or for q = 4 |u|, |v| <= M_tau, that is |a| + |b|
-<= M_tau, exactly the sums M_tau unit terms can cancel: one AND of the
-two, masked to those bits, decides the node with integers only. Each
-limit is the previous slot's less the packed count of its column's
-touches; a slot forms its sum for every value once, at the first value.
+For q in {1, 2, 4} the packed engine keeps the per-shift state in one int z
+per depth, in a list of its own: with w-bit fields, where 4*P*N < 2^(w-1)
+= B, field tau holds the partial sum S_tau of shift tau; for q <= 2 every
+entry x is +1 or -1. For q = 4, S_tau = a + b*i is held as u = a + b in
+field tau and v = a - b in field 2N + tau, so each 4th root adds +1 or -1
+to both. Each row keeps its filled entries packed forward (x_c in field
+c) and reversed (field N-1-c); for q = 4 a pair for x_c = 1, holding
+conj(x) and x, and one for x_c = i, holding i*conj(x) and -i*x. Shifted
+right by w*c and by w*(N-1-c) and added, a pair holds in field tau the
+terms of the entries tau columns after and before c. A floor shift leaves
+-1 or 0 in field 0, and for q = 4 moves the v terms of the columns it
+passes between u and v, into fields no shift uses, whose junk stays below
+2*P*N in magnitude on a path. A slot's limit int holds B + M_tau in field
+tau (and 2N + tau), M_tau the terms of shift tau still missing after it,
+and B in every other field. Every field of lim + z and lim - z then lies
+within B +- 2*P*N, inside [0, 2^w), so no field borrows or carries, and
+its high bit is set exactly when |S_tau| <= M_tau, or for q = 4 |u|, |v|
+<= M_tau, that is |a| + |b| <= M_tau, exactly the sums M_tau unit terms
+can cancel: one AND of the two, masked to those bits, decides the node
+with integers only. A record holds the limit, the two shift amounts and
+the column's delta of the row's ints for each exponent; a slot forms its
+sum for every value once, at the first value.
 
-For any other q, an exact integer packs the canonical Z[zeta_q]
-coordinates of the partial sum and alone decides a completed shift, and a
+For any other q the table engine decides a completed shift on an exact
+integer packing the canonical Z[zeta_q] coordinates of the partial sum; a
 complex copy of the sum only prunes, against the count of missing terms
 plus 1e-6, a margin far above the rounding of abs, so no live branch is
-pruned. For these q, which shifts a slot touches, and how many terms each
-still misses, is tabled once per column before the search. Each depth
-keeps its own copy of the state, filled from its parent's when a value is
-tried, so backtracking restores nothing. Where a slot completes a shift
-with a single touch, the exact test has at most one solution; it is
-looked up, and the other values are counted as dead nodes without being
-tried. The search runs on an explicit stack, so its depth is bounded by
-memory, not by the interpreter's recursion limit.
+pruned. Which shifts a slot touches, and how many terms each still
+misses, is tabled per column. Each depth keeps its own copy of the state,
+filled from its parent's when a value is tried, so backtracking restores
+nothing. Where a slot completes a shift with a single touch, the exact
+test has at most one solution; it is looked up, and the other values are
+counted as dead nodes without being tried.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows permuted, and the whole matrix mapped by simultaneous
@@ -59,7 +60,9 @@ and the search emits only the first member of each class in slot order
   closed under c -> N-1-c (after each pair of end columns, and after the
   middle one), every map is known on them, and a prefix is pruned if some
   map's row-sorted image comes first there. Only the maps whose image ties
-  the prefix are checked again further down.
+  the prefix are checked again further down. Item getters built once per
+  check gather an image's columns, and bytes.translate tables (`map` above
+  q = 256) map them, as they do the canonical form's rows.
 
 Neither rule prunes the least member of a class, and the search reaches
 stacks in ascending slot order, so the classes and the order they are found
@@ -67,9 +70,9 @@ in (so `limit` and `first_cs`) do not change. Each class is emitted once;
 its hit is canonicalized, and only the canonical stack is verified and
 returned.
 
-Before it builds its tables, the search runs a norm test on the whole
-shape: the sum of the aperiodic autocorrelations over all shifts of a row
-A is |A(1)|^2, so a complementary set has sum_r |A_r(1)|^2 = P*N (Golay,
+Before the first slot, the search runs a norm test on the whole shape:
+the sum of the aperiodic autocorrelations over all shifts of a row A is
+|A(1)|^2, so a complementary set has sum_r |A_r(1)|^2 = P*N (Golay,
 "Complementary series", IRE Trans. IT 7, 1961, for binary pairs: 2N is a
 sum of two squares). Each row sum A_r(1) is a sum of N q-th roots. For q
 in {1, 2, 3, 4, 6} (phi(q) <= 2) its norm is a rational integer, and one
@@ -84,8 +87,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Sequence, root_coords
 from .errors import InputError, WorkBoundExceeded
@@ -96,26 +101,33 @@ DEFAULT_WORK_BOUND = 10**9
 Rows = tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=32)
+def _affine_tables(q: int, sign: int) -> list[bytes]:
+    """Per base b, the bytes.translate table of e -> sign * (e - b) mod q."""
+    return [bytes(sign * (e - b) % q for e in range(256)) for b in range(q)]
+
+
+def _affine_rows(q: int, sign: int, rows: Iterable, bases: Iterable[int]):
+    """The rows with each exponent e mapped to sign * (e - b) mod q, b the
+    row's base: bytes, or tuples above q = 256 (exponents past a byte)."""
+    if q > 256:
+        return [tuple(map(q.__rmod__, map((-b).__add__ if sign > 0 else b.__sub__, row)))
+                for row, b in zip(rows, bases)]
+    return map(bytes.translate, map(bytes, rows), map(_affine_tables(q, sign).__getitem__, bases))
+
+
 def canonical_rows(q: int, rows: Iterable[Iterable[int]]) -> Rows:
     """Canonical representative of the equivalence class of a row stack.
 
     Each row is scaled so its first exponent is 0, rows are sorted, and the
     lexicographically least of the four images under simultaneous reversal
-    and conjugation is taken.
+    and conjugation is taken. Exponents lie in [0, q).
     """
-
-    def normalize(rws) -> Rows:
-        scaled = [tuple((e - r[0]) % q for e in r) for r in rws]
-        return tuple(sorted(scaled))
-
-    base = [tuple(r) for r in rows]
-    variants = [
-        base,
-        [tuple(reversed(r)) for r in base],
-        [tuple((-e) % q for e in r) for r in base],
-        [tuple((-e) % q for e in reversed(r)) for r in base],
-    ]
-    return min(normalize(v) for v in variants)
+    base = list(map(tuple if q > 256 else bytes, rows))
+    flipped = [r[::-1] for r in base]
+    # conjugating, then scaling to lead with 0, is e -> -(e - row[0])
+    return tuple(map(tuple, min(sorted(_affine_rows(q, sign, rws, map(itemgetter(0), rws)))
+                                for sign in (1, -1) for rws in (base, flipped))))
 
 
 # The q with phi(q) <= 2, whose row sums have rational-integer norms, and
@@ -204,27 +216,26 @@ def _column_order(n: int) -> list[int]:
     return cols
 
 
-def _slot_tables(q: int, p: int, n: int) -> list:
-    """The touch tables of every slot, in slot order, for q not in {1, 2, 4}.
+def _slot_tables(q: int, p: int, n: int) -> Iterator[list]:
+    """Column by column in fill order, the touch tables of the slots.
 
     The rows strictly between the first and the last of a column share one
     table. The entry v of row r in column c touches a shift tau once per
     earlier column c2, adding the root of d = row[c2] - v: ex[d], a packed
     int, together with its complex shadow rt[d]. A table is (solved,
-    (exacts, checks, scaled)), its touches grouped by shift:
+    (exacts, checks)), its touches grouped by shift:
 
     - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
       its exact value alone (ex' is all zeros for a single touch; the first
       of two touches is also in checks, as it leaves one term missing);
     - solved: (tau, c2, exponent_of), one shift completed by a single touch,
       whose one live value of ex[d] is -exact[tau]; or None;
-    - checks: (tau, c2, ex, rt, lim), a touch of a shift still missing
-      terms, pruned when abs(z) > lim, 1e-6 above the terms still missing;
-    - scaled: the same for the middle rows, (tau, c2, ex, rt, m, k), with
-      m - r*k terms still missing after row r's touch.
+    - checks: (tau, c2, ex, rt, m, k), a touch of a shift still missing
+      m - r*k terms after row r's touch (k = 0 but on the middle rows),
+      pruned when abs(z) passes that count by more than 1e-6.
 
     Shifts with the fewest terms missing come first, and the touches of one
-    shift keep their order. The tables take O(N^2) space for any P.
+    shift keep their order. A column's tables take O(N) space for any P.
     """
     coords = root_coords(q).tolist()
     # A shift sums at most p*n roots, so every coordinate stays below
@@ -239,7 +250,7 @@ def _slot_tables(q: int, p: int, n: int) -> list:
 
     def row_tables(by_shift, r, shared=False):
         # remaining[tau]: terms of tau still missing once the column is full
-        exacts, solved, checks, scaled = [], None, [], []
+        exacts, solved, checks = [], None, []
         missing = {tau: remaining[tau] + (p - 1 - r) * len(touches)
                    for tau, touches in by_shift.items()}
         for tau in sorted(missing, key=missing.get):
@@ -248,7 +259,7 @@ def _slot_tables(q: int, p: int, n: int) -> list:
             if missing[tau] == 0:
                 (c2, ex, rt), *more = touches
                 if more:
-                    checks.append((tau, c2, ex, rt, 1 + 1e-6))
+                    checks.append((tau, c2, ex, rt, 1, 0))
                     exacts.append((tau, c2, ex) + more[0][:2])
                 elif solved is None:
                     solved = (tau, c2, {x: d for d, x in enumerate(ex)})
@@ -257,15 +268,11 @@ def _slot_tables(q: int, p: int, n: int) -> list:
             else:
                 for j, (c2, ex, rt) in enumerate(touches):
                     m = missing[tau] + k - 1 - j  # after this touch
-                    if shared:
-                        scaled.append((tau, c2, ex, rt, m + r * k, k))
-                    else:
-                        checks.append((tau, c2, ex, rt, m + 1e-6))
-        return solved, (exacts, checks, scaled)
+                    checks.append((tau, c2, ex, rt) + ((m + r * k, k) if shared else (m, 0)))
+        return solved, (exacts, checks)
 
     cols = _column_order(n)  # column 0 is pinned to exponent 0
     remaining = [p * (n - tau) for tau in range(n)]
-    tables = []
     for i in range(1, len(cols)):
         c = cols[i]
         by_shift: dict[int, list] = {}
@@ -275,21 +282,21 @@ def _slot_tables(q: int, p: int, n: int) -> list:
         for tau, touches in by_shift.items():
             remaining[tau] -= p * len(touches)
         middle = row_tables(by_shift, p - 2, shared=True) if p > 2 else None
-        tables += [middle if 0 < r < p - 1 else row_tables(by_shift, r) for r in range(p)]
-    return tables
+        yield [middle if 0 < r < p - 1 else row_tables(by_shift, r) for r in range(p)]
 
 
-def _tied_images(q: int, exps: list, filled: list, images: tuple, maps: tuple):
+def _tied_images(q: int, exps: list, leader: tuple, maps: tuple):
     """The maps whose row-sorted image ties the stack in slot order on the
-    filled columns (in fill order, closed under c -> n-1-c), or None if some
-    image comes first. Map g takes row to sign * (row[m] - row[base]) for m
-    in columns, where (sign, columns, base) = images[g]."""
-    key = list(zip(*[[row[c] for c in filled] for row in exps]))
+    filled columns, or None if some image comes first. For leader = (prev,
+    key_of, images), key_of gets a row's filled columns, and map g sends the
+    e that columns_of gets to sign * (e - b) mod q, b what base_of gets,
+    where (columns_of, base_of, sign) = images[g]."""
+    _, key_of, images = leader
+    key = list(zip(*map(key_of, exps)))
     ties = []
     for g in maps:
-        sign, columns, base = images[g]
-        image = sorted(tuple(sign * (row[m] - row[base]) % q for m in columns) for row in exps)
-        image = list(zip(*image))
+        columns_of, base_of, sign = images[g]
+        image = list(zip(*sorted(_affine_rows(q, sign, map(columns_of, exps), map(base_of, exps)))))
         if image < key:
             return None
         if image == key:
@@ -304,12 +311,8 @@ def _enumerate(
     emit: Callable[[Rows], bool],
     work_bound: int,
 ) -> int:
-    """Run the norm test, then the backtracking enumeration; emit returns
-    True to stop early.
-
-    A shape the norm test refutes visits 0 nodes and emits nothing, so it
-    never exceeds a work bound. Otherwise returns `_backtrack`'s node count.
-    """
+    """`_backtrack` after the norm test: a shape it refutes visits 0 nodes
+    and emits nothing, so it never exceeds a work bound."""
     if q < 1 or set_size < 1 or length < 1:
         raise InputError("q, set size, and length must all be >= 1")
     if _norm_refuted(q, set_size, length):
@@ -317,30 +320,77 @@ def _enumerate(
     return _backtrack(q, set_size, length, emit, work_bound)
 
 
-def _packed_tests(q: int, p: int, n: int) -> tuple[int, int, list]:
-    """The field width w, the high bits of fields 1..n-1 (and 2n+1..3n-1
-    for q = 4) and, per slot, the test (None, (lim, w*c, w*(n-1-c),
-    2^(w*c), 2^(w*(n-1-c)))) for q in {1, 2, 4} (the module notes; None: no
-    solved lookup). The limits are built in O(P*N) big-int steps."""
+def _packed_tests(q: int, p: int, n: int) -> tuple[int, tuple, Iterator[list]]:
+    """The high bits of fields 1..n-1 (and 2n+1..3n-1 for q = 4), the row
+    ints of column 0 (exponent 0) and, column by column in fill order, each
+    slot's test (lim, w*c, w*(n-1-c), deltas) for q in {1, 2, 4} (the module
+    notes): the row's ints gain deltas[v] when it takes exponent v. The
+    limits are built in O(P*N) big-int steps."""
     w = (4 * p * n).bit_length() + 1
     ones = (1 << w * n) // ((1 << w) - 1)  # 1 in every field of a region
-    # times spread, a region's fields are copied to v's (q = 4)
-    spread, top = (1 + (1 << 2 * w * n), 3 * n) if q == 4 else (1, n)
+    # times spread, a region's fields are copied to v's (q = 4); times to_v, a
+    # field moves from u to v
+    to_v = 1 << 2 * w * n
+    spread, top = (1 + to_v, 3 * n) if q == 4 else (1, n)
     high = ((ones - 1) << (w - 1)) * spread
+    # x = 1 or i is (u, v) = (1, 1) or (1, -1), and i maps (u, v) to (v, -u):
+    # for q = 4 the ints gain conj(x), x, i*conj(x), -i*x
+    plus, minus = 1 + to_v, 1 - to_v
+    units = ((plus, plus, minus, -minus), (-minus, minus, plus, plus)) if q == 4 else ((1, 1),)
+
+    def deltas(c):  # for x = 1 (and i), then the negations
+        bits = (1 << w * c, 1 << w * (n - 1 - c)) * 2
+        return [tuple(s * u * b for u, b in zip(x, bits)) for s in (1, -1) for x in units][:q]
+
+    def tests(lim):
+        filled, mirrored = 1, 1 << w * (n - 1)  # column 0
+        for c in _column_order(n)[1:]:
+            # field tau: the filled columns tau before or after c
+            touches = ((filled >> w * c) + (mirrored >> w * (n - 1 - c))) * spread
+            column = deltas(c)
+            yield [(lim - r * touches, w * c, w * (n - 1 - c), column) for r in range(1, p + 1)]
+            lim -= p * touches
+            filled += 1 << w * c
+            mirrored += 1 << w * (n - 1 - c)
+
     lim = ((((1 << w * top) // ((1 << w) - 1)) << (w - 1))
            + p * sum((n - tau) << w * tau for tau in range(1, n)) * spread)
-    filled, mirrored = 1, 1 << w * (n - 1)  # column 0
-    tests = []
-    for c in _column_order(n)[1:]:
-        bit, mirror_bit = 1 << w * c, 1 << w * (n - 1 - c)
-        # field tau: the filled columns tau before or after c
-        touches = ((filled >> w * c) + (mirrored >> w * (n - 1 - c))) * spread
-        for _ in range(p):
-            lim -= touches
-            tests.append((None, (lim, w * c, w * (n - 1 - c), bit, mirror_bit)))
-        filled += bit
-        mirrored += mirror_bit
-    return w, high, tests
+    return high, deltas(0)[0], tests(lim)
+
+
+def _slots(q: int, p: int, n: int, tests: Iterator[list]) -> tuple:
+    """The exponent rows, the column records, the tie flags, the lex-leader
+    ties and the slot count that both engines share. Column by column in
+    fill order, a slot's record is (row, c, r, above, back, leader) and its
+    test: above is the row above (None for row 0), back this row's slot one
+    column earlier, and leader, on the last row of a column after which the
+    filled columns are closed under c -> n-1-c, the check (prev, key_of,
+    images) of `_tied_images`, prev the check before it. tied[i]: the rows
+    of slot i and above agree on every column filled so far; leaders[i]:
+    the maps whose image equals the stack after the check at slot i. Index
+    -1 stands for column 0, where rows agree and every map ties (for q <= 2
+    conjugation is the identity).
+    """
+    exps = [[0] * n for _ in range(p)]
+    cols = _column_order(n)
+
+    def columns():
+        check = -1
+        for i, (c, column) in enumerate(zip(cols[1:], tests), 1):
+            leader = None
+            if i % 2 or i == n - 1:
+                filled = itemgetter(*cols[: i + 1])
+                mirror = itemgetter(*[n - 1 - f for f in cols[: i + 1]])
+                first, last = itemgetter(0), itemgetter(n - 1)
+                # reversal (rows rescaled to lead with 0), conjugation, both
+                images = ((mirror, last, 1), (filled, first, -1), (mirror, last, -1))
+                leader = (check, filled, images)
+                check = i * p - 1
+            yield [(exps[r], c, r, exps[r - 1] if r else None, (i - 2) * p + r if i > 1 else -1,
+                    leader if r == p - 1 else None) + test for r, test in enumerate(column)]
+
+    end = p * (n - 1)
+    return exps, columns(), [False] * end + [True], [()] * end + [(0, 1, 2) if q > 2 else (0,)], end
 
 
 def _backtrack(
@@ -350,102 +400,104 @@ def _backtrack(
     emit: Callable[[Rows], bool],
     work_bound: int,
 ) -> int:
-    """The backtracking enumeration; emit returns True to stop early.
+    """The backtracking enumeration by the engine for q; emit returns True to
+    stop early. Stacks are reached in ascending slot order, and only the
+    least member of each class is emitted (the module notes). Returns the
+    number of nodes visited, not counting the exponents the row-order bound
+    skips; raises WorkBoundExceeded if that number would pass work_bound."""
+    engine = _packed_backtrack if q in (1, 2, 4) else _table_backtrack
+    return engine(q, set_size, length, emit, work_bound)
 
-    Exponents are tried in ascending order, so stacks are reached in
-    ascending slot order, and only the least member of each class is
-    emitted, by the row-order bound and the lex-leader check of the module
-    notes. Returns the number of assignment nodes visited; the exponents
-    skipped by the row-order bound are not counted. Raises
-    WorkBoundExceeded if that number would pass work_bound.
-    """
-    p, n = set_size, length
-    exps = [[0] * n for _ in range(p)]
-    cols = _column_order(n)
-    packed = q in (1, 2, 4)
-    if packed:
-        w, high, tests = _packed_tests(q, p, n)
-    else:
-        tests = _slot_tables(q, p, n)
-    slots = []
-    check = -1  # the slot of the last lex-leader check so far
-    for i, c in enumerate(cols[1:], 1):
-        for r in range(p):
-            # the row above (None for row 0) and the slot of this row one
-            # column earlier, whose tie flag holds (-1: the first column)
-            above = exps[r - 1] if r else None
-            # the last row of a column after which the filled columns (the
-            # first i + 1 in fill order) are closed under c -> n-1-c
-            leader = None
-            if r == p - 1 and (i % 2 or i == n - 1):
-                filled = cols[: i + 1]
-                mirror = [n - 1 - f for f in filled]
-                # reversal (rows rescaled to lead with 0), conjugation, both
-                images = ((1, mirror, n - 1), (-1, filled, 0), (-1, mirror, n - 1))
-                leader = (check, filled, images)
-                check = len(slots)
-            slots.append((exps[r], c, r, above, max(len(slots) - p, -1), leader)
-                         + tests[len(slots)])
-    # tied[i]: the rows of slot i and the row above agree on every column
-    # filled up to slot i; tied[-1] stands for column 0, equal in every row
-    tied = [False] * len(slots) + [True]
-    # leaders[i]: after the check at slot i, the maps whose image equals the
-    # stack on the filled columns; every map's image does on column 0, and
-    # for q <= 2 conjugation is the identity
-    leaders = [()] * len(slots) + [(0, 1, 2) if q > 2 else (0,)]
-    if packed:
-        # packs[i]: after slot i, its row's forward and reversed ints (two
-        # pairs for q = 4) and the packed shift sums; packs[-1]: column 0
-        # (exponent 0) and no sums. g moves a field from u to v.
-        g, last = 2 * w * n, 1 << w * (n - 1)
-        column0 = ((1 + (1 << g), last + (last << g), 1 - (1 << g), (last << g) - last)
-                   if q == 4 else (1, last))
-        packs = [None] * len(slots) + [column0 + (0,)]
-        zs = [None] * len(slots)  # the sums after each value of a slot
-    else:
-        # state[i]: (exact, approx) after the first i slots; deeper levels
-        # are allocated as the path first reaches them
-        def level():
-            return [0] * n, [0j] * n
 
-        state = [level()]
-
-    nodes = 0
-    end = len(slots)
-    tried = [0] * end
-    idx = 0
+def _packed_backtrack(q, p, n, emit, work_bound) -> int:
+    high, column0, tests = _packed_tests(q, p, n)
+    exps, columns, tied, leaders, end = _slots(q, p, n, tests)
+    # after slot i: its row's forward and reversed ints (two pairs for
+    # q = 4), ints[-1] those of column 0; the packed shift sums, sums[-1]
+    # none; the sums for each value of slot i
+    ints, sums, zs = [None] * end + [column0], [0] * (end + 1), [None] * end
+    quaternary = q == 4
+    slots, tried = [], [0] * end
+    nodes = idx = built = 0
     while idx >= 0:
-        if idx == end:
-            if emit(tuple(tuple(row) for row in exps)):
+        if idx == built:
+            if built < end:
+                slots += next(columns)
+                built += p
+                continue
+            if emit(tuple(map(tuple, exps))):
                 break
             idx -= 1
             continue
-        row, c, r, above, back, leader, solved, test = slots[idx]
+        row, c, _, above, back, leader, lim, shift, mirror_shift, deltas = slots[idx]
+        f = ints[back]
         v = tried[idx]
         # A row tied with the row above starts at its exponent. Each value
-        # tried is one node, in order: the packed test scans to the first
-        # live value, and the values failing the solved test die untried.
-        if packed:
-            lim, shift, mirror_shift, bit, mirror_bit = test
-            ints = packs[back]
-            if not v:
-                if above is not None and tied[back]:
-                    v = above[c]
-                sums = packs[idx - 1][-1]
-                t0 = (ints[0] >> shift) + (ints[1] >> mirror_shift)
-                if q == 4:
-                    t1 = (ints[2] >> shift) + (ints[3] >> mirror_shift)
-                    zs[idx] = (sums + t0, sums + t1, sums - t0, sums - t1)
-                else:
-                    zs[idx] = (sums + t0, sums - t0)
+        # tried is one node, in order: the test scans to the first live
+        # value, and a slot forms its sums for every value at the first.
+        if v:
             z = zs[idx]
-            while v < q:
-                nodes += 1
-                zv = z[v]
-                if (lim + zv) & (lim - zv) & high == high:
-                    break
-                v += 1
-        elif solved is None:
+        else:
+            if above is not None and tied[back]:
+                v = above[c]
+            s = sums[idx - 1]
+            t = (f[0] >> shift) + (f[1] >> mirror_shift)
+            if quaternary:
+                u = (f[2] >> shift) + (f[3] >> mirror_shift)
+            z = zs[idx] = (s + t, s + u, s - t, s - u) if quaternary else (s + t, s - t)
+        while v < q:
+            nodes += 1
+            zv = z[v]
+            if (lim + zv) & (lim - zv) & high == high:
+                break
+            v += 1
+        if nodes > work_bound:
+            raise WorkBoundExceeded(f"search exceeded the work bound of {work_bound} nodes")
+        if v == q:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        tried[idx] = v + 1
+        sums[idx] = zv
+        d = deltas[v]
+        ints[idx] = ((f[0] + d[0], f[1] + d[1], f[2] + d[2], f[3] + d[3]) if quaternary
+                     else (f[0] + d[0], f[1] + d[1]))
+        row[c] = v
+        if above is not None:
+            tied[idx] = tied[back] and v == above[c]
+        if leader is not None:
+            ties = leaders[leader[0]]
+            if ties:
+                ties = _tied_images(q, exps, leader, ties)
+                if ties is None:
+                    continue
+            leaders[idx] = ties
+        idx += 1
+    return nodes
+
+
+def _table_backtrack(q, p, n, emit, work_bound) -> int:
+    exps, columns, tied, leaders, end = _slots(q, p, n, _slot_tables(q, p, n))
+    # state[i]: (exact, approx) after the first i slots; deeper levels are
+    # allocated as the path first reaches them
+    state = [([0] * n, [0j] * n)]
+    slots, tried = [], [0] * end
+    nodes = idx = built = 0
+    while idx >= 0:
+        if idx == built:
+            if built < end:
+                slots += next(columns)
+                built += p
+                continue
+            if emit(tuple(map(tuple, exps))):
+                break
+            idx -= 1
+            continue
+        row, c, r, above, back, leader, solved, (exacts, checks) = slots[idx]
+        v = tried[idx]
+        # A row tied with the row above starts at its exponent. Each value
+        # tried is one node, in order; those failing the solved test die untried.
+        if solved is None:
             if not v and above is not None and tied[back]:
                 v = above[c]
             if v < q:
@@ -467,72 +519,40 @@ def _backtrack(
                 tried[idx] = v + 1
                 nodes += v + 1 - lo
         if nodes > work_bound:
-            raise WorkBoundExceeded(
-                f"search exceeded the work bound of {work_bound} nodes"
-            )
+            raise WorkBoundExceeded(f"search exceeded the work bound of {work_bound} nodes")
         if v == q:
             tried[idx] = 0
             idx -= 1
             continue
-        if packed:
-            tried[idx] = v + 1
-            if q == 4:
-                # x = 1 or i is (u, v) = (1, 1) or (1, -1), and i maps (u, v)
-                # to (v, -u): the ints gain conj(x), x, i*conj(x), -i*x
-                fa, ra, fb, rb, _ = ints
-                bv, rv = bit << g, mirror_bit << g
-                d = ((bv - bit, mirror_bit - rv, bit + bv, mirror_bit + rv) if v & 1
-                     else (bit + bv, mirror_bit + rv, bit - bv, rv - mirror_bit))
-                packs[idx] = ((fa - d[0], ra - d[1], fb - d[2], rb - d[3], zv) if v & 2
-                              else (fa + d[0], ra + d[1], fb + d[2], rb + d[3], zv))
-            else:
-                forward, reverse, _ = ints
-                packs[idx] = ((forward - bit, reverse - mirror_bit, zv) if v
-                              else (forward + bit, reverse + mirror_bit, zv))
+        parent_exact, parent_approx = state[idx]
+        for tau, c2, ex, c3, ex3 in exacts:
+            if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
+                break
         else:
-            exacts, checks, scaled = test
-            parent_exact, parent_approx = state[idx]
-            for tau, c2, ex, c3, ex3 in exacts:
-                if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
-                    alive = False
+            if idx + 1 == len(state):
+                state.append(([0] * n, [0j] * n))
+            exact, approx = state[idx + 1]
+            exact[:] = parent_exact
+            approx[:] = parent_approx
+            for tau, c2, ex, rt, m, k in checks:
+                d = row[c2] - v
+                exact[tau] += ex[d]
+                z = approx[tau] + rt[d]
+                approx[tau] = z
+                if abs(z) > m - r * k + 1e-6:
                     break
             else:
-                if idx + 1 == len(state):
-                    state.append(level())
-                exact, approx = state[idx + 1]
-                exact[:] = parent_exact
-                approx[:] = parent_approx
-                alive = True  # a row's table has checks or scaled, not both
-                for tau, c2, ex, rt, lim in checks:
-                    d = row[c2] - v
-                    exact[tau] += ex[d]
-                    z = approx[tau] + rt[d]
-                    approx[tau] = z
-                    if abs(z) > lim:
-                        alive = False
-                        break
-                for tau, c2, ex, rt, m, k in scaled:
-                    d = row[c2] - v
-                    exact[tau] += ex[d]
-                    z = approx[tau] + rt[d]
-                    approx[tau] = z
-                    if abs(z) > m - r * k + 1e-6:
-                        alive = False
-                        break
-            if not alive:
-                continue
-        row[c] = v
-        if above is not None:
-            tied[idx] = tied[back] and v == above[c]
-        if leader is not None:
-            prev, filled, images = leader
-            ties = leaders[prev]
-            if ties:
-                ties = _tied_images(q, exps, filled, images, ties)
-                if ties is None:
-                    continue
-            leaders[idx] = ties
-        idx += 1
+                row[c] = v
+                if above is not None:
+                    tied[idx] = tied[back] and v == above[c]
+                if leader is not None:
+                    ties = leaders[leader[0]]
+                    if ties:
+                        ties = _tied_images(q, exps, leader, ties)
+                        if ties is None:
+                            continue
+                    leaders[idx] = ties
+                idx += 1
     return nodes
 
 

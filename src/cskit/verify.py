@@ -8,12 +8,11 @@ coordinates of the summed profile; no epsilon is involved.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import CorrelationProfile, RootSum, Sequence, aacf
+from .algebra import CorrelationProfile, Sequence, aacf, root_coords
 from .errors import InputError
 
 
@@ -86,7 +85,8 @@ def verify(candidate: ComplementarySet) -> VerificationReport:
     total = sum_aacf(candidate)
     defects = {tau: abs(total.at(tau)) for tau in total.nonzero_shifts() if tau > 0}
     first = next(iter(defects), None)
-    peak_ok = total.peak == RootSum.from_int(candidate.q, candidate.size * candidate.length)
+    peak = candidate.size * candidate.length * root_coords(candidate.q)[0]  # P*N times 1
+    peak_ok = total.coords[candidate.length - 1].tolist() == peak.tolist()
     return VerificationReport(
         is_cs=(first is None and peak_ok),
         sum_profile=total,
@@ -104,4 +104,4 @@ def ensure_verified(candidate: ComplementarySet) -> ComplementarySet:
         raise InputError(
             f"not a complementary set: first defect at shift {report.first_defect_shift}"
         )
-    return dataclasses.replace(candidate, verified=True)
+    return ComplementarySet(candidate.rows, verified=True)

@@ -24,9 +24,55 @@ from cskit.reach import (
     ReachabilitySet,
     has_composition_plan,
 )
-from cskit.search import Rows, _column_order, _tied_images, canonical_rows
+from cskit.search import Rows, _column_order
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, ensure_verified, verify
+
+
+# ---------------------------------------------------------------------------
+# The lex-leader check and the canonical form as they were before the search
+# engine did them in bytes: the oracles below use these copies, and the
+# engine's versions must equal them.
+
+
+def oracle_canonical_rows(q: int, rows) -> Rows:
+    """Canonical representative of the equivalence class of a row stack.
+
+    Each row is scaled so its first exponent is 0, rows are sorted, and the
+    lexicographically least of the four images under simultaneous reversal
+    and conjugation is taken.
+    """
+
+    def normalize(rws) -> Rows:
+        scaled = [tuple((e - r[0]) % q for e in r) for r in rws]
+        return tuple(sorted(scaled))
+
+    base = [tuple(r) for r in rows]
+    variants = [
+        base,
+        [tuple(reversed(r)) for r in base],
+        [tuple((-e) % q for e in r) for r in base],
+        [tuple((-e) % q for e in reversed(r)) for r in base],
+    ]
+    return min(normalize(v) for v in variants)
+
+
+def oracle_tied_images(q: int, exps: list, filled: list, images: tuple, maps: tuple):
+    """The maps whose row-sorted image ties the stack in slot order on the
+    filled columns (in fill order, closed under c -> n-1-c), or None if some
+    image comes first. Map g takes row to sign * (row[m] - row[base]) for m
+    in columns, where (sign, columns, base) = images[g]."""
+    key = list(zip(*[[row[c] for c in filled] for row in exps]))
+    ties = []
+    for g in maps:
+        sign, columns, base = images[g]
+        image = sorted(tuple(sign * (row[m] - row[base]) % q for m in columns) for row in exps)
+        image = list(zip(*image))
+        if image < key:
+            return None
+        if image == key:
+            ties.append(g)
+    return tuple(ties)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +181,7 @@ def brute_force_cs(q: int, set_size: int, length: int) -> set:
             continue
         cs = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
         if verify(cs).is_cs:
-            found.add(canonical_rows(q, rows))
+            found.add(oracle_canonical_rows(q, rows))
     return found
 
 
@@ -481,7 +527,7 @@ def per_touch_backtrack(
                     prev, filled, images = leader
                     ties = leaders[prev]
                     if ties:
-                        ties = _tied_images(q, exps, filled, images, ties)
+                        ties = oracle_tied_images(q, exps, filled, images, ties)
                         if ties is None:
                             continue
                     leaders[idx] = ties

@@ -108,8 +108,9 @@ def test_verify_missing_file_exit2(capsys, tmp_path, target):
 
 @pytest.mark.parametrize("kind", ["directory", "through-file", "too-long"])
 def test_unwritable_out_path_exit2(capsys, tmp_path, kind):
+    # the set is written before the derivation line, so a failed write prints none
     code, out, err = run(capsys, "gcp", "--q", "2", "--len", "4", "--out", bad_path(tmp_path, kind))
-    assert (code, out) == (2, "derivation: double(seed(q=2, len=2))\n")
+    assert (code, out) == (2, "")
     assert err.startswith("error: input: ") and err.count("\n") == 1
 
 
@@ -312,6 +313,28 @@ def test_search_shape_above_cap_exit3_before_any_work(capsys, monkeypatch):
                        f"the cap of {cap} for size * len^2\n")
     assert run(capsys, "search", "--q", "2", "--size", "2", "--len", "1000") == (0, "", "")
     assert called == [(2, 1000)]
+
+
+def test_search_slots_above_cap_exit3_before_any_work(capsys, monkeypatch):
+    # size * len bounds the per-slot state at length 1, where size * len^2 does not
+    called = []
+
+    def stub(q, size, length, limit, work_bound):
+        called.append((size, length))
+        return SearchResult(q, size, length, (), True, 0)
+
+    monkeypatch.setattr(cli, "search_cs", stub)
+    cap = cli.SEARCH_SLOT_CAP
+    assert cap == 2**16
+    for size, length in ((cap + 1, 1), (cap // 2 + 1, 2)):
+        code, out, err = run(capsys, "search", "--q", "2", "--size", str(size), "--len", str(length))
+        assert (code, out, called) == (3, "", [])
+        assert err == (f"error: work-bound: search --size {size} --len {length} is above "
+                       f"the cap of {cap} for size * len\n")
+    # the deep probe and the largest pair shape still run
+    for size, length in ((cap, 1), (1100, 2), (2, 1000)):
+        assert run(capsys, "search", "--q", "2", "--size", str(size), "--len", str(length)) == (0, "", "")
+    assert called == [(cap, 1), (1100, 2), (2, 1000)]
 
 
 def test_search_streams_sets(capsys):

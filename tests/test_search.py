@@ -18,7 +18,13 @@ from cskit.search import canonical_rows, first_cs, search_cs
 from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, verify
 
-from helpers import brute_force_cs, per_touch_backtrack, undo_log_enumerate
+from helpers import (
+    brute_force_cs,
+    oracle_canonical_rows,
+    oracle_tied_images,
+    per_touch_backtrack,
+    undo_log_enumerate,
+)
 
 
 def rows_of(cs):
@@ -215,7 +221,7 @@ def oracle_classes(q, p, n):
     classes = []
 
     def emit(rows):
-        canon = canonical_rows(q, rows)
+        canon = oracle_canonical_rows(q, rows)
         if canon not in classes:
             classes.append(canon)
         return False
@@ -299,12 +305,13 @@ def test_oracle_shapes_reach_every_engine_path(monkeypatch):
     assert any(isinstance(o, str) for o in outcomes)
     assert any(isinstance(o, int) for o in outcomes)
     tables = [t for shape in ORACLE_SHAPES if shape[0] not in (1, 2, 4)
-              for t in slot_tables(*shape)]
+              for column in slot_tables(*shape) for t in column]
     assert any(solved for solved, _ in tables)
     # a completed shift touched twice by one slot (its second table is not zero)
-    assert any(any(e[4]) for _, (exacts, _, _) in tables for e in exacts)
-    assert any(scaled for _, (_, _, scaled) in tables)  # rows between first and last
-    assert any(checks for _, (_, checks, _) in tables)
+    assert any(any(e[4]) for _, (exacts, _) in tables for e in exacts)
+    # checks of rows between first and last (k > 0), and of the others
+    assert any(k for _, (_, checks) in tables for *_, k in checks)
+    assert any(not k for _, (_, checks) in tables for *_, k in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +473,58 @@ def test_canonical_form_is_idempotent_and_invariant(q, data):
     # simultaneous reversal / conjugation
     assert canonical_rows(q, [tuple(reversed(r)) for r in rows]) == canon
     assert canonical_rows(q, [tuple((-e) % q for e in r) for r in rows]) == canon
+
+
+# q = 300 takes the path for exponents past a byte (tuples through `map`).
+KERNEL_QS = st.sampled_from([*range(1, 11), 300])
+
+
+def random_stack(data, q, p, n):
+    # exponents from {0, 1, -1} make ties between a stack and its images common
+    few = data.draw(st.booleans(), label="few exponents")
+    entries = st.sampled_from(sorted({0, 1 % q, q - 1})) if few else st.integers(0, q - 1)
+    return [data.draw(st.lists(entries, min_size=n, max_size=n), label=f"row {r}")
+            for r in range(p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(KERNEL_QS, st.sampled_from([1, -1]), st.integers(0, 6), st.integers(0, 12), st.data())
+def test_affine_rows_match_the_formula(q, sign, p, n, data):
+    rows = random_stack(data, q, p, n)
+    bases = data.draw(st.lists(st.integers(0, q - 1), min_size=p, max_size=p), label="bases")
+    expected = [tuple(sign * (e - b) % q for e in row) for row, b in zip(rows, bases)]
+    assert list(map(tuple, search._affine_rows(q, sign, rows, bases))) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_QS, st.integers(1, 6), st.integers(1, 12), st.data())
+def test_canonical_rows_match_the_tuple_kernel(q, p, n, data):
+    rows = random_stack(data, q, p, n)
+    assert canonical_rows(q, rows) == oracle_canonical_rows(q, rows)
+    assert canonical_rows(q, map(iter, rows)) == oracle_canonical_rows(q, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_QS, st.integers(1, 6), st.integers(1, 12), st.data())
+def test_tied_images_match_the_tuple_kernel(q, p, n, data):
+    # every check slot of the shape, and every subset of the three maps
+    rows, columns, *_ = search._slots(q, p, n, itertools.repeat([()] * p))
+    rows[:] = random_stack(data, q, p, n)
+    order = search._column_order(n)
+    checks = 0
+    for i, column in enumerate(columns, 1):
+        leader = column[-1][5]
+        if leader is None:
+            continue
+        checks += 1
+        filled = order[: i + 1]
+        mirror = [n - 1 - f for f in filled]
+        images = ((1, mirror, n - 1), (-1, filled, 0), (-1, mirror, n - 1))
+        for k in range(4):
+            for maps in itertools.combinations(range(3), k):
+                expected = oracle_tied_images(q, rows, filled, images, maps)
+                assert search._tied_images(q, rows, leader, maps) == expected
+    assert checks == ((n + 1) // 2 if n > 1 else 0)
 
 
 def test_canonical_rows_lead_with_zero():
