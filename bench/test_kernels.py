@@ -24,7 +24,7 @@ from cskit.io import parse_set, serialize_set, write_set_file
 from cskit.reach import reachable_lengths
 from cskit.search import _backtrack, first_cs, search_cs
 from cskit.seeds import gcp_for_length, seed_pair
-from cskit.verify import verify
+from cskit.verify import ComplementarySet, ensure_verified, verify
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,13 @@ def test_aacf(benchmark, q, n):
 def test_verify_cs8_q4_len1040(benchmark, cs8_q4_len1040):
     report = benchmark(verify, cs8_q4_len1040)
     assert report.is_cs
+
+
+@pytest.mark.parametrize("q,n", [(2, 10), (4, 160)])
+def test_ensure_verified_pair(benchmark, q, n):
+    # a fresh unverified copy, so every round decides the pair again
+    cs = ComplementarySet(gcp_for_length(q, n).pair.rows)
+    assert benchmark(ensure_verified, cs).verified
 
 
 def test_gcp_for_length_cold(benchmark):
@@ -98,6 +105,8 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
     (4, 2, 8, None, 30658, 76),
     (4, 2, 7, None, 8158, 0),  # no pair: the lex-leader checks of all three maps, no emit
     (2, 1100, 2, 1, 1101, 1),  # the perfbench deep probe
+    (4, 4, 3, None, 485, 25),  # emit-heavy: verifying the classes is most of the time
+    (2, 4, 5, None, 392, 24),
 ])
 def test_search_cs(benchmark, q, p, n, limit, nodes, classes):
     result = benchmark(search_cs, q, p, n, limit)

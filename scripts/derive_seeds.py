@@ -51,7 +51,7 @@ def main():
     records = []
     for (q, length), rows in PAPER_EXAMPLE_SEEDS.items():
         pair = ensure_verified(
-            ComplementarySet.of(*(Sequence.from_exponents(q, (int(c) for c in r)) for r in rows))
+            ComplementarySet(tuple(Sequence.from_exponents(q, (int(c) for c in r)) for r in rows))
         )
         note = "provenance=paper-example\nworked example pair, verified on load"
         records.append((q, length, pair, note))

@@ -301,8 +301,15 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, `error: usage: ...`, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cskit",
         description="Construct, verify, search, and enumerate complementary sequence sets.",
     )

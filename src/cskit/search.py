@@ -66,9 +66,9 @@ and the search emits only the first member of each class in slot order
 
 Neither rule prunes the least member of a class, and the search reaches
 stacks in ascending slot order, so the classes and the order they are found
-in (so `limit` and `first_cs`) do not change. Each class is emitted once;
-its hit is canonicalized, and only the canonical stack is verified and
-returned.
+in (so `limit` and `first_cs`) do not change. Each class is emitted once
+and canonicalized; the canonical stacks are verified in one batch after
+the enumeration, which correlates each distinct row once.
 
 Before the first slot, the search runs a norm test on the whole shape:
 the sum of the aperiodic autocorrelations over all shifts of a row A is
@@ -78,9 +78,15 @@ sum of two squares). Each row sum A_r(1) is a sum of N q-th roots. For q
 in {1, 2, 3, 4, 6} (phi(q) <= 2) its norm is a rational integer, and one
 exact rule per q tells which elements of Z[zeta_q] are such sums. A shape
 is refuted when P*N is no sum of P of their norms; the sums are formed
-as bitmasks by doubling, with integers only. A refuted shape visits no
-node and emits nothing; any other shape and any other q are searched as
-before.
+as bitmasks by doubling, with integers only. A parity test (Tseng & Liu,
+IEEE Trans. IT 18(5), 1972) refutes N >= 2 for q in {2, 4} with P odd and
+for q = 2 with P = 2 (mod 4) and N odd: binary entries with 0/1 exponents
+a, a' multiply to 1 - 2(a + a') (mod 4), so with C(N) = 0, C(tau) - C(tau+1)
+= P - 2*sum_r (a_{r,tau} + a_{r,N-1-tau}) (mod 4) for 0 < tau < N. In a set
+each is 0, so P is even, and for P = 2 (mod 4) each sum is odd, yet at the
+middle column of an odd N it is even. For q = 4, i^g = 1 + (i-1)*g (mod 2)
+makes the difference P + (i-1)*Y (mod 2), Y an integer: not 0 for odd P. A
+shape either test refutes visits no node and emits nothing.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Sequence, root_coords
 from .errors import InputError, WorkBoundExceeded
-from .verify import ComplementarySet, ensure_verified
+from .verify import ComplementarySet, ensure_verified_all
 
 DEFAULT_WORK_BOUND = 10**9
 
@@ -204,6 +210,11 @@ def _norm_refuted(q: int, p: int, n: int) -> bool:
         power = add(power, power)
 
 
+def _parity_refuted(q: int, p: int, n: int) -> bool:
+    """True when the parity test of the module notes refutes the shape."""
+    return q in (2, 4) and n >= 2 and (p % 2 == 1 or q == 2 and p % 4 == 2 and n % 2 == 1)
+
+
 def _column_order(n: int) -> list[int]:
     cols = []
     lo, hi = 0, n - 1
@@ -311,11 +322,11 @@ def _enumerate(
     emit: Callable[[Rows], bool],
     work_bound: int,
 ) -> int:
-    """`_backtrack` after the norm test: a shape it refutes visits 0 nodes
-    and emits nothing, so it never exceeds a work bound."""
+    """`_backtrack` after the norm and parity tests: a shape they refute
+    visits 0 nodes and emits nothing, so it never exceeds a work bound."""
     if q < 1 or set_size < 1 or length < 1:
         raise InputError("q, set size, and length must all be >= 1")
-    if _norm_refuted(q, set_size, length):
+    if _norm_refuted(q, set_size, length) or _parity_refuted(q, set_size, length):
         return 0
     return _backtrack(q, set_size, length, emit, work_bound)
 
@@ -582,31 +593,29 @@ def search_cs(
     """All complementary sets of the given shape, up to equivalence.
 
     With `limit`, the enumeration stops at the `limit`-th class found. A
-    shape the norm test refutes returns no sets after 0 nodes, whatever
-    the work bound.
+    shape the norm or parity test refutes returns no sets after 0 nodes,
+    whatever the work bound.
     """
     if limit is not None and limit < 1:
         raise InputError(f"limit must be >= 1, got {limit}")
     if work_bound < 0:
         raise InputError(f"work bound must be >= 0, got {work_bound}")
-    found: dict[Rows, ComplementarySet] = {}
+    found: set[Rows] = set()
 
     def emit(rows: Rows) -> bool:
         canon = canonical_rows(q, rows)
         if canon in found:
             raise RuntimeError("internal error: enumerator emitted a class twice")
-        built = ComplementarySet.of(*(Sequence(q, r) for r in canon))
-        try:
-            found[canon] = ensure_verified(built)
-        except InputError:
-            raise RuntimeError(
-                "internal error: enumerator emitted a non-complementary stack"
-            ) from None
+        found.add(canon)
         return len(found) == limit
 
     nodes = _enumerate(q, set_size, length, emit, work_bound)
-    sets = tuple(found[canon] for canon in sorted(found))
-    return SearchResult(q, set_size, length, sets, len(found) != limit, nodes)
+    try:
+        sets = ensure_verified_all(ComplementarySet(tuple(Sequence(q, r) for r in canon))
+                                   for canon in sorted(found))
+    except InputError:
+        raise RuntimeError("internal error: enumerator emitted a non-complementary stack") from None
+    return SearchResult(q, set_size, length, tuple(sets), len(found) != limit, nodes)
 
 
 def first_cs(

@@ -2,7 +2,8 @@
 
 A stack of P length-N rows is complementary when the sum of the rows'
 aperiodic autocorrelations is exactly zero at every shift 0 < tau < N
-(and P*N at tau = 0). The decision is an integer test on the canonical
+(and P*N at tau = 0). `verify` and `ensure_verified_all` (which correlates
+each distinct row of its batch once) share one integer test on the canonical
 coordinates of the summed profile; no epsilon is involved.
 """
 
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
-from .algebra import CorrelationProfile, Sequence, aacf, root_coords
+from .algebra import CorrelationProfile, Sequence, aacf
 from .errors import InputError
 
 
@@ -20,8 +21,8 @@ from .errors import InputError
 class ComplementarySet:
     """A stack of equal-length rows over one alphabet.
 
-    Only `ensure_verified` sets `verified`; freshly built or parsed stacks
-    carry verified=False.
+    Only `ensure_verified_all` sets `verified`; freshly built or parsed
+    stacks carry verified=False.
     """
 
     rows: tuple[Sequence, ...]
@@ -36,10 +37,6 @@ class ComplementarySet:
                 raise InputError("all rows must share one alphabet")
             if len(row) != len(first):
                 raise InputError("all rows must share one length")
-
-    @classmethod
-    def of(cls, *rows: Sequence) -> "ComplementarySet":
-        return cls(tuple(rows))
 
     @property
     def q(self) -> int:
@@ -62,19 +59,28 @@ class VerificationReport:
     defect_magnitudes: dict[int, float] = field(default_factory=dict)
 
 
-def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
-    """Sum of the per-row autocorrelation profiles.
-
-    Each distinct row is correlated once, and its integer profile is scaled
-    by the number of times the row occurs.
-    """
-    total = None
+def _summed_coords(candidate: ComplementarySet, profiles: dict):
+    """The summed profile's coordinates, via the memo row -> coordinates."""
+    total = 0
     for row, k in Counter(candidate.rows).items():
-        coords = aacf(row).coords
-        if k > 1:
-            coords = coords * k
-        total = coords if total is None else total + coords
-    return CorrelationProfile(candidate.q, candidate.length, total)
+        coords = profiles.get(row)
+        if coords is None:
+            coords = profiles[row] = aacf(row).coords
+        total = total + (coords * k if k > 1 else coords)
+    return total
+
+
+def _is_cs(total, size: int) -> bool:
+    """The decision: the summed profile is 0 at every shift tau > 0 (those
+    below 0 are their conjugates) and P*N times 1 at tau = 0."""
+    n = (len(total) + 1) // 2
+    peak = total[n - 1].tolist()
+    return peak[0] == size * n and not any(peak[1:]) and not total[n:].any()
+
+
+def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
+    """Sum of the per-row autocorrelation profiles."""
+    return CorrelationProfile(candidate.q, candidate.length, _summed_coords(candidate, {}))
 
 
 def verify(candidate: ComplementarySet) -> VerificationReport:
@@ -84,24 +90,27 @@ def verify(candidate: ComplementarySet) -> VerificationReport:
     """
     total = sum_aacf(candidate)
     defects = {tau: abs(total.at(tau)) for tau in total.nonzero_shifts() if tau > 0}
-    first = next(iter(defects), None)
-    peak = candidate.size * candidate.length * root_coords(candidate.q)[0]  # P*N times 1
-    peak_ok = total.coords[candidate.length - 1].tolist() == peak.tolist()
     return VerificationReport(
-        is_cs=(first is None and peak_ok),
+        is_cs=_is_cs(total.coords, candidate.size),
         sum_profile=total,
-        first_defect_shift=first,
+        first_defect_shift=next(iter(defects), None),
         defect_magnitudes=defects,
     )
 
 
+def ensure_verified_all(stacks: Iterable[ComplementarySet]) -> list[ComplementarySet]:
+    """Verified copies of the stacks, or InputError naming the first failing
+    stack's first defect. Each distinct row among them is correlated once."""
+    profiles: dict = {}
+    out = []
+    for cs in stacks:
+        if not (cs.verified or _is_cs(_summed_coords(cs, profiles), cs.size)):
+            shift = verify(cs).first_defect_shift
+            raise InputError(f"not a complementary set: first defect at shift {shift}")
+        out.append(cs if cs.verified else ComplementarySet(cs.rows, verified=True))
+    return out
+
+
 def ensure_verified(candidate: ComplementarySet) -> ComplementarySet:
     """Return a verified copy, or raise InputError naming the first defect."""
-    if candidate.verified:
-        return candidate
-    report = verify(candidate)
-    if not report.is_cs:
-        raise InputError(
-            f"not a complementary set: first defect at shift {report.first_defect_shift}"
-        )
-    return ComplementarySet(candidate.rows, verified=True)
+    return ensure_verified_all((candidate,))[0]

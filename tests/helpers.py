@@ -179,7 +179,7 @@ def brute_force_cs(q: int, set_size: int, length: int) -> set:
             for tau in range(1, length)
         ):
             continue
-        cs = ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
+        cs = ComplementarySet(tuple(Sequence.from_exponents(q, r) for r in rows))
         if verify(cs).is_cs:
             found.add(oracle_canonical_rows(q, rows))
     return found
@@ -578,7 +578,7 @@ def random_gcp(q: int, rng, max_len: int = 20) -> ComplementarySet:
     t = rng.randrange(q)
     if t:
         a, b = modulate(a, t), modulate(b, t)
-    return ensure_verified(ComplementarySet.of(a, b))
+    return ensure_verified(ComplementarySet((a, b)))
 
 
 def random_admissible_coeffs4(q: int, rng) -> Coeffs4:

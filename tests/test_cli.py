@@ -373,6 +373,23 @@ def test_search_deep_probe_returns_one_set(capsys):
     assert err == "incomplete: stopped after 1 sets\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["frob"], "argument command: invalid choice: 'frob' (choose from"),
+    (["search", "--q", "2"], "the following arguments are required: --size, --len"),
+    (["seeds", "list", "--q", "x"], "argument --q: invalid int value: 'x'"),
+    (["gcp", "--q", "2", "--len", "4", "a\nb"], "unrecognized arguments: a b"),
+])
+def test_usage_errors_print_one_line_and_exit2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("error: usage: " + message)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_search_limit_below_one_exit2(capsys):
     code, out, err = run(
         capsys, "search", "--q", "2", "--size", "2", "--len", "2", "--limit", "0"

@@ -35,7 +35,7 @@ from helpers import (
 
 
 def pair_of(*rows):
-    return ensure_verified(ComplementarySet.of(*(signs(s) for s in rows)))
+    return ensure_verified(ComplementarySet(tuple(signs(s) for s in rows)))
 
 
 ONES = pair_of("+", "+")
@@ -62,7 +62,7 @@ def test_size4_trivial_length_one_seeds():
 
 def test_size4_quaternary_coefficients():
     pair = ensure_verified(
-        ComplementarySet.of(Sequence.from_exponents(4, [0]), Sequence.from_exponents(4, [0]))
+        ComplementarySet((Sequence.from_exponents(4, [0]), Sequence.from_exponents(4, [0])))
     )
     # x0=1, y0=1, x1=i, y1=-i: 1*1 + i*conj(-i) = 1 + i*i = 0
     cs = cs4_from_pairs(pair, pair, Coeffs4(0, 1, 0, 3))
@@ -85,7 +85,7 @@ def test_size4_rejects_unverified_inputs():
 
 def test_size4_rejects_odd_alphabet():
     pair = ensure_verified(
-        ComplementarySet.of(Sequence.from_exponents(3, [0]), Sequence.from_exponents(3, [0]))
+        ComplementarySet((Sequence.from_exponents(3, [0]), Sequence.from_exponents(3, [0])))
     )
     with pytest.raises(InputError, match="odd"):
         cs4_from_pairs(pair, pair, Coeffs4(0, 0, 0, 1))
@@ -347,7 +347,7 @@ def test_double_golden_length10_pair():
 
 def test_double_rejects_odd_alphabet():
     pair = ensure_verified(
-        ComplementarySet.of(Sequence.from_exponents(3, [0]), Sequence.from_exponents(3, [0]))
+        ComplementarySet((Sequence.from_exponents(3, [0]), Sequence.from_exponents(3, [0])))
     )
     with pytest.raises(InputError):
         golay_double(pair)

@@ -13,7 +13,7 @@ from helpers import oracle_parse_set, signs
 
 
 def make_set(q, rows):
-    return ComplementarySet.of(*(Sequence.from_exponents(q, r) for r in rows))
+    return ComplementarySet(tuple(Sequence.from_exponents(q, r) for r in rows))
 
 
 def stacks(max_q=10):

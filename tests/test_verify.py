@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from cskit.algebra import RootSum, Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
+from cskit.reach import gcp_lengths
 from cskit.seeds import gcp_for_length
-from cskit.verify import ComplementarySet, ensure_verified, sum_aacf, verify
+from cskit.verify import ComplementarySet, ensure_verified, ensure_verified_all, sum_aacf, verify
 
 from conftest import load_golden
 from helpers import (
@@ -27,7 +28,7 @@ from helpers import (
 
 
 def binary_set(*rows):
-    return ComplementarySet.of(*(signs(r) for r in rows))
+    return ComplementarySet(tuple(signs(r) for r in rows))
 
 
 def test_golden_size4_length5_set():
@@ -58,25 +59,25 @@ def test_is_gcp_golden_length10():
 
 def test_is_gcp_length_one():
     one = signs("+")
-    assert verify(ComplementarySet.of(one, one)).is_cs
+    assert verify(ComplementarySet((one, one))).is_cs
 
 
 def test_is_gcp_quaternary_length3():
     a = Sequence.from_exponents(4, (0, 0, 2))
     b = Sequence.from_exponents(4, (0, 1, 0))
-    assert verify(ComplementarySet.of(a, b)).is_cs
+    assert verify(ComplementarySet((a, b))).is_cs
 
 
 def test_is_gcp_rejects_mismatch():
     with pytest.raises(InputError):
-        verify(ComplementarySet.of(signs("++"), signs("+++")))
+        verify(ComplementarySet((signs("++"), signs("+++"))))
 
 
 def test_set_constructor_rejects_ragged_and_mixed():
     with pytest.raises(InputError):
-        ComplementarySet.of(signs("++"), signs("+++"))
+        ComplementarySet((signs("++"), signs("+++")))
     with pytest.raises(InputError):
-        ComplementarySet.of(signs("++"), Sequence.from_exponents(4, (0, 0)))
+        ComplementarySet((signs("++"), Sequence.from_exponents(4, (0, 0))))
     with pytest.raises(InputError):
         ComplementarySet(())
 
@@ -217,3 +218,67 @@ def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
     assert report.first_defect_shift == min(defects)
     assert report.defect_magnitudes == defects
     assert profile_values(report.sum_profile) == tuple(total)
+
+
+# ---------------------------------------------------------------------------
+# The batch decision over distinct rows.
+
+
+def known_sets(q, n):
+    """Complementary stacks of q-th roots of length n: the one-entry row, a
+    binary or quaternary Golay pair carried to q, and the rows
+    k -> (q/n)*r*k of the n-point DFT when n divides q."""
+    known = [[[0]]] if n == 1 else []
+    for base in (2, 4):
+        if q % base == 0 and n in gcp_lengths(base, n):
+            known.append([[e * q // base for e in row] for row in gcp_for_length(base, n).pair.rows])
+    if q % n == 0:
+        known.append([[q // n * r * k % q for k in range(n)] for r in range(n)])
+    return known
+
+
+@st.composite
+def stacks(draw, q, n):
+    """Exponent rows of a stack: random, or a known set or two stacked (which
+    repeats rows), rows permuted and rescaled, often with one entry changed."""
+    known = known_sets(q, n)
+    if not known or draw(st.booleans()):
+        return draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                             min_size=1, max_size=6))
+    rows = draw(st.sampled_from(known))
+    more = [k for k in known if len(k) + len(rows) <= 6]
+    if more and draw(st.booleans()):
+        rows = rows + draw(st.sampled_from(more))
+    shifts = draw(st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows)))
+    rows = [[(e + u) % q for e in row] for row, u in zip(draw(st.permutations(rows)), shifts)]
+    if q > 1 and draw(st.booleans()):
+        r, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+        rows[r][k] = (rows[r][k] + draw(st.integers(1, q - 1))) % q
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ensure_verified_all_agrees_with_verify(data):
+    q, n = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 12))
+    batch = [ComplementarySet(tuple(Sequence(q, tuple(row)) for row in rows))
+             for rows in data.draw(st.lists(stacks(q, n), min_size=1, max_size=5))]
+    reports = [verify(cs) for cs in batch]
+    for cs, report in zip(batch, reports):
+        floats = float_sum_profile(cs)
+        assert report.is_cs == all(abs(v) < 1e-6 for v in floats[1:])
+    failing = next((r for r in reports if not r.is_cs), None)
+    if failing is None:
+        out = ensure_verified_all(batch)
+        assert [cs.rows for cs in out] == [cs.rows for cs in batch]
+        assert all(cs.verified for cs in out)
+        assert all(a is b for a, b in zip(ensure_verified_all(out), out))  # kept as they are
+    else:
+        with pytest.raises(InputError, match=f"at shift {failing.first_defect_shift}$"):
+            ensure_verified_all(batch)
+    for cs, report in zip(batch, reports):
+        if report.is_cs:
+            assert ensure_verified(cs).verified
+        else:
+            with pytest.raises(InputError, match=f"at shift {report.first_defect_shift}$"):
+                ensure_verified(cs)
