@@ -107,6 +107,12 @@ def test_enumerate_full(benchmark, q, p, n, nodes):
     (2, 1100, 2, 1, 1101, 1),  # the perfbench deep probe
     (4, 4, 3, None, 485, 25),  # emit-heavy: verifying the classes is most of the time
     (2, 4, 5, None, 392, 24),
+    # the facet prune: q = 3 and 6 ran the table engine before, and q = 8
+    # and 10 carry the widest packed ints (16 and 30 forms)
+    (3, 3, 6, None, 4195, 49),
+    (6, 2, 6, None, 23967, 0),
+    (8, 2, 5, None, 10444, 10),
+    (10, 2, 5, None, 22735, 0),
 ])
 def test_search_cs(benchmark, q, p, n, limit, nodes, classes):
     result = benchmark(search_cs, q, p, n, limit)

@@ -2,48 +2,61 @@
 
 The enumerator fills the P x N exponent matrix column by column from both
 ends inward (column 0, column N-1, column 1, ...), every row's leading
-exponent pinned to 0; exponents are tried in ascending order. A shift is
-complete once every pair of columns it spans is filled, so its last term
-lands at a fixed slot and gets an exact zero test there, and every
-partially known shift prunes with the triangle inequality (|known part|
-can exceed the number of missing unimodular terms only on a dead branch).
-Two engines run it, each in its own loop over flat slot records on an
-explicit stack, so depth is bounded by memory, not by the recursion limit;
-a column's records are built when the search first reaches the column.
+exponent pinned to 0; exponents are tried in ascending order. Shift tau
+sums x_{c+tau} * conj(x_c) over the rows and columns, and it is complete
+once every pair of columns it spans is filled. One loop runs the search
+over flat slot records on an explicit stack, so depth is bounded by
+memory, not by the recursion limit; a column's records are built when the
+search first reaches the column.
 
-For q in {1, 2, 4} the packed engine keeps the per-shift state in one int z
-per depth, in a list of its own: with w-bit fields, where 4*P*N < 2^(w-1)
-= B, field tau holds the partial sum S_tau of shift tau; for q <= 2 every
-entry x is +1 or -1. For q = 4, S_tau = a + b*i is held as u = a + b in
-field tau and v = a - b in field 2N + tau, so each 4th root adds +1 or -1
-to both. Each row keeps its filled entries packed forward (x_c in field
-c) and reversed (field N-1-c); for q = 4 a pair for x_c = 1, holding
-conj(x) and x, and one for x_c = i, holding i*conj(x) and -i*x. Shifted
-right by w*c and by w*(N-1-c) and added, a pair holds in field tau the
-terms of the entries tau columns after and before c. A floor shift leaves
--1 or 0 in field 0, and for q = 4 moves the v terms of the columns it
-passes between u and v, into fields no shift uses, whose junk stays below
-2*P*N in magnitude on a path. A slot's limit int holds B + M_tau in field
-tau (and 2N + tau), M_tau the terms of shift tau still missing after it,
-and B in every other field. Every field of lim + z and lim - z then lies
-within B +- 2*P*N, inside [0, 2^w), so no field borrows or carries, and
-its high bit is set exactly when |S_tau| <= M_tau, or for q = 4 |u|, |v|
-<= M_tau, that is |a| + |b| <= M_tau, exactly the sums M_tau unit terms
-can cancel: one AND of the two, masked to those bits, decides the node
-with integers only. A record holds the limit, the two shift amounts and
-the column's delta of the row's ints for each exponent; a slot forms its
-sum for every value once, at the first value.
+A node is decided on integer linear forms of the partial shift sums. The
+sums of M q-th roots are the lattice points of M*P, P the convex hull of
+the q-th roots in `root_coords` coordinates (Beck & Hosten, "Cyclotomic
+polytopes and growth series of cyclotomic lattices", Math. Res. Lett. 13,
+2006). A shift whose known part is S and which still misses M terms can
+vanish only if -S lies in M*P, so every form f with f(root) <= h on every
+root must have f(S) >= -M*h. For q <= 10 the forms are the facets of P:
+the hyperplanes through root 1 and phi(q) - 1 other roots that have every
+root on one side, found with integer cofactors, and their rotations (2, 2,
+3, 4, 5, 6, 7, 16, 27 and 30 forms for q = 1..10). For q = 2 they say |x|
+<= M and for q = 4 |a| + |b| <= M. Facets never prune less than |S| <= M,
+as M*P lies in the disc of radius M. Above q = 10, where enumerating the
+facets grows too fast, the forms are the traces f_k(S) = Tr(zeta^-k * S),
+whose value at zeta^e is Ramanujan's sum c_q(e - k), bounded on both
+sides. Either family decides a completed shift (M = 0) exactly: every
+f(S) >= 0 only at S = 0, as 0 is interior to P (for q = 1, P = {1} and the
+forms are x <= 1 and -x <= -1) and as the trace form is nondegenerate.
 
-For any other q the table engine decides a completed shift on an exact
-integer packing the canonical Z[zeta_q] coordinates of the partial sum; a
-complex copy of the sum only prunes, against the count of missing terms
-plus 1e-6, a margin far above the rounding of abs, so no live branch is
-pruned. Which shifts a slot touches, and how many terms each still
-misses, is tabled per column. Each depth keeps its own copy of the state,
-filled from its parent's when a value is tried, so backtracking restores
-nothing. Where a slot completes a shift with a single touch, the exact
-test has at most one solution; it is looked up, and the other values are
-counted as dead nodes without being tried.
+The forms of the sums live in one int per depth. Each form is bounded on
+both sides, f(S) >= -M*max(f) and f(S) <= M*max(-f), so of a pair f, -f
+(both facets for even q, where -1 is a root) one region serves: for q = 2
+the one form x, for q = 4 the forms a + b and a - b. With w-bit fields,
+where 4*P*N*max|f(root)| < 2^(w-1) = B, field tau of region j holds
+f_j(S_tau); regions lie 2N fields apart. Each row keeps its filled entries
+in a forward int (field c for x_c) and a reversed one (field N-1-c), in one
+layer per root class: layer k holds f_j(x_c * zeta^-k) forward and
+f_j(conj(x_c) * zeta^k) reversed. Shifted right by w*c and by w*(N-1-c)
+and added, they give t, whose layer v holds in field tau the forms of the
+terms x_{c+tau} * conj(zeta^v) and zeta^v * conj(x_{c-tau}) that value v at
+column c adds to shift tau. Odd q has q layers; even q has q/2, since
+zeta^(v+q/2) = -zeta^v, and value v >= q/2 negates layer v - q/2. A floor
+shift leaves -1 or 0 in field 0, and the fields it moves down from the
+region or layer above land in fields N..2N-1 of a region, which no shift
+uses; that junk stays below 3*P*N*max|f| in magnitude on a path. A slot's
+two limit ints hold B + M_tau*max(f_j) and B + M_tau*max(-f_j) in field
+tau of region j, M_tau the terms of shift tau still missing after the
+slot, and B in every other field of the lowest layer. With s the sums
+before the slot and z = s + (t >> the layer of v) (or minus), every field
+of lo + z and hi - z lies inside [0, 2^w), so no field borrows or carries
+into the next, and its high bit is set exactly when the bound holds: one
+AND of the two, masked to those bits, decides the node with integers
+only. A record holds the limits, the two shift amounts and the column's
+delta of the row's ints for each exponent; a slot forms t once, at the
+first value, and each value tried costs a shift, three adds and two ANDs.
+The ints grow with the forms, the layers and N, so a search that would
+hold more than STATE_BOUND bits of them stops with WorkBoundExceeded when
+it reaches the column that passes it; under the CLI's shape caps that
+never happens for q in {1, 2, 4}.
 
 Results are reported up to equivalence: rows rescaled to leading
 exponent 0, rows permuted, and the whole matrix mapped by simultaneous
@@ -91,11 +104,11 @@ shape either test refutes visits no node and emits nothing.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
-from operator import itemgetter
+from itertools import combinations
+from math import gcd, isqrt
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Sequence, root_coords
@@ -103,6 +116,7 @@ from .errors import InputError, WorkBoundExceeded
 from .verify import ComplementarySet, ensure_verified_all
 
 DEFAULT_WORK_BOUND = 10**9
+STATE_BOUND = 2**32  # bits of packed records and per-depth ints a search may hold: 512 MiB
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -127,9 +141,14 @@ def canonical_rows(q: int, rows: Iterable[Iterable[int]]) -> Rows:
 
     Each row is scaled so its first exponent is 0, rows are sorted, and the
     lexicographically least of the four images under simultaneous reversal
-    and conjugation is taken. Exponents lie in [0, q).
+    and conjugation is taken. Rows must be nonempty, with exponents in [0,
+    q); InputError otherwise.
     """
-    base = list(map(tuple if q > 256 else bytes, rows))
+    base = list(map(tuple, rows))
+    if not all(base) or min(map(min, base), default=0) < 0 or max(map(max, base), default=0) >= q:
+        raise InputError(f"rows must be nonempty, with exponents in [0, {q})")
+    if q <= 256:
+        base = list(map(bytes, base))
     flipped = [r[::-1] for r in base]
     # conjugating, then scaling to lead with 0, is e -> -(e - row[0])
     return tuple(map(tuple, min(sorted(_affine_rows(q, sign, rws, map(itemgetter(0), rws)))
@@ -227,75 +246,6 @@ def _column_order(n: int) -> list[int]:
     return cols
 
 
-def _slot_tables(q: int, p: int, n: int) -> Iterator[list]:
-    """Column by column in fill order, the touch tables of the slots.
-
-    The rows strictly between the first and the last of a column share one
-    table. The entry v of row r in column c touches a shift tau once per
-    earlier column c2, adding the root of d = row[c2] - v: ex[d], a packed
-    int, together with its complex shadow rt[d]. A table is (solved,
-    (exacts, checks)), its touches grouped by shift:
-
-    - exacts: (tau, c2, ex, c2', ex'), a shift the row completes, decided by
-      its exact value alone (ex' is all zeros for a single touch; the first
-      of two touches is also in checks, as it leaves one term missing);
-    - solved: (tau, c2, exponent_of), one shift completed by a single touch,
-      whose one live value of ex[d] is -exact[tau]; or None;
-    - checks: (tau, c2, ex, rt, m, k), a touch of a shift still missing
-      m - r*k terms after row r's touch (k = 0 but on the middle rows),
-      pruned when abs(z) passes that count by more than 1e-6.
-
-    Shifts with the fewest terms missing come first, and the touches of one
-    shift keep their order. A column's tables take O(N) space for any P.
-    """
-    coords = root_coords(q).tolist()
-    # A shift sums at most p*n roots, so every coordinate stays below
-    # radix/2 in magnitude and the packing into one int is injective.
-    radix = 2 * p * n * max(abs(x) for cs in coords for x in cs) + 1
-    packed = [sum(x * radix**i for i, x in enumerate(cs)) for cs in coords]
-    left = (packed, [cmath.exp(2j * cmath.pi * e / q) for e in range(q)])
-    # d lies in (-q, q) and negative indices wrap, so these give the root
-    # of row[c2] - v (c2 < c) or, negated, of v - row[c2] (c2 > c)
-    right = tuple([vs[-d] for d in range(q)] for vs in left)
-    zeros = [0] * q
-
-    def row_tables(by_shift, r, shared=False):
-        # remaining[tau]: terms of tau still missing once the column is full
-        exacts, solved, checks = [], None, []
-        missing = {tau: remaining[tau] + (p - 1 - r) * len(touches)
-                   for tau, touches in by_shift.items()}
-        for tau in sorted(missing, key=missing.get):
-            touches = by_shift[tau]
-            k = len(touches)
-            if missing[tau] == 0:
-                (c2, ex, rt), *more = touches
-                if more:
-                    checks.append((tau, c2, ex, rt, 1, 0))
-                    exacts.append((tau, c2, ex) + more[0][:2])
-                elif solved is None:
-                    solved = (tau, c2, {x: d for d, x in enumerate(ex)})
-                else:
-                    exacts.append((tau, c2, ex, c2, zeros))
-            else:
-                for j, (c2, ex, rt) in enumerate(touches):
-                    m = missing[tau] + k - 1 - j  # after this touch
-                    checks.append((tau, c2, ex, rt) + ((m + r * k, k) if shared else (m, 0)))
-        return solved, (exacts, checks)
-
-    cols = _column_order(n)  # column 0 is pinned to exponent 0
-    remaining = [p * (n - tau) for tau in range(n)]
-    for i in range(1, len(cols)):
-        c = cols[i]
-        by_shift: dict[int, list] = {}
-        for c2 in cols[:i]:
-            tau, roots = (c - c2, left) if c2 < c else (c2 - c, right)
-            by_shift.setdefault(tau, []).append((c2, *roots))
-        for tau, touches in by_shift.items():
-            remaining[tau] -= p * len(touches)
-        middle = row_tables(by_shift, p - 2, shared=True) if p > 2 else None
-        yield [middle if 0 < r < p - 1 else row_tables(by_shift, r) for r in range(p)]
-
-
 def _tied_images(q: int, exps: list, leader: tuple, maps: tuple):
     """The maps whose row-sorted image ties the stack in slot order on the
     filled columns, or None if some image comes first. For leader = (prev,
@@ -331,55 +281,112 @@ def _enumerate(
     return _backtrack(q, set_size, length, emit, work_bound)
 
 
-def _packed_tests(q: int, p: int, n: int) -> tuple[int, tuple, Iterator[list]]:
-    """The high bits of fields 1..n-1 (and 2n+1..3n-1 for q = 4), the row
-    ints of column 0 (exponent 0) and, column by column in fill order, each
-    slot's test (lim, w*c, w*(n-1-c), deltas) for q in {1, 2, 4} (the module
-    notes): the row's ints gain deltas[v] when it takes exponent v. The
-    limits are built in O(P*N) big-int steps."""
-    w = (4 * p * n).bit_length() + 1
+def _det(m: list) -> int:
+    """Determinant of a small integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+@lru_cache(maxsize=None)
+def _forms(q: int) -> tuple[tuple[int, ...], ...]:
+    """The pruning forms of the module notes, each as its values at the
+    q-th roots: values[e] is an integer linear form at zeta_q^e, and
+    max(values) its bound on the roots. For q <= 10, the facets of the
+    convex hull of the q-th roots; above, the trace forms
+    +-Tr(zeta_q^-k * .). Closed under rotation, sorted."""
+    ring = root_coords(q).tolist()
+    if q > 10:
+        # the first coordinate of a rational element is the element
+        trace = [sum(ring[e * k % q][0] for k in range(1, q + 1) if gcd(k, q) == 1)
+                 for e in range(q)]
+        bases = [trace, [-x for x in trace]]
+    else:
+        # the hyperplanes through root 1 and phi(q) - 1 other roots, with a
+        # normal by cofactors, that have every root on one side
+        bases = []
+        for others in combinations(ring[1:], len(ring[0]) - 1):
+            diffs = [[a - b for a, b in zip(r, ring[0])] for r in others]
+            normal = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in diffs])
+                      for i in range(len(ring[0]))]
+            values = [sum(map(mul, normal, r)) for r in ring]
+            if any(values):
+                g = gcd(*values)
+                bases += [vs for vs in ([x // g for x in values], [-x // g for x in values])
+                          if max(vs) == vs[0]]
+    return tuple(sorted({tuple(vs[e - k] for e in range(q)) for vs in bases for k in range(q)}))
+
+
+def _packed_tests(q: int, p: int, n: int) -> tuple[int, tuple, int, list[int], Iterator[list]]:
+    """The high bits of the tested fields, the row ints of column 0
+    (exponent 0), the number of layers, each value's layer shift and,
+    column by column in fill order, each slot's test (lo, hi, w*c,
+    w*(n-1-c), deltas) (the module notes): the row's ints gain deltas[v]
+    when it takes exponent v. The limits are built in O(P*N) big-int
+    steps."""
+    # one form of each pair f, -f, as the test bounds f on both sides
+    every = _forms(q)
+    forms = [vs for vs in every if vs > tuple(-x for x in vs) or tuple(-x for x in vs) not in every]
+    w = (4 * p * n * max(abs(x) for values in forms for x in values)).bit_length() + 1
+    region = 2 * n * w
+    layer = region * len(forms)
+    n_layers = q // 2 if q % 2 == 0 else q  # zeta^(v + q/2) = -zeta^v
     ones = (1 << w * n) // ((1 << w) - 1)  # 1 in every field of a region
-    # times spread, a region's fields are copied to v's (q = 4); times to_v, a
-    # field moves from u to v
-    to_v = 1 << 2 * w * n
-    spread, top = (1 + to_v, 3 * n) if q == 4 else (1, n)
-    high = ((ones - 1) << (w - 1)) * spread
-    # x = 1 or i is (u, v) = (1, 1) or (1, -1), and i maps (u, v) to (v, -u):
-    # for q = 4 the ints gain conj(x), x, i*conj(x), -i*x
-    plus, minus = 1 + to_v, 1 - to_v
-    units = ((plus, plus, minus, -minus), (-minus, minus, plus, plus)) if q == 4 else ((1, 1),)
+    starts = sum(1 << region * j for j in range(len(forms)))
+    # the limits gain these for each missing term: max(f_j) and max(-f_j)
+    lo_bounds = sum(max(values) << region * j for j, values in enumerate(forms))
+    hi_bounds = sum(-min(values) << region * j for j, values in enumerate(forms))
+    high = ((ones - 1) << (w - 1)) * starts
 
-    def deltas(c):  # for x = 1 (and i), then the negations
-        bits = (1 << w * c, 1 << w * (n - 1 - c)) * 2
-        return [tuple(s * u * b for u, b in zip(x, bits)) for s in (1, -1) for x in units][:q]
+    # per exponent e, f_j(zeta^e) in field 0 of region j, then f_j(zeta^(e - k))
+    # (forward) and f_j(zeta^(k - e)) (reversed) in layer k
+    at_root = [sum(values[e] << region * j for j, values in enumerate(forms))
+               for e in range(q)]
+    forward, reverse = ([sum(at_root[sign * (e - k) % q] << layer * k for k in range(n_layers))
+                         for e in range(q)] for sign in (1, -1))
 
-    def tests(lim):
+    # a column holds 2q deltas, and each of its P slots two limits, the
+    # row's two ints, its touches and its sums: below 2q + 6P ints of
+    # n_layers * layer bits
+    column_bits = (2 * q + 6 * p) * n_layers * layer
+
+    def tests(lo, hi):
         filled, mirrored = 1, 1 << w * (n - 1)  # column 0
-        for c in _column_order(n)[1:]:
+        for i, c in enumerate(_column_order(n)[1:], 1):
+            if i * column_bits > STATE_BOUND:
+                raise WorkBoundExceeded(f"search state exceeded the bound of "
+                                        f"{STATE_BOUND >> 23} MiB at column {i} of {n}")
             # field tau: the filled columns tau before or after c
-            touches = ((filled >> w * c) + (mirrored >> w * (n - 1 - c))) * spread
-            column = deltas(c)
-            yield [(lim - r * touches, w * c, w * (n - 1 - c), column) for r in range(1, p + 1)]
-            lim -= p * touches
+            touches = (filled >> w * c) + (mirrored >> w * (n - 1 - c))
+            lo_touches, hi_touches = touches * lo_bounds, touches * hi_bounds
+            column = [(f << w * c, g << w * (n - 1 - c)) for f, g in zip(forward, reverse)]
+            yield [(lo - r * lo_touches, hi - r * hi_touches, w * c, w * (n - 1 - c), column)
+                   for r in range(1, p + 1)]
+            lo -= p * lo_touches
+            hi -= p * hi_touches
             filled += 1 << w * c
             mirrored += 1 << w * (n - 1 - c)
 
-    lim = ((((1 << w * top) // ((1 << w) - 1)) << (w - 1))
-           + p * sum((n - tau) << w * tau for tau in range(1, n)) * spread)
-    return high, deltas(0)[0], tests(lim)
+    base = ((1 << layer) // ((1 << w) - 1)) << (w - 1)
+    missing = p * sum((n - tau) << w * tau for tau in range(1, n))
+    column0 = (forward[0], reverse[0] << w * (n - 1))
+    layers = [layer * (v % n_layers) for v in range(q)]
+    lims = base + missing * lo_bounds, base + missing * hi_bounds
+    return high, column0, n_layers, layers, tests(*lims)
 
 
 def _slots(q: int, p: int, n: int, tests: Iterator[list]) -> tuple:
     """The exponent rows, the column records, the tie flags, the lex-leader
-    ties and the slot count that both engines share. Column by column in
-    fill order, a slot's record is (row, c, r, above, back, leader) and its
-    test: above is the row above (None for row 0), back this row's slot one
-    column earlier, and leader, on the last row of a column after which the
-    filled columns are closed under c -> n-1-c, the check (prev, key_of,
-    images) of `_tied_images`, prev the check before it. tied[i]: the rows
-    of slot i and above agree on every column filled so far; leaders[i]:
-    the maps whose image equals the stack after the check at slot i. Index
-    -1 stands for column 0, where rows agree and every map ties (for q <= 2
+    ties and the slot count of the search. Column by column in fill order,
+    a slot's record is (row, c, above, back, leader) and its test: above is
+    the row above (None for row 0), back this row's slot one column
+    earlier, and leader, on the last row of a column after which the filled
+    columns are closed under c -> n-1-c, the check (prev, key_of, images)
+    of `_tied_images`, prev the check before it. tied[i]: the rows of slot i
+    and above agree on every column filled so far; leaders[i]: the maps
+    whose image equals the stack after the check at slot i. Index -1 stands
+    for column 0, where rows agree and every map ties (for q <= 2
     conjugation is the identity).
     """
     exps = [[0] * n for _ in range(p)]
@@ -397,7 +404,7 @@ def _slots(q: int, p: int, n: int, tests: Iterator[list]) -> tuple:
                 images = ((mirror, last, 1), (filled, first, -1), (mirror, last, -1))
                 leader = (check, filled, images)
                 check = i * p - 1
-            yield [(exps[r], c, r, exps[r - 1] if r else None, (i - 2) * p + r if i > 1 else -1,
+            yield [(exps[r], c, exps[r - 1] if r else None, (i - 2) * p + r if i > 1 else -1,
                     leader if r == p - 1 else None) + test for r, test in enumerate(column)]
 
     end = p * (n - 1)
@@ -411,23 +418,17 @@ def _backtrack(
     emit: Callable[[Rows], bool],
     work_bound: int,
 ) -> int:
-    """The backtracking enumeration by the engine for q; emit returns True to
-    stop early. Stacks are reached in ascending slot order, and only the
-    least member of each class is emitted (the module notes). Returns the
-    number of nodes visited, not counting the exponents the row-order bound
-    skips; raises WorkBoundExceeded if that number would pass work_bound."""
-    engine = _packed_backtrack if q in (1, 2, 4) else _table_backtrack
-    return engine(q, set_size, length, emit, work_bound)
-
-
-def _packed_backtrack(q, p, n, emit, work_bound) -> int:
-    high, column0, tests = _packed_tests(q, p, n)
+    """The backtracking enumeration; emit returns True to stop early. Stacks
+    are reached in ascending slot order, and only the least member of each
+    class is emitted (the module notes). Returns the number of nodes
+    visited, not counting the exponents the row-order bound skips; raises
+    WorkBoundExceeded if that number would pass work_bound."""
+    p, n = set_size, length
+    high, column0, n_layers, layers, tests = _packed_tests(q, p, n)
     exps, columns, tied, leaders, end = _slots(q, p, n, tests)
-    # after slot i: its row's forward and reversed ints (two pairs for
-    # q = 4), ints[-1] those of column 0; the packed shift sums, sums[-1]
-    # none; the sums for each value of slot i
-    ints, sums, zs = [None] * end + [column0], [0] * (end + 1), [None] * end
-    quaternary = q == 4
+    # after slot i: its row's forward and reversed ints, ints[-1] those of
+    # column 0; the packed shift sums, sums[-1] none; the touches of slot i
+    ints, sums, touches = [None] * end + [column0], [0] * (end + 1), [None] * end
     slots, tried = [], [0] * end
     nodes = idx = built = 0
     while idx >= 0:
@@ -440,26 +441,23 @@ def _packed_backtrack(q, p, n, emit, work_bound) -> int:
                 break
             idx -= 1
             continue
-        row, c, _, above, back, leader, lim, shift, mirror_shift, deltas = slots[idx]
-        f = ints[back]
+        row, c, above, back, leader, lo, hi, shift, mirror_shift, deltas = slots[idx]
+        f, g = ints[back]
+        s = sums[idx - 1]
         v = tried[idx]
         # A row tied with the row above starts at its exponent. Each value
         # tried is one node, in order: the test scans to the first live
-        # value, and a slot forms its sums for every value at the first.
+        # value, and a slot forms its touches once, at the first value.
         if v:
-            z = zs[idx]
+            t = touches[idx]
         else:
             if above is not None and tied[back]:
                 v = above[c]
-            s = sums[idx - 1]
-            t = (f[0] >> shift) + (f[1] >> mirror_shift)
-            if quaternary:
-                u = (f[2] >> shift) + (f[3] >> mirror_shift)
-            z = zs[idx] = (s + t, s + u, s - t, s - u) if quaternary else (s + t, s - t)
+            t = touches[idx] = (f >> shift) + (g >> mirror_shift)
         while v < q:
             nodes += 1
-            zv = z[v]
-            if (lim + zv) & (lim - zv) & high == high:
+            z = s + (t >> layers[v]) if v < n_layers else s - (t >> layers[v])
+            if (lo + z) & (hi - z) & high == high:
                 break
             v += 1
         if nodes > work_bound:
@@ -469,10 +467,9 @@ def _packed_backtrack(q, p, n, emit, work_bound) -> int:
             idx -= 1
             continue
         tried[idx] = v + 1
-        sums[idx] = zv
-        d = deltas[v]
-        ints[idx] = ((f[0] + d[0], f[1] + d[1], f[2] + d[2], f[3] + d[3]) if quaternary
-                     else (f[0] + d[0], f[1] + d[1]))
+        sums[idx] = z
+        d, e = deltas[v]
+        ints[idx] = (f + d, g + e)
         row[c] = v
         if above is not None:
             tied[idx] = tied[back] and v == above[c]
@@ -484,86 +481,6 @@ def _packed_backtrack(q, p, n, emit, work_bound) -> int:
                     continue
             leaders[idx] = ties
         idx += 1
-    return nodes
-
-
-def _table_backtrack(q, p, n, emit, work_bound) -> int:
-    exps, columns, tied, leaders, end = _slots(q, p, n, _slot_tables(q, p, n))
-    # state[i]: (exact, approx) after the first i slots; deeper levels are
-    # allocated as the path first reaches them
-    state = [([0] * n, [0j] * n)]
-    slots, tried = [], [0] * end
-    nodes = idx = built = 0
-    while idx >= 0:
-        if idx == built:
-            if built < end:
-                slots += next(columns)
-                built += p
-                continue
-            if emit(tuple(map(tuple, exps))):
-                break
-            idx -= 1
-            continue
-        row, c, r, above, back, leader, solved, (exacts, checks) = slots[idx]
-        v = tried[idx]
-        # A row tied with the row above starts at its exponent. Each value
-        # tried is one node, in order; those failing the solved test die untried.
-        if solved is None:
-            if not v and above is not None and tied[back]:
-                v = above[c]
-            if v < q:
-                tried[idx] = v + 1
-                nodes += 1
-        elif v:  # back from the one exponent that passed the solved test
-            nodes += q - v
-            v = q
-        else:
-            lo = above[c] if above is not None and tied[back] else 0
-            tau, c2, exponent_of = solved
-            d = exponent_of.get(-state[idx][0][tau])
-            if d is not None:
-                v = (row[c2] - d) % q
-            if d is None or v < lo:
-                nodes += q - lo
-                v = q
-            else:
-                tried[idx] = v + 1
-                nodes += v + 1 - lo
-        if nodes > work_bound:
-            raise WorkBoundExceeded(f"search exceeded the work bound of {work_bound} nodes")
-        if v == q:
-            tried[idx] = 0
-            idx -= 1
-            continue
-        parent_exact, parent_approx = state[idx]
-        for tau, c2, ex, c3, ex3 in exacts:
-            if parent_exact[tau] + ex[row[c2] - v] + ex3[row[c3] - v]:
-                break
-        else:
-            if idx + 1 == len(state):
-                state.append(([0] * n, [0j] * n))
-            exact, approx = state[idx + 1]
-            exact[:] = parent_exact
-            approx[:] = parent_approx
-            for tau, c2, ex, rt, m, k in checks:
-                d = row[c2] - v
-                exact[tau] += ex[d]
-                z = approx[tau] + rt[d]
-                approx[tau] = z
-                if abs(z) > m - r * k + 1e-6:
-                    break
-            else:
-                row[c] = v
-                if above is not None:
-                    tied[idx] = tied[back] and v == above[c]
-                if leader is not None:
-                    ties = leaders[leader[0]]
-                    if ties:
-                        ties = _tied_images(q, exps, leader, ties)
-                        if ties is None:
-                            continue
-                    leaders[idx] = ties
-                idx += 1
     return nodes
 
 

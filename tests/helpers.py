@@ -8,7 +8,9 @@ under test are checked against a second route, not against themselves.
 from __future__ import annotations
 
 import cmath
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd, lcm
 from typing import Callable
 
 import numpy as np
@@ -282,12 +284,68 @@ def undo_log_enumerate(
 
 
 # ---------------------------------------------------------------------------
+# The facets of the convex hull of the q-th roots, from every subset of
+# phi(q) roots by Gaussian elimination over the rationals: the oracle of the
+# search's pruning forms, which it finds through root 1 and rotates.
+
+
+def _row_reduce(rows: list) -> list:
+    """The nonzero rows of the reduced row echelon form, over Fraction."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    done = []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [x / pivot[col] for x in pivot]
+        rows = [[a - row[col] * b for a, b in zip(row, pivot)] for row in rows]
+        done = [[a - row[col] * b for a, b in zip(row, pivot)] for row in done] + [pivot]
+    return done
+
+
+def affine_rank(points: list) -> int:
+    """The dimension of the affine hull of the points."""
+    return len(_row_reduce([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]]))
+
+
+def brute_force_facets(q: int) -> set:
+    """Every facet as (values, h): values[e] a primitive integer form at
+    zeta_q^e in root_coords coordinates, at most h on every root, with
+    equality on the facet. For q = 1 the hull is a point, and both x <= 1
+    and -x <= -1 are kept."""
+    ring = root_coords(q).tolist()
+    d = len(ring[0])
+    facets = set()
+    for subset in combinations(ring, d):
+        reduced = _row_reduce([[a - b for a, b in zip(pt, subset[0])] for pt in subset[1:]])
+        if len(reduced) != d - 1:
+            continue
+        pivots = [next(i for i, x in enumerate(row) if x) for row in reduced]
+        free = next(i for i in range(d) if i not in pivots)
+        normal = [Fraction(0)] * d
+        normal[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            normal[col] = -row[free]
+        scale = lcm(*(x.denominator for x in normal))
+        normal = [int(x * scale) for x in normal]
+        values = [sum(a * b for a, b in zip(normal, root)) for root in ring]
+        g = gcd(*values)
+        h = sum(a * b for a, b in zip(normal, subset[0]))
+        for sign in (1, -1):
+            if all(sign * v <= sign * h for v in values):
+                facets.add((tuple(sign * v // g for v in values), sign * h // g))
+    return facets
+
+
 # The search engine before the packed test, kept as the oracle of that test:
-# per-column touch tables, one exact number per shift for q in {1, 2, 4},
-# and the solved-shift lookup. With `norm` pruning on |Re| + |Im| (abs for
-# q <= 2) the engine must emit the same tuples in the same order, count the
-# same nodes and raise the same work-bound error for q in {1, 2, 4}; with
-# the default abs it prunes less for q = 4.
+# per-column touch tables, one exact number per shift for q in {1, 2, 4}
+# (an exact packed int and a complex shadow for any other q), and the
+# solved-shift lookup. The engine must emit the same tuples in the same
+# order and visit no more nodes for every q <= 10; with `norm` pruning on
+# |Re| + |Im| (abs for q = 2) it must count the same nodes and raise the
+# same work-bound error for q in {2, 4}. For q = 1 the engine's x <= 1,
+# -x <= -1 prunes more than abs.
 
 # The q whose q-th roots are all Gaussian integers (q divides 4).
 _GAUSSIAN = (1, 2, 4)

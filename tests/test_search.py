@@ -20,7 +20,9 @@ from cskit.seeds import gcp_for_length
 from cskit.verify import ComplementarySet, sum_aacf, verify
 
 from helpers import (
+    affine_rank,
     brute_force_cs,
+    brute_force_facets,
     oracle_canonical_rows,
     oracle_tied_images,
     per_touch_backtrack,
@@ -138,23 +140,26 @@ def test_constructed_size4_sets_appear_in_oracle_output():
                 assert canonical_rows(2, rows_of(built)) in oracle
 
 
-PINNED_NODES = {(2, 2, 10): 1283, (4, 2, 5): 770, (3, 3, 4): 376, (6, 2, 4): 1317,
-                (2, 4, 4): 154, (3, 3, 5): 946, (4, 4, 3): 485, (4, 2, 6): 2866,
+PINNED_NODES = {(2, 2, 10): 1283, (4, 2, 5): 770, (3, 3, 4): 349, (6, 2, 4): 1317,
+                (2, 4, 4): 154, (3, 3, 5): 856, (4, 4, 3): 485, (4, 2, 6): 2866,
                 (2, 2, 13): 0, (2, 2, 16): 67009}
 
 
 @pytest.mark.parametrize("q,p,n", PINNED_NODES)
 def test_node_counts_are_pinned(q, p, n):
     # work_bound is measured in these nodes; a change to the count moves it.
-    # (2, 2, 13) visited 10,661 nodes before the parity test refuted it.
+    # (2, 2, 13) visited 10,661 nodes before the parity test refuted it;
+    # (3, 3, 4) and (3, 3, 5) visited 376 and 946 while |S| <= M pruned,
+    # before the facets of the triangle of cube roots did.
     assert search_cs(q, p, n).nodes == PINNED_NODES[q, p, n]
 
 
-# Shapes for the engine-versus-oracle test: q in {1, 2, 3, 4, 5, 6, 8} and
-# sizes 1-5, with and without solutions, several past the work bounds.
+# Shapes for the engine-versus-oracle test: every q <= 10 and sizes 1-5,
+# with and without solutions, several past the work bounds.
 ORACLE_SHAPES = [
     (1, 3, 4), (2, 1, 6), (2, 2, 10), (2, 3, 3), (2, 4, 4), (2, 5, 3), (3, 3, 4),
-    (4, 2, 6), (4, 4, 3), (5, 2, 4), (5, 5, 2), (6, 3, 3), (8, 2, 4), (8, 3, 3),
+    (4, 2, 6), (4, 4, 3), (5, 2, 4), (5, 5, 2), (6, 3, 3), (7, 3, 4), (8, 2, 4),
+    (8, 3, 3), (9, 3, 3), (10, 2, 4), (10, 4, 2),
 ]
 
 
@@ -271,22 +276,24 @@ def taxicab(z):
     return abs(z.real) + abs(z.imag)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_packed_engine_matches_per_touch_oracle(data):
-    # For q in {1, 2, 4} the packed test must make every live/dead decision
-    # the per-touch engine makes when it prunes on |Re| + |Im|: same emits
-    # in the same order, same node count or the same work-bound error. For
-    # q = 4 the per-touch engine's own abs prunes less: the same emits, no
-    # fewer nodes.
-    q = data.draw(st.sampled_from((1, 2, 4)), label="q")
+    # The facet test prunes every branch the per-touch engine's abs prunes
+    # and decides a completed shift as exactly: the same emits in the same
+    # order, no more nodes. For q in {2, 4} the facets are |x| <= M and
+    # |Re| + |Im| <= M, so every live/dead decision is the one the
+    # per-touch engine makes when it prunes on |Re| + |Im|: the same node
+    # count or the same work-bound error.
+    q = data.draw(st.integers(1, 10), label="q")
     p = data.draw(st.integers(1, 5), label="p")
     n = data.draw(st.integers(1, min(12, 40 // p)), label="n")
     stop_at = data.draw(st.none() | st.integers(1, 4), label="limit")
     bound = data.draw(st.integers(0, 12000), label="work_bound")
     emitted, outcome = run_engine(search._backtrack, q, p, n, stop_at, bound)
-    l1_oracle = functools.partial(per_touch_backtrack, norm=taxicab)
-    assert (emitted, outcome) == run_engine(l1_oracle, q, p, n, stop_at, bound)
+    if q in (2, 4):
+        l1_oracle = functools.partial(per_touch_backtrack, norm=taxicab)
+        assert (emitted, outcome) == run_engine(l1_oracle, q, p, n, stop_at, bound)
     oracle_emitted, oracle_outcome = run_engine(per_touch_backtrack, q, p, n, stop_at, bound)
     assert emitted[: len(oracle_emitted)] == oracle_emitted
     if isinstance(oracle_outcome, int):
@@ -294,32 +301,55 @@ def test_packed_engine_matches_per_touch_oracle(data):
         assert isinstance(outcome, int) and outcome <= oracle_outcome
 
 
-def test_oracle_shapes_reach_every_engine_path(monkeypatch):
-    assert {q for q, _, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5, 6, 8}
-    assert {p for _, p, _ in ORACLE_SHAPES} == {1, 2, 3, 4, 5}
-    # q in {1, 2, 4} runs the packed test and builds no touch tables; every
-    # other q builds them
-    paths = []
-    slot_tables, packed_tests = search._slot_tables, search._packed_tests
-    monkeypatch.setattr(search, "_slot_tables",
-                        lambda q, p, n: paths.append("tables") or slot_tables(q, p, n))
+@pytest.mark.parametrize("q", [*range(1, 11), 12])
+def test_one_engine_serves_every_q(monkeypatch, q):
+    # every q runs the packed test, to completion and past a work bound one
+    # node short; above q = 10 the trace forms may visit more nodes than abs.
+    # A sum of P 7th roots vanishes only for P a multiple of 7.
+    calls = []
+    packed_tests = search._packed_tests
     monkeypatch.setattr(search, "_packed_tests",
-                        lambda q, p, n: paths.append("packed") or packed_tests(q, p, n))
-    outcomes = []
-    for q, p, n in ORACLE_SHAPES:
-        paths.clear()
-        outcomes.append(run_engine(search._backtrack, q, p, n, work_bound=2000)[1])
-        assert paths == ["packed" if q in (1, 2, 4) else "tables"]
-    assert any(isinstance(o, str) for o in outcomes)
-    assert any(isinstance(o, int) for o in outcomes)
-    tables = [t for shape in ORACLE_SHAPES if shape[0] not in (1, 2, 4)
-              for column in slot_tables(*shape) for t in column]
-    assert any(solved for solved, _ in tables)
-    # a completed shift touched twice by one slot (its second table is not zero)
-    assert any(any(e[4]) for _, (exacts, _) in tables for e in exacts)
-    # checks of rows between first and last (k > 0), and of the others
-    assert any(k for _, (_, checks) in tables for *_, k in checks)
-    assert any(not k for _, (_, checks) in tables for *_, k in checks)
+                        lambda *shape: calls.append(shape) or packed_tests(*shape))
+    shape = (7, 7, 2) if q == 7 else (q, 3, 3)
+    emitted, nodes = run_engine(search._backtrack, *shape)
+    oracle_emitted, oracle_nodes = run_engine(per_touch_backtrack, *shape)
+    assert emitted == oracle_emitted and nodes > 0
+    assert q > 10 or nodes <= oracle_nodes
+    assert run_engine(search._backtrack, *shape, work_bound=nodes) == (emitted, nodes)
+    _, outcome = run_engine(search._backtrack, *shape, work_bound=nodes - 1)
+    assert outcome == f"WorkBoundExceeded: search exceeded the work bound of {nodes - 1} nodes"
+    assert calls == [shape] * 3
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_forms_are_the_facets_of_the_root_polytope(q):
+    # the facets found through root 1 and rotated are every facet; each form
+    # is at most h on the roots, with equality on roots spanning a hyperplane
+    forms = search._forms(q)
+    assert len(forms) == (2, 2, 3, 4, 5, 6, 7, 16, 27, 30)[q - 1]
+    assert {(values, max(values)) for values in forms} == brute_force_facets(q)
+    ring = root_coords(q).tolist()
+    for values in forms:
+        on = [ring[e] for e in range(q) if values[e] == max(values)]
+        assert affine_rank(on) == len(ring[0]) - 1
+
+
+@pytest.mark.parametrize("q", [11, 12, 15, 16])
+def test_trace_forms_are_sound_and_exact_at_zero(q):
+    # every sum of M <= 3 roots passes the trace bounds f(-S) <= M*h, and
+    # at M = 0 only S = 0 does: a nonzero sum has a form below 0
+    forms = search._forms(q)
+    # for even q, -1 is a root, so -Tr is Tr rotated by q/2; for prime q
+    # the forms -Tr(zeta^-k * .) are the facets of the simplex of the roots
+    assert len(forms) == (q if q % 2 == 0 else 2 * q)
+    if q == 11:
+        assert brute_force_facets(q) <= {(values, max(values)) for values in forms}
+    ring = np.array(root_coords(q))
+    for m in range(4):
+        for terms in itertools.combinations_with_replacement(range(q), m):
+            assert all(sum(values[e] for e in terms) <= m * max(values) for values in forms)
+            if ring[list(terms)].sum(axis=0).any():
+                assert min(sum(values[e] for e in terms) for values in forms) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +511,16 @@ def test_long_search_stops_at_a_small_work_bound(q):
         search_cs(q, 2, 1000, work_bound=10)
 
 
+def test_state_bound_stops_a_deep_search(monkeypatch):
+    # a (10, 2, 40) search's ints grow by about 1.9 Mbit a column, so a
+    # bound of 2^24 bits stops it when it reaches its 9th column
+    monkeypatch.setattr(search, "STATE_BOUND", 2**24)
+    with pytest.raises(WorkBoundExceeded,
+                       match="search state exceeded the bound of 2 MiB at column 9 of 40"):
+        search_cs(10, 2, 40)
+    assert search_cs(10, 2, 5).nodes == 22735  # its 4 columns stay below
+
+
 def test_negative_work_bound_is_an_input_error():
     # (2, 2, 24) is refuted before any node, so only the check can refuse it
     for shape in [(2, 2, 3), (2, 2, 24)]:
@@ -571,7 +611,7 @@ def test_tied_images_match_the_tuple_kernel(q, p, n, data):
     order = search._column_order(n)
     checks = 0
     for i, column in enumerate(columns, 1):
-        leader = column[-1][5]
+        leader = column[-1][4]
         if leader is None:
             continue
         checks += 1
@@ -583,6 +623,13 @@ def test_tied_images_match_the_tuple_kernel(q, p, n, data):
                 expected = oracle_tied_images(q, rows, filled, images, maps)
                 assert search._tied_images(q, rows, leader, maps) == expected
     assert checks == ((n + 1) // 2 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("q,rows", [(2, [[0, 5], [0, 1]]), (3, [[0, 4]]), (3, [[0, -1]]),
+                                    (300, [[0, 300]]), (300, [[-1, 0]]), (2, [[0, 1], []])])
+def test_canonical_rows_refuses_rows_outside_the_alphabet(q, rows):
+    with pytest.raises(InputError, match=r"rows must be nonempty, with exponents in \[0, "):
+        canonical_rows(q, rows)
 
 
 def test_canonical_rows_lead_with_zero():
