@@ -160,6 +160,13 @@ def test_cli_build_parser(benchmark):
     assert benchmark(cli.build_parser).prog == "cskit"
 
 
+def test_cli_gcp_q2_len4(benchmark):
+    # a whole call whose work is a cached lookup: the parser is most of it
+    code, out = benchmark(run_cli, "gcp", "--q", "2", "--len", "4")
+    assert code == 0
+    assert out == "derivation: double(seed(q=2, len=2))\nq=2 rows=2 len=4\n0001\n0010\n"
+
+
 def test_cli_gcp_q4_len520_cold(benchmark):
     def cold():
         gcp_for_length.cache_clear()

@@ -161,7 +161,7 @@ class Sequence:
 
     def negate(self) -> "Sequence":
         if self.q % 2:
-            raise InputError(f"-1 is not a {self.q}-th root of unity")
+            raise InputError(f"-1 is not a root of unity for q={self.q}")
         return self.scale(self.q // 2)
 
     def concat(self, other: "Sequence") -> "Sequence":

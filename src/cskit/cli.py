@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import io as setio
@@ -71,7 +73,7 @@ def _parse_coeffs(raw: str, count: int, q: int, as_complex: bool) -> list[int]:
             raise InputError(f"bad complex literal {p!r} (use 1, -1, i, -i)")
         quarter = _COMPLEX_LITERALS[p]
         if quarter * q % 4:
-            raise InputError(f"{p} is not a {q}-th root of unity")
+            raise InputError(f"{p} is not a root of unity for q={q}")
         out.append(quarter * q // 4)
     return out
 
@@ -309,11 +311,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    # By default argparse reads the terminal size in every help formatter it
+    # makes (one per argument) and formats a usage line to find each
+    # subparsers' prog. Here the width HelpFormatter would read is read once
+    # per call and given to every parser, and the progs are passed.
+    make_parser = partial(_Parser, formatter_class=partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))
+    parser = make_parser(
         prog="cskit",
         description="Construct, verify, search, and enumerate complementary sequence sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                parser_class=make_parser)
 
     p = sub.add_parser("verify", help="decide whether a set file is complementary")
     p.add_argument("file")
@@ -376,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_papr)
 
     p = sub.add_parser("seeds", help="seed database views")
-    seeds_sub = p.add_subparsers(dest="seeds_command", required=True)
+    seeds_sub = p.add_subparsers(dest="seeds_command", required=True, prog=p.prog,
+                                 parser_class=make_parser)
     pl = seeds_sub.add_parser("list", help="list the packaged seed pairs")
     pl.add_argument("--q", type=int)
     pl.set_defaults(func=cmd_seeds)

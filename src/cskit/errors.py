@@ -23,4 +23,12 @@ class SeedError(RuntimeError):
 
 
 class WorkBoundExceeded(RuntimeError):
-    """A search exceeded its node budget, or a request is above its size cap."""
+    """A search exceeded its node budget or state bound, or a request is above its size cap.
+
+    From `search_cs`, it says how far the search got: `nodes` visited,
+    `depth` the deepest column whose slots were built, by its place in the
+    fill order (column 0 is place 0), and `classes` found. Elsewhere these
+    are None.
+    """
+
+    nodes = depth = classes = None

@@ -422,7 +422,8 @@ def _backtrack(
     are reached in ascending slot order, and only the least member of each
     class is emitted (the module notes). Returns the number of nodes
     visited, not counting the exponents the row-order bound skips; raises
-    WorkBoundExceeded if that number would pass work_bound."""
+    WorkBoundExceeded, with its nodes and depth, if that number would pass
+    work_bound or the state would pass STATE_BOUND."""
     p, n = set_size, length
     high, column0, n_layers, layers, tests = _packed_tests(q, p, n)
     exps, columns, tied, leaders, end = _slots(q, p, n, tests)
@@ -431,56 +432,60 @@ def _backtrack(
     ints, sums, touches = [None] * end + [column0], [0] * (end + 1), [None] * end
     slots, tried = [], [0] * end
     nodes = idx = built = 0
-    while idx >= 0:
-        if idx == built:
-            if built < end:
-                slots += next(columns)
-                built += p
-                continue
-            if emit(tuple(map(tuple, exps))):
-                break
-            idx -= 1
-            continue
-        row, c, above, back, leader, lo, hi, shift, mirror_shift, deltas = slots[idx]
-        f, g = ints[back]
-        s = sums[idx - 1]
-        v = tried[idx]
-        # A row tied with the row above starts at its exponent. Each value
-        # tried is one node, in order: the test scans to the first live
-        # value, and a slot forms its touches once, at the first value.
-        if v:
-            t = touches[idx]
-        else:
-            if above is not None and tied[back]:
-                v = above[c]
-            t = touches[idx] = (f >> shift) + (g >> mirror_shift)
-        while v < q:
-            nodes += 1
-            z = s + (t >> layers[v]) if v < n_layers else s - (t >> layers[v])
-            if (lo + z) & (hi - z) & high == high:
-                break
-            v += 1
-        if nodes > work_bound:
-            raise WorkBoundExceeded(f"search exceeded the work bound of {work_bound} nodes")
-        if v == q:
-            tried[idx] = 0
-            idx -= 1
-            continue
-        tried[idx] = v + 1
-        sums[idx] = z
-        d, e = deltas[v]
-        ints[idx] = (f + d, g + e)
-        row[c] = v
-        if above is not None:
-            tied[idx] = tied[back] and v == above[c]
-        if leader is not None:
-            ties = leaders[leader[0]]
-            if ties:
-                ties = _tied_images(q, exps, leader, ties)
-                if ties is None:
+    try:
+        while idx >= 0:
+            if idx == built:
+                if built < end:
+                    slots += next(columns)
+                    built += p
                     continue
-            leaders[idx] = ties
-        idx += 1
+                if emit(tuple(map(tuple, exps))):
+                    break
+                idx -= 1
+                continue
+            row, c, above, back, leader, lo, hi, shift, mirror_shift, deltas = slots[idx]
+            f, g = ints[back]
+            s = sums[idx - 1]
+            v = tried[idx]
+            # A row tied with the row above starts at its exponent. Each value
+            # tried is one node, in order: the test scans to the first live
+            # value, and a slot forms its touches once, at the first value.
+            if v:
+                t = touches[idx]
+            else:
+                if above is not None and tied[back]:
+                    v = above[c]
+                t = touches[idx] = (f >> shift) + (g >> mirror_shift)
+            while v < q:
+                nodes += 1
+                z = s + (t >> layers[v]) if v < n_layers else s - (t >> layers[v])
+                if (lo + z) & (hi - z) & high == high:
+                    break
+                v += 1
+            if nodes > work_bound:
+                raise WorkBoundExceeded(f"search exceeded the work bound of {work_bound} nodes")
+            if v == q:
+                tried[idx] = 0
+                idx -= 1
+                continue
+            tried[idx] = v + 1
+            sums[idx] = z
+            d, e = deltas[v]
+            ints[idx] = (f + d, g + e)
+            row[c] = v
+            if above is not None:
+                tied[idx] = tied[back] and v == above[c]
+            if leader is not None:
+                ties = leaders[leader[0]]
+                if ties:
+                    ties = _tied_images(q, exps, leader, ties)
+                    if ties is None:
+                        continue
+                leaders[idx] = ties
+            idx += 1
+    except WorkBoundExceeded as exc:
+        exc.nodes, exc.depth = nodes, built // p
+        raise
     return nodes
 
 
@@ -526,7 +531,11 @@ def search_cs(
         found.add(canon)
         return len(found) == limit
 
-    nodes = _enumerate(q, set_size, length, emit, work_bound)
+    try:
+        nodes = _enumerate(q, set_size, length, emit, work_bound)
+    except WorkBoundExceeded as exc:
+        exc.classes = len(found)
+        raise
     try:
         sets = ensure_verified_all(ComplementarySet(tuple(Sequence(q, r) for r in canon))
                                    for canon in sorted(found))

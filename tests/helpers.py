@@ -7,6 +7,7 @@ under test are checked against a second route, not against themselves.
 
 from __future__ import annotations
 
+import argparse
 import cmath
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from cskit import cli
 from cskit.algebra import RootSum, Sequence, root_coords
 from cskit.construct import Coeffs4, cs4_from_pairs
 from cskit.errors import InputError, ParseError, WorkBoundExceeded
@@ -883,3 +885,90 @@ def oracle_reachable_lengths(q: int, set_size: int, max_len: int) -> Reachabilit
         witness, constructive = _pick(by_length[length])
         entries.append(LengthEntry(length, witness, constructive))
     return ReachabilitySet(q, set_size, max_len, tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# The CLI parser as built before it read the terminal width once: argparse's
+# defaults read it for every help formatter and derive each subparsers' prog
+# from a formatted usage line. `cli.build_parser` must print the same help
+# and usage errors.
+
+
+def oracle_build_parser() -> argparse.ArgumentParser:
+    """`cli.build_parser` as argparse builds it by default."""
+    parser = cli._Parser(
+        prog="cskit",
+        description="Construct, verify, search, and enumerate complementary sequence sets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="decide whether a set file is complementary")
+    p.add_argument("file")
+    p.add_argument("--report", choices=["text", "json"], default="text")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("theorem1", help="size-4 set from two pairs (lengths M and N)")
+    p.add_argument("--pair-a", required=True)
+    p.add_argument("--pair-b", required=True)
+    p.add_argument("--coeffs", required=True, metavar="x0,x1,y0,y1")
+    p.add_argument("--complex", action="store_true",
+                   help="coefficients as literals 1,-1,i,-i instead of exponents")
+    p.add_argument("--out")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=cli.cmd_theorem1)
+
+    p = sub.add_parser("theorem2", help="size-8 set from a pair and a size-4 set")
+    p.add_argument("--pair", required=True)
+    p.add_argument("--set", required=True)
+    p.add_argument("--coeffs", required=True, metavar="x0,x1,x2,x3,y0,y1")
+    p.add_argument("--complex", action="store_true")
+    p.add_argument("--out")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=cli.cmd_theorem2)
+
+    p = sub.add_parser("stack", help="vertically concatenate verified sets")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--out")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=cli.cmd_stack)
+
+    p = sub.add_parser("gcp", help="compose a pair of a given length from seeds")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--out")
+    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(func=cli.cmd_gcp)
+
+    p = sub.add_parser("enumerate", help="reachable set lengths with witnesses")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--size", type=int, choices=[4, 8], required=True)
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--table1", action="store_true",
+                   help="diff against the embedded reference rows")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_enumerate)
+
+    p = sub.add_parser("search", help="exhaustive set search, canonicalized")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--limit", type=int)
+    p.add_argument("--work-bound", type=int, default=cli.DEFAULT_WORK_BOUND)
+    p.set_defaults(func=cli.cmd_search)
+
+    p = sub.add_parser("papr", help="per-row peak-to-average power ratio")
+    p.add_argument("file")
+    p.add_argument("--oversample", type=int, default=cli.DEFAULT_OVERSAMPLE)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_papr)
+
+    p = sub.add_parser("seeds", help="seed database views")
+    seeds_sub = p.add_subparsers(dest="seeds_command", required=True)
+    pl = seeds_sub.add_parser("list", help="list the packaged seed pairs")
+    pl.add_argument("--q", type=int)
+    pl.set_defaults(func=cli.cmd_seeds)
+
+    p = sub.add_parser("selftest", help="verify every packaged data file")
+    p.set_defaults(func=cli.cmd_selftest)
+
+    return parser

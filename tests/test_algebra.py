@@ -249,6 +249,9 @@ def test_scale_and_negate_match_loop_oracle(q, data):
     assert a.scale(u).exponents == oracle_scale(a, u)
     if q % 2 == 0:
         assert a.negate().exponents == oracle_scale(a, q // 2)
+    else:
+        with pytest.raises(InputError, match=f"^-1 is not a root of unity for q={q}$"):
+            a.negate()
 
 
 @given(st.sampled_from([1, 2, 3, 4, 5, 8, 10, 11, 12]), st.booleans(), st.data())

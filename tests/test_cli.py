@@ -17,13 +17,27 @@ from cskit.search import SearchResult
 from cskit.seeds import GcpLookup
 from cskit.verify import verify
 
-from helpers import rootsum_accf, sum_rootsums
+from helpers import oracle_build_parser, rootsum_accf, sum_rootsums
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors and --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+COMMANDS = ["verify", "theorem1", "theorem2", "stack", "gcp", "enumerate", "search", "papr",
+            "seeds", "selftest"]
 
 
 def golden(golden_dir, name):
@@ -174,7 +188,24 @@ def test_theorem1_rejects_imaginary_literal_for_binary(capsys, golden_dir):
         "--complex",
     )
     assert code == 2
-    assert "not a 2-th root" in err
+    assert err == "error: input: i is not a root of unity for q=2\n"
+
+
+def test_theorem1_takes_imaginary_literals_for_quaternary(capsys, tmp_path):
+    # at q = 4 each literal is a root: 1, i, -1, -i are exponents 0, 1, 2, 3
+    for length in (3, 5):
+        assert main(["gcp", "--q", "4", "--len", str(length),
+                     "--out", str(tmp_path / f"p{length}.txt")]) == 0
+    capsys.readouterr()
+    outputs = []
+    for coeffs, flags in (("i,-1,1,-i", ["--complex"]), ("1,2,0,3", [])):
+        code, out, err = run(capsys, "theorem1", "--pair-a", str(tmp_path / "p3.txt"),
+                             "--pair-b", str(tmp_path / "p5.txt"), "--coeffs", coeffs, *flags)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    cs, _ = parse_set(outputs[0])
+    assert (cs.q, cs.size, cs.length) == (4, 4, 8) and verify(cs).is_cs
 
 
 def test_theorem2_reproduces_packaged_output(capsys, golden_dir, tmp_path):
@@ -390,6 +421,35 @@ def test_usage_errors_print_one_line_and_exit2(capsys, argv, message):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("columns", ["80", "120"])
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS),
+                                  ["seeds", "list", "--help"], ["frob"],
+                                  ["search", "--q", "2"], ["gcp", "--q", "x", "--len", "4"]])
+def test_help_and_usage_errors_match_the_default_argparse_parser(capsys, monkeypatch,
+                                                                 columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", oracle_build_parser)
+    assert got == outcome(capsys, argv)
+    assert got[0] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("argv", [["gcp", "--q", "2", "--len", "4"], ["search", "--q", "2"]])
+def test_a_call_reads_the_terminal_size_once_and_every_call_reads_it(capsys, monkeypatch,
+                                                                    argv):
+    reads = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: reads.append(a) or size(*a))
+    outcome(capsys, argv)
+    assert len(reads) == 1
+    heights = []
+    for columns in ("80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        heights.append(outcome(capsys, ["--help"])[1].count("\n"))
+    assert len(reads) == 3
+    assert heights[0] > heights[1]  # the usage line wraps at 80 columns, not at 120
+
+
 def test_search_limit_below_one_exit2(capsys):
     code, out, err = run(
         capsys, "search", "--q", "2", "--size", "2", "--len", "2", "--limit", "0"
@@ -591,8 +651,7 @@ def set_file_bytes(draw):
 @st.composite
 def argv(draw, files, bad):
     # files: two set files and an output path; bad: paths the OS refuses
-    command = draw(st.sampled_from(["verify", "papr", "stack", "theorem1", "theorem2", "gcp",
-                                    "enumerate", "search", "seeds", "selftest"]))
+    command = draw(st.sampled_from(COMMANDS))
     coeffs = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "i", "-i", "x"]),
                       min_size=3, max_size=7).map(",".join)
 
@@ -654,10 +713,6 @@ def test_fuzzed_invocations_end_with_an_exit_code(capsys, tmp_path, data):
     plain.write_text("not a directory\n")
     bad = [str(tmp_path / "missing.txt"), str(plain / "x"), str(tmp_path / ("a" * 5000))]
     tokens = data.draw(argv(files, bad), label="argv")
-    try:
-        code = main(tokens)
-    except SystemExit as exc:  # argparse: usage errors and --help
-        code = exc.code
-    err = capsys.readouterr().err
+    code, _, err = outcome(capsys, tokens)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -504,6 +504,20 @@ def test_work_bound_is_enforced():
         search_cs(2, 4, 4, work_bound=50)
 
 
+def test_work_bound_error_reports_how_far_the_search_got():
+    # a bound one node short of the k-th class stops at that node, in the
+    # last of the 15 columns after column 0, with k - 1 classes found
+    for k in (1, 5):
+        nodes = search_cs(2, 2, 16, limit=k).nodes
+        with pytest.raises(WorkBoundExceeded,
+                           match=f"^search exceeded the work bound of {nodes - 1} nodes$") as exc:
+            search_cs(2, 2, 16, work_bound=nodes - 1)
+        assert (exc.value.nodes, exc.value.depth, exc.value.classes) == (nodes, 15, k - 1)
+    with pytest.raises(WorkBoundExceeded) as exc:
+        search_cs(2, 2, 16, work_bound=0)
+    assert (exc.value.nodes, exc.value.depth, exc.value.classes) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("q", [2, 4])
 def test_long_search_stops_at_a_small_work_bound(q):
     # the packed setup grows as N^2 bits; at N = 1000 it takes well under 1 s
@@ -516,8 +530,9 @@ def test_state_bound_stops_a_deep_search(monkeypatch):
     # bound of 2^24 bits stops it when it reaches its 9th column
     monkeypatch.setattr(search, "STATE_BOUND", 2**24)
     with pytest.raises(WorkBoundExceeded,
-                       match="search state exceeded the bound of 2 MiB at column 9 of 40"):
+                       match="search state exceeded the bound of 2 MiB at column 9 of 40") as exc:
         search_cs(10, 2, 40)
+    assert exc.value.nodes > 0 and (exc.value.depth, exc.value.classes) == (8, 0)
     assert search_cs(10, 2, 5).nodes == 22735  # its 4 columns stay below
 
 
