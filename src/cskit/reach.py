@@ -14,9 +14,11 @@ up to the maximum and keeps the ones it accepts.
 
 Existence of a pattern length does not imply this toolkit can emit a
 pair: the shipped compositions only multiply a binary-pattern length
-into a single primitive seed. Each enumerated length is therefore
-labeled constructive or existence-only by checking for a composition
-plan, independently of the abstract pattern.
+into a single primitive seed. `composition` plans that product once, as
+a tree of seed, doubling and Turyn steps that `seeds.gcp_for_length`
+replays. Each enumerated length is therefore labeled constructive or
+existence-only by whether it has a plan, independently of the abstract
+pattern.
 
 One witness is kept per length. It comes from the constructive
 candidates when there are any, else from all of them, and is the least
@@ -29,11 +31,13 @@ no candidate list is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 
-QUATERNARY_SEED_KERNELS = (13, 11, 5, 3, 2, 1)
+# the primitive pairs shipped as seed files, largest first (the order the
+# quaternary kernels are tried in)
+SEED_LENGTHS = {2: (26, 10, 2, 1), 4: (13, 11, 5, 3, 2, 1)}
 _PATTERN_PRIMES = {2: (2, 5, 13), 4: (2, 3, 5, 11, 13)}
 
 
@@ -100,35 +104,57 @@ def in_gcp_pattern(q: int, length: int) -> Optional[LengthFactorization]:
     return LengthFactorization(4, (twos - u, b, c, e, z, u))
 
 
-def binary_composition_plan(length: int) -> Optional[tuple[int, int, int]]:
-    """(doublings, factors of 10, factors of 26) realizing a binary length."""
-    fact = in_gcp_pattern(2, length)
-    return None if fact is None else fact.exponents
+class Composition(NamedTuple):
+    """One step of a Golay-pair composition and the steps it takes as input."""
+
+    op: str  # "seed", "double" (of parts[0]) or "turyn" (parts[0] binary, parts[1])
+    q: int
+    length: int
+    parts: tuple[Composition, ...] = ()
+
+    def describe(self) -> str:
+        if self.op == "seed":
+            return f"seed(q={self.q}, len={self.length})"
+        return f"{self.op}({', '.join(part.describe() for part in self.parts)})"
 
 
-def quaternary_composition_plan(length: int) -> Optional[tuple[int, tuple[int, int, int]]]:
-    """(seed kernel K, binary plan for length/K) realizing a quaternary length.
+def composition(q: int, length: int) -> Optional[Composition]:
+    """The composition of a pair of one length from the shipped seeds, or None.
 
-    The shipped compositions reach exactly the lengths (binary pattern) * K
-    for a primitive quaternary seed K; larger odd parts (9, 33, ...) stay
-    out of reach even when the existence pattern admits them.
+    A binary length 2^a * 10^b * 26^c is a Turyn chain over the seeds 26
+    (c times) and then 10 (b times), doubled a times; with no chain the
+    doublings start from the seed 2, or the length is the seed 1. A
+    quaternary length is such a binary length times the largest primitive
+    seed K that leaves one, so larger odd parts (9, 33, ...) stay out of
+    reach even when the existence pattern admits them.
     """
-    if length < 1:
+    if q not in SEED_LENGTHS:
+        raise InputError(f"no composition data for q={q} (supported: 2, 4)")
+    if q == 4:
+        for kernel in SEED_LENGTHS[4]:
+            if length % kernel == 0 and (binary := composition(2, length // kernel)) is not None:
+                seed = Composition("seed", 4, kernel)
+                return seed if length == kernel else Composition("turyn", 4, length, (binary, seed))
         return None
-    for kernel in QUATERNARY_SEED_KERNELS:
-        if length % kernel == 0:
-            plan = binary_composition_plan(length // kernel)
-            if plan is not None:
-                return kernel, plan
-    return None
+    fact = in_gcp_pattern(2, length)
+    if fact is None:
+        return None
+    doublings, tens, twentysixes = fact.exponents
+    node = None
+    for kernel in (26,) * twentysixes + (10,) * tens:
+        seed = Composition("seed", 2, kernel)
+        node = seed if node is None else Composition("turyn", 2, kernel * node.length, (seed, node))
+    if node is None:
+        if doublings == 0:
+            return Composition("seed", 2, 1)
+        node, doublings = Composition("seed", 2, 2), doublings - 1
+    for _ in range(doublings):
+        node = Composition("double", 2, 2 * node.length, (node,))
+    return node
 
 
 def has_composition_plan(q: int, length: int) -> bool:
-    if q == 2:
-        return binary_composition_plan(length) is not None
-    if q == 4:
-        return quaternary_composition_plan(length) is not None
-    raise InputError(f"no composition data for q={q} (supported: 2, 4)")
+    return composition(q, length) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +216,37 @@ def _record(found: dict, new: int, kind: str, m: Optional[int], constructive: bo
         found[length] = LengthEntry(length, Derivation(kind, operands), constructive)
 
 
-def cs4_lengths(q: int, max_len: int) -> ReachabilitySet:
-    """Reachable size-4 lengths: all sums M+N of two pattern lengths M <= N."""
+def _pools(q: int, max_len: int) -> tuple[list[int], list[int]]:
+    """(the pattern lengths with a composition, all pattern lengths) up to max_len."""
     pattern = gcp_lengths(q, max_len)
-    feasible = [m for m in pattern if has_composition_plan(q, m)]
+    return [m for m in pattern if has_composition_plan(q, m)], pattern
+
+
+def _cs4_entries(max_len: int, pools) -> tuple[LengthEntry, ...]:
     found: dict[int, LengthEntry] = {}
     untaken = (1 << (max_len + 1)) - 1
-    for pool, constructive in ((feasible, True), (pattern, False)):
+    for pool, constructive in zip(pools, (True, False)):
         pool_mask = _mask(pool)
         for m in pool:
             # bit n >= m of the pool moves to n + m
             new = ((pool_mask >> m) << 2 * m) & untaken
             untaken ^= new
             _record(found, new, "pair-sum", m, constructive)
-    return ReachabilitySet(q, 4, max_len, tuple(found[n] for n in sorted(found)))
+    return tuple(found[n] for n in sorted(found))
+
+
+def cs4_lengths(q: int, max_len: int) -> ReachabilitySet:
+    """Reachable size-4 lengths: all sums M+N of two pattern lengths M <= N."""
+    return ReachabilitySet(q, 4, max_len, _cs4_entries(max_len, _pools(q, max_len)))
 
 
 def cs8_lengths(q: int, max_len: int) -> ReachabilitySet:
     """Reachable size-8 lengths: pair length + size-4 length, or a stack."""
-    pattern = gcp_lengths(q, max_len)
-    feasible = [m for m in pattern if has_composition_plan(q, m)]
-    cs4 = cs4_lengths(q, max_len).entries
+    pools = _pools(q, max_len)
+    cs4 = _cs4_entries(max_len, pools)
     found: dict[int, LengthEntry] = {}
     untaken = (1 << (max_len + 1)) - 1
-    for firsts, constructive in ((feasible, True), (pattern, False)):
+    for firsts, constructive in zip(pools, (True, False)):
         partners = _mask(e.length for e in cs4 if e.constructive or not constructive)
         for m in firsts:
             new = (partners << m) & untaken

@@ -1,11 +1,12 @@
 """Verified-on-load database of primitive Golay pairs.
 
-Seeds ship as text files under cskit/data/seeds/ (binary lengths 1, 2,
-10, 26; quaternary lengths 1, 2, 3, 5, 11, 13). Every record must pass
-the pair verifier at load time; a failing or missing record aborts with
-an error naming the seed, so no unverified data can enter a
-construction. Composite lengths are realized on demand by doubling and
-Turyn products along a factorization plan.
+Seeds ship as text files under cskit/data/seeds/, one per length in
+`reach.SEED_LENGTHS` (binary 1, 2, 10, 26; quaternary 1, 2, 3, 5, 11,
+13). Every record must pass the pair verifier at load time; a failing or
+missing record aborts with an error naming the seed, so no unverified
+data can enter a construction. A composite length is realized on demand
+by replaying the tree `reach.composition` plans for it: its seed leaves
+come from this database, its doubling and Turyn steps from `construct`.
 """
 
 from __future__ import annotations
@@ -20,17 +21,10 @@ from typing import Optional, Union
 from . import io as setio
 from .construct import golay_double, turyn_product
 from .errors import InputError, SeedError
-from .reach import (
-    QUATERNARY_SEED_KERNELS,
-    binary_composition_plan,
-    in_gcp_pattern,
-    quaternary_composition_plan,
-)
+from .reach import SEED_LENGTHS, Composition, composition, in_gcp_pattern
 from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
-
-REQUIRED_LENGTHS = {2: (1, 2, 10, 26), 4: tuple(sorted(QUATERNARY_SEED_KERNELS))}
 
 _FILENAME = re.compile(r"^q(\d+)_len(\d+)\.txt$")
 
@@ -91,7 +85,7 @@ def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
         records.append(record)
     records.sort(key=lambda r: r.length)
     have = {r.length for r in records}
-    missing = [ln for ln in REQUIRED_LENGTHS[q] if ln not in have]
+    missing = [ln for ln in sorted(SEED_LENGTHS[q]) if ln not in have]
     if missing:
         raise SeedError(f"missing q={q} seed files for lengths {missing}")
     return tuple(records)
@@ -99,7 +93,7 @@ def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
 
 def load_seeds(q: int, directory: Union[str, Path, None] = None) -> tuple[SeedRecord, ...]:
     """All seed records for one alphabet, verified and sorted by length."""
-    if q not in REQUIRED_LENGTHS:
+    if q not in SEED_LENGTHS:
         raise InputError(f"no seeds for q={q} (supported: 2, 4)")
     if directory is None:
         return _load_default(q)
@@ -137,27 +131,12 @@ class GcpLookup:
         return self.pair is not None
 
 
-def _build_binary(plan: tuple[int, int, int]) -> tuple[ComplementarySet, str]:
-    doublings, tens, twentysixes = plan
-    pair = None
-    chain = ""
-    for count, ln in ((twentysixes, 26), (tens, 10)):
-        for _ in range(count):
-            record = seed_pair(2, ln)
-            if pair is None:
-                pair, chain = record.pair, f"seed(q=2, len={ln})"
-            else:
-                pair = turyn_product(record.pair, pair)
-                chain = f"turyn(seed(q=2, len={ln}), {chain})"
-    if pair is None:
-        if doublings == 0:
-            return seed_pair(2, 1).pair, "seed(q=2, len=1)"
-        pair, chain = seed_pair(2, 2).pair, "seed(q=2, len=2)"
-        doublings -= 1
-    for _ in range(doublings):
-        pair = golay_double(pair)
-        chain = f"double({chain})"
-    return pair, chain
+def _build(step: Composition) -> ComplementarySet:
+    """Replay a composition: seeds from the database, steps through `construct`."""
+    if step.op == "seed":
+        return seed_pair(step.q, step.length).pair
+    parts = [_build(part) for part in step.parts]
+    return golay_double(*parts) if step.op == "double" else turyn_product(*parts)
 
 
 @lru_cache(maxsize=None)
@@ -168,30 +147,15 @@ def gcp_for_length(q: int, length: int) -> GcpLookup:
     the reason (length outside the existence pattern, or inside it but
     with no composition path from the shipped seeds).
     """
-    if q not in REQUIRED_LENGTHS:
+    if q not in SEED_LENGTHS:
         raise InputError(f"no seeds for q={q} (supported: 2, 4)")
     if length < 1:
         raise InputError(f"length must be >= 1, got {length}")
+    plan = composition(q, length)
+    if plan is not None:
+        return GcpLookup(q, length, pair=_build(plan), chain=plan.describe())
     if q == 2:
-        plan = binary_composition_plan(length)
-        if plan is None:
-            return GcpLookup(
-                q, length, reason=f"{length} is not of the form 2^a * 10^b * 26^c"
-            )
-        pair, chain = _build_binary(plan)
-        return GcpLookup(q, length, pair=pair, chain=chain)
-
-    qplan = quaternary_composition_plan(length)
-    if qplan is not None:
-        kernel, bplan = qplan
-        record = seed_pair(4, kernel)
-        if length == kernel:
-            return GcpLookup(q, length, pair=record.pair, chain=f"seed(q=4, len={kernel})")
-        bpair, bchain = _build_binary(bplan)
-        pair = turyn_product(bpair, record.pair)
-        return GcpLookup(
-            q, length, pair=pair, chain=f"turyn({bchain}, seed(q=4, len={kernel}))"
-        )
+        return GcpLookup(q, length, reason=f"{length} is not of the form 2^a * 10^b * 26^c")
     fact = in_gcp_pattern(4, length)
     if fact is not None:
         return GcpLookup(

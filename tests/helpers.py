@@ -12,13 +12,13 @@ import cmath
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from cskit import cli
 from cskit.algebra import RootSum, Sequence, root_coords
-from cskit.construct import Coeffs4, cs4_from_pairs
+from cskit.construct import Coeffs4, cs4_from_pairs, golay_double, turyn_product
 from cskit.errors import InputError, ParseError, WorkBoundExceeded
 from cskit.io import _HEADER
 from cskit.reach import (
@@ -27,9 +27,10 @@ from cskit.reach import (
     LengthFactorization,
     ReachabilitySet,
     has_composition_plan,
+    in_gcp_pattern,
 )
 from cskit.search import Rows, _column_order
-from cskit.seeds import gcp_for_length
+from cskit.seeds import gcp_for_length, seed_pair
 from cskit.verify import ComplementarySet, ensure_verified, verify
 
 
@@ -972,3 +973,71 @@ def oracle_build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_selftest)
 
     return parser
+
+
+# ---------------------------------------------------------------------------
+# Pair composition as it was before `reach.composition` planned it as a tree:
+# exponent-tuple plans, replayed by loops that build the derivation chain
+# string beside the pair. `gcp_for_length` must give the same chain and the
+# same pair.
+
+ORACLE_QUATERNARY_KERNELS = (13, 11, 5, 3, 2, 1)
+
+
+def oracle_binary_composition_plan(length: int) -> Optional[tuple[int, int, int]]:
+    """(doublings, factors of 10, factors of 26) realizing a binary length."""
+    fact = in_gcp_pattern(2, length)
+    return None if fact is None else fact.exponents
+
+
+def oracle_quaternary_composition_plan(
+    length: int,
+) -> Optional[tuple[int, tuple[int, int, int]]]:
+    """(seed kernel K, binary plan for length/K) realizing a quaternary length."""
+    if length < 1:
+        return None
+    for kernel in ORACLE_QUATERNARY_KERNELS:
+        if length % kernel == 0:
+            plan = oracle_binary_composition_plan(length // kernel)
+            if plan is not None:
+                return kernel, plan
+    return None
+
+
+def _oracle_build_binary(plan: tuple[int, int, int]) -> tuple[ComplementarySet, str]:
+    doublings, tens, twentysixes = plan
+    pair = None
+    chain = ""
+    for count, ln in ((twentysixes, 26), (tens, 10)):
+        for _ in range(count):
+            record = seed_pair(2, ln)
+            if pair is None:
+                pair, chain = record.pair, f"seed(q=2, len={ln})"
+            else:
+                pair = turyn_product(record.pair, pair)
+                chain = f"turyn(seed(q=2, len={ln}), {chain})"
+    if pair is None:
+        if doublings == 0:
+            return seed_pair(2, 1).pair, "seed(q=2, len=1)"
+        pair, chain = seed_pair(2, 2).pair, "seed(q=2, len=2)"
+        doublings -= 1
+    for _ in range(doublings):
+        pair = golay_double(pair)
+        chain = f"double({chain})"
+    return pair, chain
+
+
+def oracle_gcp(q: int, length: int) -> Optional[tuple[ComplementarySet, str]]:
+    """(pair, derivation chain) of one length, or None when no plan reaches it."""
+    if q == 2:
+        plan = oracle_binary_composition_plan(length)
+        return None if plan is None else _oracle_build_binary(plan)
+    qplan = oracle_quaternary_composition_plan(length)
+    if qplan is None:
+        return None
+    kernel, bplan = qplan
+    record = seed_pair(4, kernel)
+    if length == kernel:
+        return record.pair, f"seed(q=4, len={kernel})"
+    bpair, bchain = _oracle_build_binary(bplan)
+    return turyn_product(bpair, record.pair), f"turyn({bchain}, seed(q=4, len={kernel}))"

@@ -248,11 +248,48 @@ def test_stack_doubles_set_size(capsys, golden_dir, tmp_path):
 def test_gcp_prints_chain(capsys, tmp_path):
     out_file = tmp_path / "pair.txt"
     code, out, _ = run(capsys, "gcp", "--q", "2", "--len", "52", "--out", str(out_file))
-    assert code == 0
-    assert "derivation:" in out
-    assert "len=26" in out
+    assert (code, out) == (0, "derivation: double(seed(q=2, len=26))\n")
     cs, _ = read_set_file(out_file)
     assert cs.size == 2 and cs.length == 52
+
+
+@pytest.mark.parametrize(
+    "q,length,chain",
+    [
+        (2, 1, "seed(q=2, len=1)"),
+        (2, 2, "seed(q=2, len=2)"),
+        (4, 1, "seed(q=4, len=1)"),
+        (4, 4, "turyn(seed(q=2, len=2), seed(q=4, len=2))"),
+        (4, 1040, "turyn(double(double(double(seed(q=2, len=10)))), seed(q=4, len=13))"),
+    ],
+)
+def test_gcp_derivation_line(capsys, q, length, chain):
+    code, out, _ = run(capsys, "gcp", "--q", str(q), "--len", str(length))
+    assert code == 0
+    assert out.splitlines()[:2] == [f"derivation: {chain}", f"q={q} rows=2 len={length}"]
+
+
+@pytest.mark.parametrize(
+    "q,length,reason",
+    [
+        (2, 3, "3 is not of the form 2^a * 10^b * 26^c"),
+        (
+            4,
+            18,
+            "length reachable in principle (2^(1+0) * 3^2 * 5^0 * 11^0 * 13^0 satisfies the "
+            "existence pattern), but no construction path is available from the shipped seeds",
+        ),
+        (
+            4,
+            29,
+            "29 is not of the form 2^(a+u) * 3^b * 5^c * 11^e * 13^z "
+            "with b+c+e+z <= a+2u+1 and u <= c+z",
+        ),
+    ],
+)
+def test_gcp_unavailable_line(capsys, q, length, reason):
+    code, out, err = run(capsys, "gcp", "--q", str(q), "--len", str(length))
+    assert (code, out, err) == (1, f"no q={q} pair of length {length}: {reason}\n", "")
 
 
 def test_gcp_unavailable_exit1(capsys):

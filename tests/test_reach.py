@@ -207,6 +207,19 @@ def test_witnesses_match_candidate_list_oracle(q, size):
         assert reachable_lengths(q, size, cap) == helpers.oracle_reachable_lengths(q, size, cap)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_size8_plans_each_pattern_length_once(monkeypatch, q):
+    calls = []
+
+    def counted(q_, m):
+        calls.append(m)
+        return has_composition_plan(q_, m)
+
+    monkeypatch.setattr(reach_module, "has_composition_plan", counted)
+    cs8_lengths(q, 2600)
+    assert sorted(calls) == gcp_lengths(q, 2600)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_witnesses_match_oracle_under_random_plans(monkeypatch, seed):
     # The real plans never pit a constructive stack against an existence-only

@@ -4,8 +4,12 @@ import shutil
 
 import pytest
 
+import helpers
+from cskit import seeds
 from cskit.errors import InputError, SeedError
-from cskit.seeds import REQUIRED_LENGTHS, gcp_for_length, load_seeds, seed_pair
+from cskit.io import serialize_set
+from cskit.reach import SEED_LENGTHS, composition
+from cskit.seeds import gcp_for_length, load_seeds, seed_pair
 from cskit.verify import verify
 
 
@@ -14,7 +18,7 @@ def test_required_lengths_present_and_verified(q):
     records = load_seeds(q)
     lengths = [r.length for r in records]
     assert lengths == sorted(lengths)
-    for needed in REQUIRED_LENGTHS[q]:
+    for needed in SEED_LENGTHS[q]:
         assert needed in lengths
     for record in records:
         assert record.pair.verified
@@ -163,3 +167,42 @@ def test_bad_requests_rejected():
         gcp_for_length(2, 0)
     with pytest.raises(InputError):
         gcp_for_length(5, 4)
+
+
+def test_gcp_matches_the_chain_building_oracle_to_2600():
+    constructive = {2: 0, 4: 0}
+    for q in (2, 4):
+        for length in range(1, 2601):
+            expected = helpers.oracle_gcp(q, length)
+            result = gcp_for_length.__wrapped__(q, length)
+            assert result.available == (expected is not None), (q, length)
+            if expected is not None:
+                pair, chain = expected
+                assert result.chain == chain
+                assert serialize_set(result.pair) == serialize_set(pair)
+                constructive[q] += 1
+    assert constructive == {2: 42, 4: 98}
+
+
+@pytest.mark.parametrize("q,length,steps", [(2, 1024, 9), (4, 1040, 4)])
+def test_replay_runs_one_construct_call_per_tree_step(monkeypatch, q, length, steps):
+    # patched on the module, as a tracer does: the replay must look them up at call time
+    calls = []
+    for op, name in (("double", "golay_double"), ("turyn", "turyn_product")):
+
+        def counted(*parts, _op=op, _fn=getattr(seeds, name)):
+            out = _fn(*parts)
+            calls.append((_op, out.length))
+            return out
+
+        monkeypatch.setattr(seeds, name, counted)
+
+    def post_order(step):
+        for part in step.parts:
+            yield from post_order(part)
+        if step.op != "seed":
+            yield step.op, step.length
+
+    assert gcp_for_length.__wrapped__(q, length).pair.length == length
+    assert calls == list(post_order(composition(q, length)))
+    assert len(calls) == steps
