@@ -11,8 +11,10 @@ timed on identical work; each benchmark also checks its result.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import random
+import sys
 
 import pytest
 
@@ -154,6 +156,29 @@ def run_cli(*argv):
 def test_cli_search_q2_size4_len5(benchmark):
     code, out = benchmark(run_cli, "search", "--q", "2", "--size", "4", "--len", "5")
     assert code == 0 and out.count("q=2 rows=4 len=5\n") == 24
+
+
+def _drop_cskit() -> dict:
+    """Remove cskit and its submodules from sys.modules; return what was there."""
+    names = [n for n in sys.modules if n == "cskit" or n.startswith("cskit.")]
+    return {name: sys.modules.pop(name) for name in names}
+
+
+def test_fresh_import(benchmark):
+    # each CLI call starts a new process that imports cskit (bytecode may be
+    # cached here); the originals come back, so later cases see one cskit
+    def fresh():
+        _drop_cskit()
+        importlib.import_module("cskit")
+        return importlib.import_module("cskit.cli")
+
+    saved = _drop_cskit()
+    try:
+        assert benchmark(fresh).build_parser().prog == "cskit"
+    finally:
+        _drop_cskit()
+        sys.modules.update(saved)
+    assert sys.modules["cskit.cli"] is cli
 
 
 def test_cli_build_parser(benchmark):

@@ -78,6 +78,7 @@ def _reduce_counts(q: int, counts: Iterable[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# not a NamedTuple: tuple + would silently concatenate two ring elements
 @dataclass(frozen=True)
 class RootSum:
     """An element of Z[zeta_q]: an integer combination of q-th roots of unity.
@@ -120,6 +121,7 @@ _PRETTY = {2: "+-", 4: "+i-î"}  # exponents 0,1,2,3 over q=4 are 1, i, -1, -i
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
+# not a NamedTuple: tuple copy and pickle would run its __iter__ over the exponents
 @dataclass(frozen=True)
 class Sequence:
     """A length-N vector over U_q, stored as integer exponents in [0, q)."""
@@ -203,6 +205,7 @@ def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     return ring.T.astype(np.float64), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
 
 
+# not a NamedTuple: __eq__ and __add__ act on the ndarray
 @dataclass(frozen=True, eq=False)
 class CorrelationProfile:
     """Correlation values over shifts tau in [-(N-1), N-1].

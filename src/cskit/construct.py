@@ -12,8 +12,7 @@ Every constructor verifies its output exactly once, through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence as Seq
+from typing import NamedTuple, Sequence as Seq
 
 import numpy as np
 
@@ -60,8 +59,7 @@ def _violated(coeffs, q: int, *identities: str) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class Coeffs4:
+class Coeffs4(NamedTuple):
     """Unimodular constants (as U_q exponents) steering the size-4 rule.
 
     Admissible when x0*conj(y0) + x1*conj(y1) = 0, i.e. when
@@ -75,7 +73,7 @@ class Coeffs4:
     y1: int
 
     def reduced(self, q: int) -> "Coeffs4":
-        return Coeffs4(self.x0 % q, self.x1 % q, self.y0 % q, self.y1 % q)
+        return Coeffs4(*(v % q for v in self))
 
     def violations(self, q: int) -> list[str]:
         if q % 2:
@@ -83,8 +81,7 @@ class Coeffs4:
         return _violated(self.reduced(q), q, "x0 y0 x1 y1")
 
 
-@dataclass(frozen=True)
-class Coeffs8:
+class Coeffs8(NamedTuple):
     """Unimodular constants (as U_q exponents) steering the size-8 rule.
 
     Admissible when x0*conj(y0) + x2*conj(y1) = 0 and
@@ -99,7 +96,7 @@ class Coeffs8:
     y1: int
 
     def reduced(self, q: int) -> "Coeffs8":
-        return Coeffs8(*(v % q for v in (self.x0, self.x1, self.x2, self.x3, self.y0, self.y1)))
+        return Coeffs8(*(v % q for v in self))
 
     def violations(self, q: int) -> list[str]:
         if q % 2:

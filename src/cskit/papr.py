@@ -9,7 +9,7 @@ pair row, the set size for a complementary-set row) pass one-sidedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import InputError
 DEFAULT_OVERSAMPLE = 16
 
 
-@dataclass(frozen=True)
-class PaprResult:
+class PaprResult(NamedTuple):
     papr: float          # linear scale, >= 1 for unimodular sequences
     peak_t: float        # peak position in [0, 1)
     oversample: int

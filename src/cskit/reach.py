@@ -30,7 +30,6 @@ no candidate list is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InputError
@@ -41,8 +40,7 @@ SEED_LENGTHS = {2: (26, 10, 2, 1), 4: (13, 11, 5, 3, 2, 1)}
 _PATTERN_PRIMES = {2: (2, 5, 13), 4: (2, 3, 5, 11, 13)}
 
 
-@dataclass(frozen=True)
-class LengthFactorization:
+class LengthFactorization(NamedTuple):
     """Pattern witness: (a, b, c) for q=2, (a, b, c, e, z, u) for q=4."""
 
     q: int
@@ -85,10 +83,11 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
 
 def in_gcp_pattern(q: int, length: int) -> Optional[LengthFactorization]:
     """The pattern witness of one length, found by factoring the length."""
+    primes = _pattern_primes(q)  # an unsupported q raises whatever the length
     if length < 1:
         return None
     exps = []
-    for prime in _pattern_primes(q):
+    for prime in primes:
         t, length = _valuation(length, prime)
         exps.append(t)
     if length != 1:
@@ -131,11 +130,11 @@ def composition(q: int, length: int) -> Optional[Composition]:
     if q not in SEED_LENGTHS:
         raise InputError(f"no composition data for q={q} (supported: 2, 4)")
     if q == 4:
-        for kernel in SEED_LENGTHS[4]:
-            if length % kernel == 0 and (binary := composition(2, length // kernel)) is not None:
-                seed = Composition("seed", 4, kernel)
-                return seed if length == kernel else Composition("turyn", 4, length, (binary, seed))
-        return None
+        if (kernel := _kernel(length)) is None:
+            return None
+        seed = Composition("seed", 4, kernel)
+        return seed if length == kernel else Composition(
+            "turyn", 4, length, (composition(2, length // kernel), seed))
     fact = in_gcp_pattern(2, length)
     if fact is None:
         return None
@@ -153,15 +152,23 @@ def composition(q: int, length: int) -> Optional[Composition]:
     return node
 
 
+def _kernel(length: int) -> Optional[int]:
+    """The largest primitive quaternary seed K with length / K a binary pattern length."""
+    return next((kernel for kernel in SEED_LENGTHS[4] if length % kernel == 0
+                 and in_gcp_pattern(2, length // kernel) is not None), None)
+
+
 def has_composition_plan(q: int, length: int) -> bool:
-    return composition(q, length) is not None
+    """Whether `composition(q, length)` is not None, decided without building the tree."""
+    if q == 4:
+        return _kernel(length) is not None
+    return in_gcp_pattern(q, length) is not None  # every binary pattern length has a plan
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """How a set length arises: kind and operand lengths."""
 
     kind: str  # "pair-sum" (M+N), "pair-plus-set4" (M+P), or "stack"
@@ -175,15 +182,13 @@ class Derivation:
         return f"stack of two size-4 sets of length {self.operands[0]}"
 
 
-@dataclass(frozen=True)
-class LengthEntry:
+class LengthEntry(NamedTuple):
     length: int
     witness: Derivation
     constructive: bool
 
 
-@dataclass(frozen=True)
-class ReachabilitySet:
+class ReachabilitySet(NamedTuple):
     q: int
     set_size: int
     max_length: int

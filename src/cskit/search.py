@@ -104,12 +104,11 @@ shape either test refutes visits no node and emits nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .algebra import Sequence, root_coords
 from .errors import InputError, WorkBoundExceeded
@@ -489,8 +488,7 @@ def _backtrack(
     return nodes
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Canonicalized exhaustive search output.
 
     `complete` is False when `limit` stopped the enumeration, that is when

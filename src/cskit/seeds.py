@@ -12,11 +12,10 @@ come from this database, its doubling and Turyn steps from `construct`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import io as setio
 from .construct import golay_double, turyn_product
@@ -29,8 +28,7 @@ PROVENANCES = ("paper-example", "derived-search", "literature")
 _FILENAME = re.compile(r"^q(\d+)_len(\d+)\.txt$")
 
 
-@dataclass(frozen=True)
-class SeedRecord:
+class SeedRecord(NamedTuple):
     q: int
     length: int
     pair: ComplementarySet  # verified
@@ -115,8 +113,7 @@ def seed_pair(q: int, length: int) -> SeedRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GcpLookup:
+class GcpLookup(NamedTuple):
     """Result of a pair request: a verified pair with its derivation chain,
     or an explicit reason why none is available."""
 

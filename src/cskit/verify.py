@@ -10,13 +10,14 @@ coordinates of the summed profile; no epsilon is involved.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import CorrelationProfile, Sequence, aacf
 from .errors import InputError
 
 
+# not a NamedTuple: it validates in __post_init__, and len() would count fields
 @dataclass(frozen=True)
 class ComplementarySet:
     """A stack of equal-length rows over one alphabet.
@@ -51,12 +52,12 @@ class ComplementarySet:
         return len(self.rows[0])
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+# every field is required: a NamedTuple default would be one dict shared by all reports
+class VerificationReport(NamedTuple):
     is_cs: bool
     sum_profile: CorrelationProfile
-    first_defect_shift: Optional[int] = None
-    defect_magnitudes: dict[int, float] = field(default_factory=dict)
+    first_defect_shift: Optional[int]
+    defect_magnitudes: dict[int, float]
 
 
 def _summed_coords(candidate: ComplementarySet, profiles: dict):

@@ -9,6 +9,7 @@ from cskit import reach as reach_module
 from cskit.errors import InputError
 from cskit.reach import (
     PUBLISHED_ROWS,
+    composition,
     cs4_lengths,
     cs8_lengths,
     gcp_lengths,
@@ -106,6 +107,9 @@ def test_unsupported_alphabet():
         gcp_lengths(3, 10)
     with pytest.raises(InputError, match="^max length must be >= 1$"):
         gcp_lengths(3, 0)
+    for length in (0, 8):  # as `composition` does, whatever the length
+        with pytest.raises(InputError, match="^no pattern data for q=3"):
+            has_composition_plan(3, length)
     with pytest.raises(InputError):
         reachable_lengths(2, 6, 10)
 
@@ -218,6 +222,13 @@ def test_size8_plans_each_pattern_length_once(monkeypatch, q):
     monkeypatch.setattr(reach_module, "has_composition_plan", counted)
     cs8_lengths(q, 2600)
     assert sorted(calls) == gcp_lengths(q, 2600)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_has_composition_plan_is_the_planner_answer(q):
+    # decided without building the tree, so checked against the tree itself
+    for m in range(1, 2601):
+        assert has_composition_plan(q, m) == (composition(q, m) is not None), m
 
 
 @pytest.mark.parametrize("seed", range(4))
