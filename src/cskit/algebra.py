@@ -10,12 +10,20 @@ every q. For q in {1, 2, 4} the canonical coordinates are literally Gaussian
 integers. A `RootSum` holds one such value for comparison and display; it
 has no arithmetic.
 
-`accf` runs one numpy kernel for every q: each row becomes an index array
-once (`aacf` reuses it), and float64 correlations of the entries' canonical
-coordinates are exact because every partial sum is an integer of magnitude
-at most N * max|c|^2 < 2^53 (c over the coordinates of the q-th roots),
-folded into canonical coordinates in int64. Otherwise floating point
-appears only in display helpers (`to_complex`, `abs`, `as_complex`).
+`accf` correlates each row pair with numpy, on one of two exact embeddings
+that its cached table picks once per q (`aacf` gathers its row once):
+- q in {1, 2, 4}: the entries themselves, +-1 in float64 or 1, i, -1, -i
+  in complex128, in one `np.correlate`. Every product of two entries is
+  +-1 or +-i, so every real and imaginary partial sum is an integer of
+  magnitude at most N < 2^53 (the CLI caps N at 2^16), summed directly
+  (no FFT); the real and imaginary parts are the canonical coordinates,
+  read into int64.
+- every other q: the entries' canonical coordinates, phi(q)^2 float64
+  correlations whose partial sums are integers of magnitude at most
+  N * max|c|^2 < 2^53 (c over the coordinates of the q-th roots), folded
+  into canonical coordinates in int64.
+No epsilon or rounding decides anything. Otherwise floating point appears
+only in display helpers (`to_complex`, `abs`, `as_complex`).
 """
 
 from __future__ import annotations
@@ -197,10 +205,13 @@ def root_coords(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of zeta_q^d in column d (float64), and of zeta_q^(i+l) in
-    row i*phi(q) + l (int64)."""
+def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """For q in {1, 2, 4}: conj(zeta_q^d) at index d (float64, or complex128
+    for q = 4) and no fold. Otherwise: coordinates of zeta_q^d in column d
+    (float64), and of zeta_q^(i+l) in row i*phi(q) + l (int64)."""
     ring = root_coords(q)
+    if q in (1, 2, 4):  # the coordinates are the real and imaginary parts
+        return (ring[:, 0] - 1j * ring[:, 1] if q == 4 else ring[:, 0].astype(np.float64)), None
     phi = ring.shape[1]
     return ring.T.astype(np.float64), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
 
@@ -251,9 +262,13 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
     shifts use the mirrored sum, which makes accf(a,b)[tau] the conjugate of
     accf(b,a)[-tau] for every tau.
 
-    The value is the sum over i, l < phi(q) of C_il[tau] * zeta_q^(i+l),
-    where C_il correlates coordinate l of conj(b) with coordinate i of a;
-    the module docstring bounds these float64 correlations below 2^53.
+    For q in {1, 2, 4} the value is one correlation of the entries, as
+    Gaussian integers: each partial sum's real and imaginary parts are
+    integers of magnitude at most N < 2^53, and they are the canonical
+    coordinates. For every other q it is the sum over i, l < phi(q) of
+    C_il[tau] * zeta_q^(i+l), where C_il correlates coordinate l of conj(b)
+    with coordinate i of a; the module docstring bounds these float64
+    correlations below 2^53.
     """
     if a.q != b.q:
         raise InputError("correlation needs a shared alphabet")
@@ -262,6 +277,11 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
     q = a.q
     n = len(a)
     roots, fold = _kernel_tables(q)
+    if fold is None:  # conj(b) against conj(a); np.correlate conjugates its second argument
+        conj_a = roots[np.frombuffer(bytes(a.exponents), dtype=np.uint8)]
+        conj_b = conj_a if b is a else roots[np.frombuffer(bytes(b.exponents), dtype=np.uint8)]
+        corr = np.correlate(conj_b, conj_a, "full").view(np.float64)  # (re, im) pairs for q = 4
+        return CorrelationProfile(q, n, corr.reshape(2 * n - 1, -1).astype(np.int64))
     phi = roots.shape[0]
     ia = np.array(a.exponents, dtype=np.intp)
     ca = roots[:, ia]

@@ -32,30 +32,35 @@ _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
 ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
 GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
-SET_LEN_CAP = 2**16  # rows of set files; theorem2 on capped gcp pairs emits 49,152
-SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files; theorem2 writes 8 rows
+SET_LEN_CAP = 2**16  # length of rows read or written; theorem2 on capped gcp pairs writes 49,152
+SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files read or written; theorem2 writes 8 rows
 SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; a full path's slot records grow so
 SEARCH_SLOT_CAP = 2**16  # search --size * --len; per-slot state is allocated before any node
+
+
+def _check_caps(what: str, rows: int, length: int) -> None:
+    if length > SET_LEN_CAP:
+        raise WorkBoundExceeded(f"{what}: row length {length} is above the cap of {SET_LEN_CAP}")
+    if rows * length > SET_ENTRY_CAP:
+        raise WorkBoundExceeded(
+            f"{what}: {rows} rows of length {length} are above the cap of {SET_ENTRY_CAP} entries"
+        )
 
 
 def _load(path: str) -> ComplementarySet:
     # the caps are read from the header, before any row is parsed
     text = setio.decode_text(Path(path).read_bytes())
     _, rows, length = setio.parse_header(text)
-    if length > SET_LEN_CAP:
-        raise WorkBoundExceeded(f"{path}: row length {length} is above the cap of {SET_LEN_CAP}")
-    if rows * length > SET_ENTRY_CAP:
-        raise WorkBoundExceeded(
-            f"{path}: {rows} rows of length {length} are above the cap of {SET_ENTRY_CAP} entries"
-        )
+    _check_caps(path, rows, length)
     return setio.parse_set(text)[0]
 
 
 def _load_pair(path: str, name: str) -> ComplementarySet:
+    """An unverified pair: the caps on the output are checked before verification."""
     cs = _load(path)
     if cs.size != 2:
         raise InputError(f"{name}: expected 2 rows, got {cs.size}")
-    return ensure_verified(cs)
+    return cs
 
 
 def _parse_coeffs(raw: str, count: int, q: int, as_complex: bool) -> list[int]:
@@ -127,6 +132,8 @@ def cmd_verify(args) -> int:
 def cmd_theorem1(args) -> int:
     pair_a = _load_pair(args.pair_a, "--pair-a")
     pair_b = _load_pair(args.pair_b, "--pair-b")
+    _check_caps("theorem1 output", 4, pair_a.length + pair_b.length)
+    pair_a, pair_b = ensure_verified(pair_a), ensure_verified(pair_b)
     x0, x1, y0, y1 = _parse_coeffs(args.coeffs, 4, pair_a.q, args.complex)
     cs = cs4_from_pairs(pair_a, pair_b, Coeffs4(x0, x1, y0, y1))
     _emit_set(cs, args.out, args.pretty)
@@ -134,8 +141,9 @@ def cmd_theorem1(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    pair = _load_pair(args.pair, "--pair")
-    set4 = ensure_verified(_load(args.set))
+    pair, set4 = _load_pair(args.pair, "--pair"), _load(args.set)
+    _check_caps("theorem2 output", 8, pair.length + set4.length)
+    pair, set4 = ensure_verified(pair), ensure_verified(set4)
     coeffs = _parse_coeffs(args.coeffs, 6, pair.q, args.complex)
     cs = cs8_from_pair_and_set(pair, set4, Coeffs8(*coeffs))
     _emit_set(cs, args.out, args.pretty)
@@ -143,8 +151,10 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_stack(args) -> int:
-    sets = [ensure_verified(_load(path)) for path in args.files]
-    _emit_set(stack(sets), args.out, args.pretty)
+    sets = [_load(path) for path in args.files]
+    if len({cs.length for cs in sets}) == 1:  # else stack refuses the lengths (exit 2)
+        _check_caps("stack output", sum(cs.size for cs in sets), sets[0].length)
+    _emit_set(stack([ensure_verified(cs) for cs in sets]), args.out, args.pretty)
     return 0
 
 

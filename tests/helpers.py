@@ -163,6 +163,24 @@ def rootsum_accf(a: Sequence, b: Sequence) -> tuple[RootSum, ...]:
     return tuple(values)
 
 
+def oracle_coordinate_accf(a: Sequence, b: Sequence) -> np.ndarray:
+    """accf's coordinates as the kernel computed them for every q before
+    q in {1, 2, 4} took one Gaussian-integer correlation: phi(q)^2 float64
+    correlations of the entries' canonical coordinates, folded in int64."""
+    q, n = a.q, len(a)
+    ring = root_coords(q)
+    phi = ring.shape[1]
+    roots = ring.T.astype(np.float64)
+    fold = ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
+    ca = roots[:, np.array(a.exponents, dtype=np.intp)]
+    cb = roots[:, -np.array(b.exponents, dtype=np.intp) % q]
+    corr = np.empty((2 * n - 1, phi * phi))
+    for i in range(phi):
+        for l in range(phi):
+            corr[:, i * phi + l] = np.correlate(cb[l], ca[i], "full")
+    return corr.astype(np.int64) @ fold
+
+
 def brute_force_cs(q: int, set_size: int, length: int) -> set:
     """Unpruned reference enumeration, canonical forms of all solutions.
 

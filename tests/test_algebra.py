@@ -2,6 +2,7 @@
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,14 @@ from cskit.algebra import (
     accf,
     cyclotomic_polynomial,
 )
+from cskit.cli import SET_LEN_CAP
 from cskit.errors import InputError
 
 from helpers import (
     conj_rootsum,
     conjugate,
     oracle_as_complex,
+    oracle_coordinate_accf,
     oracle_render,
     oracle_scale,
     profile_values,
@@ -235,6 +238,53 @@ def test_accf_matches_rootsum_oracle(q, n, data):
     b = data.draw(sequences(q, n, n))
     assert profile_values(accf(a, b)) == rootsum_accf(a, b)
     assert profile_values(aacf(a)) == rootsum_accf(a, a)
+
+
+@st.composite
+def gaussian_rows(draw, q, n):
+    # random, constant or alternating (1, -1 or 1, i) rows over q in {1, 2, 4}
+    kind = draw(st.sampled_from(["random", "constant", "alternating"]))
+    if kind == "random":
+        return draw(sequences(q, n, n))
+    if kind == "constant":
+        return Sequence.from_exponents(q, [draw(st.integers(0, q - 1))] * n)
+    step = draw(st.sampled_from([q // 2, q // 4] if q == 4 else [q // 2]))
+    return Sequence.from_exponents(q, [k % 2 * step for k in range(n)])
+
+
+@given(st.sampled_from([1, 2, 4]), st.integers(1, 300), st.data())
+@settings(max_examples=120, deadline=None)
+def test_gaussian_kernel_matches_coordinate_oracle(q, n, data):
+    a, b = data.draw(gaussian_rows(q, n)), data.draw(gaussian_rows(q, n))
+    phi = 1 + (q == 4)
+    for got, want in ((accf(a, b).coords, oracle_coordinate_accf(a, b)),
+                      (aacf(a).coords, oracle_coordinate_accf(a, a))):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (2 * n - 1, phi)
+        assert np.array_equal(got, want)
+
+
+def test_gaussian_kernel_is_exact_at_the_set_length_cap():
+    # closed forms: a constant row gives N - |tau| at shift tau, and an
+    # alternating +-1 row (-1)^tau (N - |tau|); every partial sum is an integer
+    n = SET_LEN_CAP
+    tau = np.arange(-(n - 1), n)
+    const = aacf(Sequence.from_exponents(4, [1] * n)).coords
+    assert np.array_equal(const[:, 0], n - abs(tau)) and not const[:, 1].any()
+    alternating = aacf(Sequence.from_exponents(2, [k % 2 for k in range(n)])).coords
+    assert np.array_equal(alternating[:, 0], (-1) ** abs(tau) * (n - abs(tau)))
+
+
+@pytest.mark.parametrize("q,correlations", [(1, 1), (2, 1), (4, 1), (3, 4), (8, 16)])
+def test_kernel_correlations_per_row_pair(monkeypatch, q, correlations):
+    # one Gaussian-integer correlation for q in {1, 2, 4}; phi(q)^2 otherwise
+    calls = []
+    real = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *args: calls.append(1) or real(*args))
+    a = Sequence.from_exponents(q, range(7))
+    aacf(a)
+    accf(a, a.scale(q - 1))
+    assert len(calls) == 2 * correlations
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,53 @@ def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
         assert code == 2 and err.startswith("error: input: ") and "(line 2, column" in err
 
 
+def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
+    capsys, tmp_path, monkeypatch, golden_dir
+):
+    # caps so small that the golden inputs meet them but the outputs may not:
+    # above a cap no file is written and neither verification nor a
+    # constructor runs; at both caps the set is built and written
+    called = []
+    for name in ("ensure_verified", "cs4_from_pairs", "cs8_from_pair_and_set", "stack"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name:
+                            called.append(_name) or _real(*a))
+    pair, set5, set14 = (golden(golden_dir, name) for name in
+                         ("pair_q2_len10.txt", "cs4_q2_len5.txt", "cs4_q2_len14.txt"))
+    out = tmp_path / "out.txt"
+    cases = [
+        (["theorem1", "--pair-a", pair, "--pair-b", pair, "--coeffs", "0,0,0,1"], 4, 20),
+        (["theorem2", "--pair", pair, "--set", set5, "--coeffs", "0,1,1,0,0,0"], 8, 15),
+        (["stack", set14, set14], 8, 14),  # the output length is an input's, within its cap
+    ]
+    for argv, rows, length in cases:
+        entries = rows * length
+        above = [(length, entries - 1,
+                  f"{rows} rows of length {length} are above the cap of {entries - 1} entries")]
+        if argv[0] != "stack":
+            above.append((length - 1, entries,
+                          f"row length {length} is above the cap of {length - 1}"))
+        for len_cap, entry_cap, message in above:
+            monkeypatch.setattr(cli, "SET_LEN_CAP", len_cap)
+            monkeypatch.setattr(cli, "SET_ENTRY_CAP", entry_cap)
+            expected = (3, "", f"error: work-bound: {argv[0]} output: {message}\n")
+            assert run(capsys, *argv, "--out", str(out)) == expected
+            assert called == [] and not out.exists()
+        monkeypatch.setattr(cli, "SET_LEN_CAP", length)
+        monkeypatch.setattr(cli, "SET_ENTRY_CAP", entries)
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        built = read_set_file(out)[0]
+        assert (built.size, built.length) == (rows, length) and called
+        out.unlink()
+        called.clear()
+    # stacked inputs of different lengths have no output shape: exit 2, as without caps
+    monkeypatch.setattr(cli, "SET_LEN_CAP", 14)
+    monkeypatch.setattr(cli, "SET_ENTRY_CAP", 56)
+    code, _, err = run(capsys, "stack", set5, set14, "--out", str(out))
+    assert (code, err) == (2, "error: input: stacked sets must share one length\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: every invocation ends with an exit code and a message, never a
 # traceback. Sizes stay small so that each call runs in milliseconds.
