@@ -1,14 +1,16 @@
 """Exact values over q-th roots of unity and aperiodic correlation.
 
-A `Sequence` holds its root order q and integer exponents t in [0, q); the
-entry t represents is exp(2*pi*sqrt(-1)*t/q). Its maps (`scale`, `render`,
-`as_complex`) look every entry up in a q-entry table in C (`bytes.translate`
-or `map`). Correlation values are integer combinations of the q-th roots of
-unity, kept in canonical coordinates of the ring Z[zeta_q] (reduced modulo
-the q-th cyclotomic polynomial), so equality and zero tests are exact for
-every q. For q in {1, 2, 4} the canonical coordinates are literally Gaussian
-integers. A `RootSum` holds one such value for comparison and display; it
-has no arithmetic.
+A `Sequence` holds its root order q in [1, MAX_Q] and integer exponents t
+in [0, q); the entry t represents is exp(2*pi*sqrt(-1)*t/q). MAX_Q = 10, the
+one alphabet range of the package, lets the text format write each entry as
+one digit; `check_alphabet` refuses every other q. The maps (`scale`,
+`render`, `as_complex`) look every entry up in a q-entry table in C
+(`bytes.translate` or `map`). Correlation values are integer combinations of
+the q-th roots of unity, kept in canonical coordinates of the ring Z[zeta_q]
+(reduced modulo the q-th cyclotomic polynomial), so equality and zero tests
+are exact. For q in {1, 2, 4} the canonical coordinates are literally
+Gaussian integers. A `RootSum` holds one such value for comparison and
+display; it has no arithmetic.
 
 `accf` correlates each row pair with numpy, on one of two exact embeddings
 that its cached table picks once per q (`aacf` gathers its row once):
@@ -36,6 +38,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
+
+MAX_Q = 10  # the largest alphabet order (the module notes)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,12 @@ class RootSum:
 # ---------------------------------------------------------------------------
 
 
+def check_alphabet(q: int) -> None:
+    """Raise InputError unless q is an alphabet order in [1, MAX_Q]."""
+    if not 1 <= q <= MAX_Q:
+        raise InputError(f"alphabet order must be in [1, {MAX_Q}], got {q}")
+
+
 _PRETTY = {2: "+-", 4: "+i-î"}  # exponents 0,1,2,3 over q=4 are 1, i, -1, -i
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
@@ -139,8 +149,7 @@ class Sequence:
 
     def __post_init__(self):
         q = self.q
-        if q < 1:
-            raise InputError(f"alphabet order must be >= 1, got {q}")
+        check_alphabet(q)
         if len(self.exponents) < 1:
             raise InputError("sequences must be nonempty")
         distinct = set(self.exponents)  # at most q values left for min and max
@@ -165,8 +174,6 @@ class Sequence:
         if not 0 <= u < q:
             raise InputError(f"scale exponent {u} outside [0, {q})")
         table = [*range(u, q), *range(u)]  # entry e holds (e + u) % q
-        if q > 256:  # the exponents do not fit bytes.translate
-            return Sequence(q, tuple(map(table.__getitem__, self.exponents)))
         return Sequence(q, tuple(bytes(self.exponents).translate(bytes(table).ljust(256))))
 
     def negate(self) -> "Sequence":
@@ -187,8 +194,6 @@ class Sequence:
         """Digit string by default; +,-,i,î glyphs for q in {2, 4} with pretty."""
         if pretty and self.q in _PRETTY:
             return "".join(map(_PRETTY[self.q].__getitem__, self.exponents))
-        if self.q > 10:
-            raise InputError("digit rendering needs q <= 10")
         return bytes(self.exponents).translate(_DIGITS).decode("ascii")
 
 

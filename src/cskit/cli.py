@@ -14,6 +14,7 @@ from functools import partial
 from pathlib import Path
 
 from . import io as setio
+from .algebra import check_alphabet
 from .construct import (
     Coeffs4,
     Coeffs8,
@@ -26,7 +27,7 @@ from .papr import DEFAULT_OVERSAMPLE, papr
 from .reach import published_row_diff, reachable_lengths
 from .search import DEFAULT_WORK_BOUND, search_cs
 from .seeds import gcp_for_length, load_seeds
-from .verify import ComplementarySet, ensure_verified, verify
+from .verify import ComplementarySet, ensure_verified, ensure_verified_all, verify
 
 _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
 ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
@@ -133,7 +134,7 @@ def cmd_theorem1(args) -> int:
     pair_a = _load_pair(args.pair_a, "--pair-a")
     pair_b = _load_pair(args.pair_b, "--pair-b")
     _check_caps("theorem1 output", 4, pair_a.length + pair_b.length)
-    pair_a, pair_b = ensure_verified(pair_a), ensure_verified(pair_b)
+    pair_a, pair_b = ensure_verified_all((pair_a, pair_b))
     x0, x1, y0, y1 = _parse_coeffs(args.coeffs, 4, pair_a.q, args.complex)
     cs = cs4_from_pairs(pair_a, pair_b, Coeffs4(x0, x1, y0, y1))
     _emit_set(cs, args.out, args.pretty)
@@ -143,7 +144,7 @@ def cmd_theorem1(args) -> int:
 def cmd_theorem2(args) -> int:
     pair, set4 = _load_pair(args.pair, "--pair"), _load(args.set)
     _check_caps("theorem2 output", 8, pair.length + set4.length)
-    pair, set4 = ensure_verified(pair), ensure_verified(set4)
+    pair, set4 = ensure_verified_all((pair, set4))
     coeffs = _parse_coeffs(args.coeffs, 6, pair.q, args.complex)
     cs = cs8_from_pair_and_set(pair, set4, Coeffs8(*coeffs))
     _emit_set(cs, args.out, args.pretty)
@@ -154,7 +155,7 @@ def cmd_stack(args) -> int:
     sets = [_load(path) for path in args.files]
     if len({cs.length for cs in sets}) == 1:  # else stack refuses the lengths (exit 2)
         _check_caps("stack output", sum(cs.size for cs in sets), sets[0].length)
-    _emit_set(stack([ensure_verified(cs) for cs in sets]), args.out, args.pretty)
+    _emit_set(stack(ensure_verified_all(sets)), args.out, args.pretty)
     return 0
 
 
@@ -201,7 +202,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    setio.require_text_q(args.q)  # before a search whose sets could not be printed
+    check_alphabet(args.q)  # exit 2 for any shape, before the caps and the search
     for cap, value, name in ((SEARCH_SHAPE_CAP, args.size * args.len**2, "size * len^2"),
                              (SEARCH_SLOT_CAP, args.size * args.len, "size * len")):
         if value > cap:

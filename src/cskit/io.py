@@ -2,7 +2,8 @@
 
 A header line `q=<int> rows=<int> len=<int>`, optional `#` note lines, then
 one line per row of exactly `len` ASCII digits (the exponent of each entry;
-q <= 10). For q=2 that makes `0` mean +1 and `1` mean -1. Files are UTF-8.
+q in [1, MAX_Q], the alphabets a `Sequence` admits, so every set has a
+text form). For q=2 that makes `0` mean +1 and `1` mean -1. Files are UTF-8.
 A row costs one regex scan, which finds its first invalid character (a
 ParseError names its line and column), and one `bytes.translate`.
 """
@@ -13,22 +14,15 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
-from .algebra import Sequence
-from .errors import InputError, ParseError
+from .algebra import MAX_Q, Sequence
+from .errors import ParseError
 from .verify import ComplementarySet
 
 _HEADER = re.compile(r"^q=([0-9]+) rows=([0-9]+) len=([0-9]+)$")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def require_text_q(q: int) -> None:
-    """Raise InputError unless the text format can write q-ary entries."""
-    if q > 10:
-        raise InputError("the text format supports q <= 10 only")
-
-
 def serialize_set(cs: ComplementarySet, note: Optional[str] = None) -> str:
-    require_text_q(cs.q)
     lines = [f"q={cs.q} rows={cs.size} len={cs.length}"]
     if note:
         lines.extend(f"# {part}" for part in note.splitlines())
@@ -47,8 +41,8 @@ def parse_header(text: str) -> tuple[int, int, int]:
     if not m:
         raise ParseError("header must be 'q=<int> rows=<int> len=<int>'", 1, 1)
     q, rows, length = (int(g) for g in m.groups())
-    if q < 1 or q > 10:
-        raise ParseError(f"q={q} outside [1, 10]", 1, 3)
+    if not 1 <= q <= MAX_Q:
+        raise ParseError(f"q={q} outside [1, {MAX_Q}]", 1, 3)
     if rows < 1 or length < 1:
         raise ParseError("rows and len must be >= 1", 1, 1)
     return q, rows, length

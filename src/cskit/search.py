@@ -15,17 +15,15 @@ the q-th roots in `root_coords` coordinates (Beck & Hosten, "Cyclotomic
 polytopes and growth series of cyclotomic lattices", Math. Res. Lett. 13,
 2006). A shift whose known part is S and which still misses M terms can
 vanish only if -S lies in M*P, so every form f with f(root) <= h on every
-root must have f(S) >= -M*h. For q <= 10 the forms are the facets of P:
-the hyperplanes through root 1 and phi(q) - 1 other roots that have every
-root on one side, found with integer cofactors, and their rotations (2, 2,
-3, 4, 5, 6, 7, 16, 27 and 30 forms for q = 1..10). For q = 2 they say |x|
-<= M and for q = 4 |a| + |b| <= M. Facets never prune less than |S| <= M,
-as M*P lies in the disc of radius M. Above q = 10, where enumerating the
-facets grows too fast, the forms are the traces f_k(S) = Tr(zeta^-k * S),
-whose value at zeta^e is Ramanujan's sum c_q(e - k), bounded on both
-sides. Either family decides a completed shift (M = 0) exactly: every
-f(S) >= 0 only at S = 0, as 0 is interior to P (for q = 1, P = {1} and the
-forms are x <= 1 and -x <= -1) and as the trace form is nondegenerate.
+root must have f(S) >= -M*h. The forms are the facets of P: the
+hyperplanes through root 1 and phi(q) - 1 other roots that have every root
+on one side, found with integer cofactors, and their rotations (2, 2, 3, 4,
+5, 6, 7, 16, 27 and 30 forms for q = 1..10, the alphabets `check_alphabet`
+admits). For q = 2 they say |x| <= M and for q = 4 |a| + |b| <= M. Facets
+never prune less than |S| <= M, as M*P lies in the disc of radius M. They
+decide a completed shift (M = 0) exactly: every f(S) >= 0 only at S = 0,
+as 0 is interior to P (for q = 1, P = {1} and the forms are x <= 1 and -x
+<= -1).
 
 The forms of the sums live in one int per depth. Each form is bounded on
 both sides, f(S) >= -M*max(f) and f(S) <= M*max(-f), so of a pair f, -f
@@ -74,8 +72,8 @@ and the search emits only the first member of each class in slot order
   middle one), every map is known on them, and a prefix is pruned if some
   map's row-sorted image comes first there. Only the maps whose image ties
   the prefix are checked again further down. Item getters built once per
-  check gather an image's columns, and bytes.translate tables (`map` above
-  q = 256) map them, as they do the canonical form's rows.
+  check gather an image's columns, and bytes.translate tables map them, as
+  they do the canonical form's rows.
 
 Neither rule prunes the least member of a class, and the search reaches
 stacks in ascending slot order, so the classes and the order they are found
@@ -110,7 +108,7 @@ from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .algebra import Sequence, root_coords
+from .algebra import MAX_Q, Sequence, check_alphabet, root_coords
 from .errors import InputError, WorkBoundExceeded
 from .verify import ComplementarySet, ensure_verified_all
 
@@ -127,11 +125,8 @@ def _affine_tables(q: int, sign: int) -> list[bytes]:
 
 
 def _affine_rows(q: int, sign: int, rows: Iterable, bases: Iterable[int]):
-    """The rows with each exponent e mapped to sign * (e - b) mod q, b the
-    row's base: bytes, or tuples above q = 256 (exponents past a byte)."""
-    if q > 256:
-        return [tuple(map(q.__rmod__, map((-b).__add__ if sign > 0 else b.__sub__, row)))
-                for row, b in zip(rows, bases)]
+    """The rows, as bytes, with each exponent e mapped to sign * (e - b) mod
+    q, b the row's base."""
     return map(bytes.translate, map(bytes, rows), map(_affine_tables(q, sign).__getitem__, bases))
 
 
@@ -140,14 +135,14 @@ def canonical_rows(q: int, rows: Iterable[Iterable[int]]) -> Rows:
 
     Each row is scaled so its first exponent is 0, rows are sorted, and the
     lexicographically least of the four images under simultaneous reversal
-    and conjugation is taken. Rows must be nonempty, with exponents in [0,
-    q); InputError otherwise.
+    and conjugation is taken. q must be in [1, MAX_Q] and rows nonempty,
+    with exponents in [0, q); InputError otherwise.
     """
     base = list(map(tuple, rows))
-    if not all(base) or min(map(min, base), default=0) < 0 or max(map(max, base), default=0) >= q:
-        raise InputError(f"rows must be nonempty, with exponents in [0, {q})")
-    if q <= 256:
-        base = list(map(bytes, base))
+    if (not 1 <= q <= MAX_Q or not all(base) or min(map(min, base), default=0) < 0
+            or max(map(max, base), default=0) >= q):
+        raise InputError(f"rows must be nonempty, with exponents in [0, {q}), q in [1, {MAX_Q}]")
+    base = list(map(bytes, base))
     flipped = [r[::-1] for r in base]
     # conjugating, then scaling to lead with 0, is e -> -(e - row[0])
     return tuple(map(tuple, min(sorted(_affine_rows(q, sign, rws, map(itemgetter(0), rws)))
@@ -273,8 +268,9 @@ def _enumerate(
 ) -> int:
     """`_backtrack` after the norm and parity tests: a shape they refute
     visits 0 nodes and emits nothing, so it never exceeds a work bound."""
-    if q < 1 or set_size < 1 or length < 1:
-        raise InputError("q, set size, and length must all be >= 1")
+    check_alphabet(q)
+    if set_size < 1 or length < 1:
+        raise InputError("set size and length must both be >= 1")
     if _norm_refuted(q, set_size, length) or _parity_refuted(q, set_size, length):
         return 0
     return _backtrack(q, set_size, length, emit, work_bound)
@@ -292,28 +288,21 @@ def _det(m: list) -> int:
 def _forms(q: int) -> tuple[tuple[int, ...], ...]:
     """The pruning forms of the module notes, each as its values at the
     q-th roots: values[e] is an integer linear form at zeta_q^e, and
-    max(values) its bound on the roots. For q <= 10, the facets of the
-    convex hull of the q-th roots; above, the trace forms
-    +-Tr(zeta_q^-k * .). Closed under rotation, sorted."""
+    max(values) its bound on the roots. The facets of the convex hull of
+    the q-th roots, closed under rotation, sorted."""
     ring = root_coords(q).tolist()
-    if q > 10:
-        # the first coordinate of a rational element is the element
-        trace = [sum(ring[e * k % q][0] for k in range(1, q + 1) if gcd(k, q) == 1)
-                 for e in range(q)]
-        bases = [trace, [-x for x in trace]]
-    else:
-        # the hyperplanes through root 1 and phi(q) - 1 other roots, with a
-        # normal by cofactors, that have every root on one side
-        bases = []
-        for others in combinations(ring[1:], len(ring[0]) - 1):
-            diffs = [[a - b for a, b in zip(r, ring[0])] for r in others]
-            normal = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in diffs])
-                      for i in range(len(ring[0]))]
-            values = [sum(map(mul, normal, r)) for r in ring]
-            if any(values):
-                g = gcd(*values)
-                bases += [vs for vs in ([x // g for x in values], [-x // g for x in values])
-                          if max(vs) == vs[0]]
+    # the hyperplanes through root 1 and phi(q) - 1 other roots, with a
+    # normal by cofactors, that have every root on one side
+    bases = []
+    for others in combinations(ring[1:], len(ring[0]) - 1):
+        diffs = [[a - b for a, b in zip(r, ring[0])] for r in others]
+        normal = [(-1) ** i * _det([row[:i] + row[i + 1:] for row in diffs])
+                  for i in range(len(ring[0]))]
+        values = [sum(map(mul, normal, r)) for r in ring]
+        if any(values):
+            g = gcd(*values)
+            bases += [vs for vs in ([x // g for x in values], [-x // g for x in values])
+                      if max(vs) == vs[0]]
     return tuple(sorted({tuple(vs[e - k] for e in range(q)) for vs in bases for k in range(q)}))
 
 

@@ -741,8 +741,6 @@ def oracle_render(seq: Sequence, pretty: bool = False) -> str:
     if pretty and seq.q in (2, 4):
         glyphs = {2: "+-", 4: "+i-î"}[seq.q]
         return "".join(glyphs[e] for e in seq.exponents)
-    if seq.q > 10:
-        raise InputError("digit rendering needs q <= 10")
     return "".join(str(e) for e in seq.exponents)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import importlib
 import json
 import shutil
 
@@ -9,15 +10,18 @@ from hypothesis import strategies as st
 
 from cskit import cli
 from cskit.cli import main
+from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
-from cskit.io import parse_set, read_set_file
+from cskit.io import parse_set, read_set_file, serialize_set
 from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet
 from cskit.search import SearchResult
 from cskit.seeds import GcpLookup
-from cskit.verify import verify
+from cskit.verify import ensure_verified, verify
 
 from helpers import oracle_build_parser, rootsum_accf, sum_rootsums
+
+verify_module = importlib.import_module("cskit.verify")  # cskit.verify is the function
 
 
 def run(capsys, *argv):
@@ -245,6 +249,29 @@ def test_stack_doubles_set_size(capsys, golden_dir, tmp_path):
     assert cs.size == 8 and cs.length == 14
 
 
+def test_construction_inputs_are_verified_in_one_batch(capsys, golden_dir, monkeypatch):
+    # a row given twice is correlated once: the same pair as --pair-a and
+    # --pair-b costs 2 autocorrelations before the construction, not 4, and
+    # a set stacked on itself 4, not 8; the outputs stay the same
+    paths = [golden(golden_dir, name) for name in ("pair_q2_len10.txt", "cs4_q2_len14.txt")]
+    pair, set14 = (ensure_verified(read_set_file(path)[0]) for path in paths)
+    expected = [serialize_set(cs4_from_pairs(pair, pair, Coeffs4(0, 0, 0, 1))),
+                serialize_set(stack([set14, set14]))]
+    correlated, before, outputs = [], [], []
+    aacf = verify_module.aacf
+    monkeypatch.setattr(verify_module, "aacf", lambda row: correlated.append(row) or aacf(row))
+    for name in ("cs4_from_pairs", "stack"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real: before.append(len(correlated))
+                            or _real(*a))
+    for argv in (["theorem1", "--pair-a", paths[0], "--pair-b", paths[0], "--coeffs", "0,0,0,1"],
+                 ["stack", paths[1], paths[1]]):
+        correlated.clear()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert before == [2, 4]
+    assert outputs == expected
 def test_gcp_prints_chain(capsys, tmp_path):
     out_file = tmp_path / "pair.txt"
     code, out, _ = run(capsys, "gcp", "--q", "2", "--len", "52", "--out", str(out_file))
@@ -527,7 +554,7 @@ def test_search_q_above_text_format_exit2_before_searching(capsys, monkeypatch):
     code, out, err = run(capsys, "search", "--q", "12", "--size", "2", "--len", "3")
     assert code == 2
     assert out == ""
-    assert err == "error: input: the text format supports q <= 10 only\n"
+    assert err == "error: input: alphabet order must be in [1, 10], got 12\n"
     assert calls == []
 
 

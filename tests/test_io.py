@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from cskit.algebra import Sequence
 from cskit.errors import InputError, ParseError
-from cskit.io import parse_set, serialize_set
+from cskit.io import parse_header, parse_set, serialize_set
+from cskit.search import canonical_rows, first_cs, search_cs
 from cskit.verify import ComplementarySet
 
 from helpers import oracle_parse_set, signs
@@ -82,10 +83,22 @@ def test_parse_errors_carry_line_and_column(text, line, col):
     assert exc.value.column == col
 
 
-def test_serialize_rejects_wide_alphabets():
-    cs = make_set(12, [[0, 11]])
-    with pytest.raises(InputError, match="q <= 10"):
-        serialize_set(cs)
+@pytest.mark.parametrize("q", [0, 11, 12, 97, 257, 300])
+def test_alphabet_range_is_refused_everywhere(q):
+    # q outside [1, 10] is an InputError at every entry point that takes a
+    # q, never a ValueError from bytes() or an IndexError from a table; so
+    # no set exists that the text format could not write
+    row = (0, max(q - 1, 0))
+    for call in (lambda: Sequence(q, row), lambda: Sequence.from_exponents(q, row),
+                 lambda: search_cs(q, 2, 2), lambda: first_cs(q, 2, 2),
+                 lambda: canonical_rows(q, [row, (0, 0)])):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert type(exc.value) is InputError
+    with pytest.raises(ParseError) as exc:
+        parse_header(f"q={q} rows=1 len=1\n0\n")
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"q={q} outside [1, 10] (line 1, column 3)", 1, 3)
 
 
 # ---------------------------------------------------------------------------

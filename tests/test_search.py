@@ -301,11 +301,10 @@ def test_packed_engine_matches_per_touch_oracle(data):
         assert isinstance(outcome, int) and outcome <= oracle_outcome
 
 
-@pytest.mark.parametrize("q", [*range(1, 11), 12])
+@pytest.mark.parametrize("q", range(1, 11))
 def test_one_engine_serves_every_q(monkeypatch, q):
     # every q runs the packed test, to completion and past a work bound one
-    # node short; above q = 10 the trace forms may visit more nodes than abs.
-    # A sum of P 7th roots vanishes only for P a multiple of 7.
+    # node short. A sum of P 7th roots vanishes only for P a multiple of 7.
     calls = []
     packed_tests = search._packed_tests
     monkeypatch.setattr(search, "_packed_tests",
@@ -314,7 +313,7 @@ def test_one_engine_serves_every_q(monkeypatch, q):
     emitted, nodes = run_engine(search._backtrack, *shape)
     oracle_emitted, oracle_nodes = run_engine(per_touch_backtrack, *shape)
     assert emitted == oracle_emitted and nodes > 0
-    assert q > 10 or nodes <= oracle_nodes
+    assert nodes <= oracle_nodes
     assert run_engine(search._backtrack, *shape, work_bound=nodes) == (emitted, nodes)
     _, outcome = run_engine(search._backtrack, *shape, work_bound=nodes - 1)
     assert outcome == f"WorkBoundExceeded: search exceeded the work bound of {nodes - 1} nodes"
@@ -332,24 +331,6 @@ def test_forms_are_the_facets_of_the_root_polytope(q):
     for values in forms:
         on = [ring[e] for e in range(q) if values[e] == max(values)]
         assert affine_rank(on) == len(ring[0]) - 1
-
-
-@pytest.mark.parametrize("q", [11, 12, 15, 16])
-def test_trace_forms_are_sound_and_exact_at_zero(q):
-    # every sum of M <= 3 roots passes the trace bounds f(-S) <= M*h, and
-    # at M = 0 only S = 0 does: a nonzero sum has a form below 0
-    forms = search._forms(q)
-    # for even q, -1 is a root, so -Tr is Tr rotated by q/2; for prime q
-    # the forms -Tr(zeta^-k * .) are the facets of the simplex of the roots
-    assert len(forms) == (q if q % 2 == 0 else 2 * q)
-    if q == 11:
-        assert brute_force_facets(q) <= {(values, max(values)) for values in forms}
-    ring = np.array(root_coords(q))
-    for m in range(4):
-        for terms in itertools.combinations_with_replacement(range(q), m):
-            assert all(sum(values[e] for e in terms) <= m * max(values) for values in forms)
-            if ring[list(terms)].sum(axis=0).any():
-                assert min(sum(values[e] for e in terms) for values in forms) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +569,7 @@ def test_canonical_form_is_idempotent_and_invariant(q, data):
     assert canonical_rows(q, [tuple((-e) % q for e in r) for r in rows]) == canon
 
 
-# q = 300 takes the path for exponents past a byte (tuples through `map`).
-KERNEL_QS = st.sampled_from([*range(1, 11), 300])
+KERNEL_QS = st.sampled_from(range(1, 11))
 
 
 def random_stack(data, q, p, n):
