@@ -6,8 +6,12 @@ length P), at lengths M+N and M+P. Together with vertical stacking this
 reaches set sizes 4n and 8n. The classical Golay doubling and Turyn
 product supply composite-length pairs from primitive seeds.
 
-Every constructor verifies its output exactly once, through
-`ensure_verified`, before returning it; a returned set is always verified.
+Every constructor checks its own inputs, verified or not. It first checks
+every fact the rows' shapes give (row counts, alphabets, lengths,
+coefficients), with no correlation; then one exact pass over the inputs
+not yet verified and the built set, sharing one row -> profile memo,
+decides complementarity. A bad input raises InputError; a returned set is
+always verified.
 """
 
 from __future__ import annotations
@@ -18,27 +22,24 @@ import numpy as np
 
 from .algebra import Sequence
 from .errors import InputError
-from .verify import ComplementarySet, ensure_verified
+from .verify import ComplementarySet, ensure_verified_all
 
 
-def _require_pair(pair: ComplementarySet, name: str) -> ComplementarySet:
+def _require_pair(pair: ComplementarySet, name: str) -> None:
     if pair.size != 2:
         raise InputError(f"{name} must have exactly 2 rows, got {pair.size}")
-    return _require_verified(pair, name)
 
 
-def _require_verified(cs: ComplementarySet, name: str) -> ComplementarySet:
-    if not cs.verified:
-        raise InputError(f"{name} is not verified; run ensure_verified first")
-    return cs
-
-
-def _recheck(rows: tuple[Sequence, ...], what: str) -> ComplementarySet:
-    built = ComplementarySet(rows)
+def _recheck(rows: tuple[Sequence, ...], what: str, *inputs: ComplementarySet
+             ) -> ComplementarySet:
+    """The built set, verified in one pass with the inputs not yet verified:
+    InputError for a bad input, RuntimeError if the output fails."""
+    profiles: dict = {}
+    ensure_verified_all(inputs, profiles)
     try:
-        return ensure_verified(built)
+        return ensure_verified_all((ComplementarySet(rows),), profiles)[0]
     except InputError as exc:
-        # The inputs were verified, so a defect here is a bug, not bad input.
+        # The inputs are complementary, so a defect here is a bug, not bad input.
         raise RuntimeError(f"internal error: {what} failed verification ({exc})") from None
 
 
@@ -128,7 +129,7 @@ def cs4_from_pairs(
         a.scale(c4.x1).concat(c.scale(c4.y1)),
         b.scale(c4.x1).concat(d.scale(c4.y1)),
     )
-    return _recheck(rows, "size-4 construction")
+    return _recheck(rows, "size-4 construction", pair_a, pair_b)
 
 
 def cs8_from_pair_and_set(
@@ -136,7 +137,6 @@ def cs8_from_pair_and_set(
 ) -> ComplementarySet:
     """Size-8 set of length M+P from a Golay pair and a size-4 set."""
     _require_pair(pair, "pair")
-    _require_verified(set4, "set4")
     if set4.size != 4:
         raise InputError(f"set4 must have exactly 4 rows, got {set4.size}")
     if pair.q != set4.q:
@@ -158,7 +158,7 @@ def cs8_from_pair_and_set(
         a.scale(c8.x3).concat(g.scale(c8.y1)),
         b.scale(c8.x3).concat(h.scale(c8.y1)),
     )
-    return _recheck(rows, "size-8 construction")
+    return _recheck(rows, "size-8 construction", pair, set4)
 
 
 def stack(sets: Seq[ComplementarySet]) -> ComplementarySet:
@@ -167,14 +167,13 @@ def stack(sets: Seq[ComplementarySet]) -> ComplementarySet:
         raise InputError("stack needs at least one set")
     first = sets[0]
     rows: list[Sequence] = []
-    for i, cs in enumerate(sets):
-        _require_verified(cs, f"sets[{i}]")
+    for cs in sets:
         if cs.q != first.q:
             raise InputError("stacked sets must share one alphabet")
         if cs.length != first.length:
             raise InputError("stacked sets must share one length")
         rows.extend(cs.rows)
-    return _recheck(tuple(rows), "stack")
+    return _recheck(tuple(rows), "stack", *sets)
 
 
 def golay_double(pair: ComplementarySet) -> ComplementarySet:
@@ -182,7 +181,7 @@ def golay_double(pair: ComplementarySet) -> ComplementarySet:
     _require_pair(pair, "pair")
     a, b = pair.rows
     rows = (a.concat(b), a.concat(b.negate()))
-    return _recheck(rows, "doubling")
+    return _recheck(rows, "doubling", pair)
 
 
 def _binary_bits(seq: Sequence) -> np.ndarray:
@@ -222,4 +221,4 @@ def turyn_product(pair_bin: ComplementarySet, pair_q: ComplementarySet) -> Compl
     same, base = a_bits == b_bits, half * a_bits
     grids = (np.where(same, ec, -ed[::-1]) + base, np.where(same, ed, half - ec[::-1]) + base)
     rows = tuple(Sequence(q, tuple((g % q).ravel().tolist())) for g in grids)
-    return _recheck(rows, "turyn product")
+    return _recheck(rows, "turyn product", pair_bin, pair_q)

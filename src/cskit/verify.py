@@ -23,7 +23,9 @@ class ComplementarySet:
     """A stack of equal-length rows over one alphabet.
 
     Only `ensure_verified_all` sets `verified`; freshly built or parsed
-    stacks carry verified=False.
+    stacks carry verified=False. The constructors accept either kind and
+    verify the inputs without the flag, so the flag saves work but never
+    lets an unchecked stack through.
     """
 
     rows: tuple[Sequence, ...]
@@ -99,10 +101,13 @@ def verify(candidate: ComplementarySet) -> VerificationReport:
     )
 
 
-def ensure_verified_all(stacks: Iterable[ComplementarySet]) -> list[ComplementarySet]:
+def ensure_verified_all(
+    stacks: Iterable[ComplementarySet], profiles: Optional[dict] = None
+) -> list[ComplementarySet]:
     """Verified copies of the stacks, or InputError naming the first failing
-    stack's first defect. Each distinct row among them is correlated once."""
-    profiles: dict = {}
+    stack's first defect. Each distinct row among them is correlated once;
+    calls that pass one `profiles` memo (row -> coordinates) share it."""
+    profiles = {} if profiles is None else profiles
     out = []
     for cs in stacks:
         if not (cs.verified or _is_cs(_summed_coords(cs, profiles), cs.size)):

@@ -249,29 +249,80 @@ def test_stack_doubles_set_size(capsys, golden_dir, tmp_path):
     assert cs.size == 8 and cs.length == 14
 
 
-def test_construction_inputs_are_verified_in_one_batch(capsys, golden_dir, monkeypatch):
-    # a row given twice is correlated once: the same pair as --pair-a and
-    # --pair-b costs 2 autocorrelations before the construction, not 4, and
-    # a set stacked on itself 4, not 8; the outputs stay the same
-    paths = [golden(golden_dir, name) for name in ("pair_q2_len10.txt", "cs4_q2_len14.txt")]
-    pair, set14 = (ensure_verified(read_set_file(path)[0]) for path in paths)
-    expected = [serialize_set(cs4_from_pairs(pair, pair, Coeffs4(0, 0, 0, 1))),
-                serialize_set(stack([set14, set14]))]
-    correlated, before, outputs = [], [], []
+def count_aacf(monkeypatch) -> list:
+    """The rows `aacf` is called on from now on, wherever cskit verifies."""
+    correlated = []
     aacf = verify_module.aacf
     monkeypatch.setattr(verify_module, "aacf", lambda row: correlated.append(row) or aacf(row))
-    for name in ("cs4_from_pairs", "stack"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, _real=real: before.append(len(correlated))
-                            or _real(*a))
+    return correlated
+
+
+def test_construction_inputs_are_verified_in_one_batch(capsys, golden_dir, tmp_path,
+                                                        monkeypatch):
+    # one pass over the inputs and the output correlates each distinct row
+    # once: the same pair as --pair-a and --pair-b costs 2 autocorrelations
+    # plus 4 for the output rows; a stack's output rows are its inputs'
+    # rows, so a set stacked on itself costs 4, and two sets with 8
+    # distinct rows cost 8, whether the inputs come verified or not
+    paths = [golden(golden_dir, name)
+             for name in ("pair_q2_len10.txt", "pair_q2_len4.txt", "cs4_q2_len14.txt")]
+    pair10, pair4, set14 = (ensure_verified(read_set_file(path)[0]) for path in paths)
+    other = cs4_from_pairs(pair10, pair4, Coeffs4(1, 1, 1, 0))
+    assert len(set(set14.rows + other.rows)) == 8
+    other_path = tmp_path / "other.txt"
+    other_path.write_text(serialize_set(other))
+    correlated = count_aacf(monkeypatch)
+    expected, counts = [], []
+    for build in (lambda: cs4_from_pairs(pair10, pair10, Coeffs4(0, 0, 0, 1)),
+                  lambda: stack([set14, set14]), lambda: stack([set14, other])):
+        correlated.clear()
+        expected.append(serialize_set(build()))
+        counts.append(len(correlated))
+    assert counts == [4, 4, 8]  # verified inputs: the output rows only
+    outputs, counts = [], []
     for argv in (["theorem1", "--pair-a", paths[0], "--pair-b", paths[0], "--coeffs", "0,0,0,1"],
-                 ["stack", paths[1], paths[1]]):
+                 ["stack", paths[2], paths[2]], ["stack", paths[2], str(other_path)]):
         correlated.clear()
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
+        counts.append(len(correlated))
         outputs.append(out)
-    assert before == [2, 4]
+    assert counts == [6, 4, 8]
     assert outputs == expected
+
+
+def test_shape_mismatches_exit2_before_any_correlation(capsys, golden_dir, tmp_path,
+                                                       monkeypatch):
+    # alphabets, lengths and row counts are read from the loaded rows, so a
+    # mismatch exits 2 with its one-line message before any input is verified
+    pair10, pair4, set5, set14 = (golden(golden_dir, name) for name in (
+        "pair_q2_len10.txt", "pair_q2_len4.txt", "cs4_q2_len5.txt", "cs4_q2_len14.txt"))
+    quaternary = tmp_path / "q4.txt"
+    quaternary.write_text("q=4 rows=4 len=14\n" + "01230123012301\n" * 4)
+    pair_q4 = tmp_path / "pair_q4.txt"
+    pair_q4.write_text("q=4 rows=2 len=1\n0\n0\n")
+    correlated = count_aacf(monkeypatch)
+    cases = [
+        (["stack", str(quaternary), set14], "stacked sets must share one alphabet"),
+        (["stack", set14, set5], "stacked sets must share one length"),
+        (["theorem1", "--pair-a", pair10, "--pair-b", str(pair_q4), "--coeffs", "0,0,0,1"],
+         "both pairs must share one alphabet"),
+        (["theorem2", "--pair", pair10, "--set", pair4, "--coeffs", "0,1,1,0,0,0"],
+         "set4 must have exactly 4 rows, got 2"),
+        (["theorem1", "--pair-a", set5, "--pair-b", pair4, "--coeffs", "0,0,0,1"],
+         "pair_a must have exactly 2 rows, got 4"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"error: input: {message}\n")
+    # inadmissible coefficients are named before a non-complementary input
+    not_cs = tmp_path / "not_cs.txt"
+    not_cs.write_text("q=2 rows=2 len=2\n00\n00\n")
+    code, _, err = run(capsys, "theorem1", "--pair-a", str(not_cs), "--pair-b", pair4,
+                       "--coeffs", "0,0,0,0")
+    assert code == 2 and err.startswith("error: input: inadmissible coefficients: ")
+    assert correlated == []
+
+
 def test_gcp_prints_chain(capsys, tmp_path):
     out_file = tmp_path / "pair.txt"
     code, out, _ = run(capsys, "gcp", "--q", "2", "--len", "52", "--out", str(out_file))
@@ -694,13 +745,14 @@ def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
     capsys, tmp_path, monkeypatch, golden_dir
 ):
     # caps so small that the golden inputs meet them but the outputs may not:
-    # above a cap no file is written and neither verification nor a
+    # above a cap no file is written, no row is correlated and no
     # constructor runs; at both caps the set is built and written
     called = []
-    for name in ("ensure_verified", "cs4_from_pairs", "cs8_from_pair_and_set", "stack"):
+    for name in ("cs4_from_pairs", "cs8_from_pair_and_set", "stack"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name:
                             called.append(_name) or _real(*a))
+    correlated = count_aacf(monkeypatch)
     pair, set5, set14 = (golden(golden_dir, name) for name in
                          ("pair_q2_len10.txt", "cs4_q2_len5.txt", "cs4_q2_len14.txt"))
     out = tmp_path / "out.txt"
@@ -721,20 +773,31 @@ def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
             monkeypatch.setattr(cli, "SET_ENTRY_CAP", entry_cap)
             expected = (3, "", f"error: work-bound: {argv[0]} output: {message}\n")
             assert run(capsys, *argv, "--out", str(out)) == expected
-            assert called == [] and not out.exists()
+            assert called == [] and correlated == [] and not out.exists()
         monkeypatch.setattr(cli, "SET_LEN_CAP", length)
         monkeypatch.setattr(cli, "SET_ENTRY_CAP", entries)
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         built = read_set_file(out)[0]
-        assert (built.size, built.length) == (rows, length) and called
+        assert (built.size, built.length) == (rows, length) and called and correlated
         out.unlink()
         called.clear()
+        correlated.clear()
     # stacked inputs of different lengths have no output shape: exit 2, as without caps
     monkeypatch.setattr(cli, "SET_LEN_CAP", 14)
     monkeypatch.setattr(cli, "SET_ENTRY_CAP", 56)
     code, _, err = run(capsys, "stack", set5, set14, "--out", str(out))
     assert (code, err) == (2, "error: input: stacked sets must share one length\n")
     assert not out.exists()
+    # a 4-row --pair-a meets the caps first: exit 3 above them, 2 at them
+    called.clear()
+    argv = ["theorem1", "--pair-a", set14, "--pair-b", pair, "--coeffs", "0,0,0,1"]
+    monkeypatch.setattr(cli, "SET_LEN_CAP", 23)
+    monkeypatch.setattr(cli, "SET_ENTRY_CAP", 96)
+    assert run(capsys, *argv) == (
+        3, "", "error: work-bound: theorem1 output: row length 24 is above the cap of 23\n")
+    monkeypatch.setattr(cli, "SET_LEN_CAP", 24)
+    assert run(capsys, *argv) == (2, "", "error: input: pair_a must have exactly 2 rows, got 4\n")
+    assert called == ["cs4_from_pairs"] and correlated == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cskit.algebra import RootSum, Sequence, aacf
 from cskit.construct import (
@@ -17,7 +19,7 @@ from cskit.construct import (
     turyn_product,
 )
 from cskit.errors import InputError
-from cskit.seeds import gcp_for_length, seed_pair
+from cskit.seeds import gcp_for_length, load_seeds, seed_pair
 from cskit.verify import ComplementarySet, ensure_verified, verify
 
 from conftest import load_golden
@@ -75,12 +77,6 @@ def test_size4_rejects_inadmissible_with_identity():
     pair_b = ensure_verified(load_golden("pair_q2_len4.txt"))
     with pytest.raises(InputError, match=r"x0\*conj\(y0\) \+ x1\*conj\(y1\)"):
         cs4_from_pairs(pair_a, pair_b, Coeffs4(0, 0, 0, 0))
-
-
-def test_size4_rejects_unverified_inputs():
-    raw = load_golden("pair_q2_len10.txt")
-    with pytest.raises(InputError, match="not verified"):
-        cs4_from_pairs(raw, raw, Coeffs4(0, 0, 0, 1))
 
 
 def test_size4_rejects_odd_alphabet():
@@ -318,10 +314,53 @@ def test_stack_rejects_mismatches():
     cs5 = ensure_verified(load_golden("cs4_q2_len5.txt"))
     with pytest.raises(InputError, match="length"):
         stack([cs14, cs5])
-    with pytest.raises(InputError, match="not verified"):
-        stack([load_golden("cs4_q2_len14.txt")])
     with pytest.raises(InputError, match="at least one"):
         stack([])
+
+
+# ---------------------------------------------------------------------------
+# Every constructor checks its own inputs.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_constructors_accept_unverified_inputs_and_reject_non_complementary_ones(data):
+    # over the packaged seeds and admissible coefficients: a verified input
+    # and an unverified copy of it give the same rows, and an input whose
+    # rows all equal its first (not complementary from length 2 on) is an
+    # input error, never the internal error kept for a failing output
+    q = data.draw(st.sampled_from([2, 4]), label="q")
+    rng = data.draw(st.randoms(use_true_random=False))
+    seeds = st.sampled_from([record.pair for record in load_seeds(q)])
+    a, b, c = (data.draw(seeds) for _ in range(3))
+    binary = data.draw(st.sampled_from([record.pair for record in load_seeds(2)]))
+    set4 = cs4_from_pairs(a, b, random_admissible_coeffs4(q, rng))
+    other4 = cs4_from_pairs(a, b, random_admissible_coeffs4(q, rng))
+    cases = [
+        (lambda x, y, k=random_admissible_coeffs4(q, rng): cs4_from_pairs(x, y, k), (a, b)),
+        (lambda x, y, k=random_admissible_coeffs8(q, rng): cs8_from_pair_and_set(x, y, k),
+         (c, set4)),
+        (lambda *sets: stack(sets), (set4, other4)),
+        (golay_double, (a,)),
+        (turyn_product, (binary, a)),
+    ]
+    for build, inputs in cases:
+        assert all(cs.verified for cs in inputs)
+        rows = build(*inputs).rows
+        raw = [ComplementarySet(cs.rows) for cs in inputs]
+        for i in range(len(raw)):
+            mixed = inputs[:i] + tuple(raw[i:])
+            built = build(*mixed)
+            assert built.rows == rows and built.verified
+        i = data.draw(st.integers(0, len(inputs) - 1))
+        broken = list(inputs)
+        broken[i] = ComplementarySet((inputs[i].rows[0],) * inputs[i].size)
+        if inputs[i].length > 1:
+            assert not verify(broken[i]).is_cs
+            with pytest.raises(InputError, match="^not a complementary set: first defect at"):
+                build(*broken)
+        else:  # a length-1 stack is complementary whatever its rows
+            assert build(*broken).verified
 
 
 # ---------------------------------------------------------------------------
