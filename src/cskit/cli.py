@@ -24,7 +24,7 @@ from .construct import (
 )
 from .errors import InputError, ParseError, SeedError, WorkBoundExceeded
 from .papr import DEFAULT_OVERSAMPLE, papr
-from .reach import published_row_diff, reachable_lengths
+from .reach import SEED_LENGTHS, published_row_diff, reachable_lengths
 from .search import DEFAULT_WORK_BOUND, search_cs
 from .seeds import gcp_for_length, load_seeds
 from .verify import ComplementarySet, ensure_verified, verify
@@ -227,7 +227,7 @@ def cmd_papr(args) -> int:
 
 
 def cmd_seeds(args) -> int:
-    qs = [2, 4] if args.q is None else [args.q]
+    qs = sorted(SEED_LENGTHS) if args.q is None else [args.q]
     for q in qs:
         for record in load_seeds(q):
             print(f"q={record.q} len={record.length:3d} provenance={record.provenance}")
@@ -285,7 +285,7 @@ def cmd_selftest(args) -> int:
     from importlib import resources
 
     failures = []
-    for q in (2, 4):
+    for q in sorted(SEED_LENGTHS):
         try:
             records = load_seeds(q)
             print(f"ok: {len(records)} q={q} seeds verify")

@@ -7,18 +7,20 @@ live at every sum M+N of two pair lengths, and size-8 sets at every sum
 M+P of a pair length and a size-4 length (or by stacking two size-4 sets
 of equal length).
 
-The pattern is written once, in `in_gcp_pattern`, which factors one length
+The pattern is decided once, in `in_gcp_pattern`, which factors one length
 over the pattern's primes ({2, 5, 13} for q=2, {2, 3, 5, 11, 13} for q=4)
-and checks the exponents. `gcp_lengths` lists every product of those primes
-up to the maximum and keeps the ones it accepts.
+and checks the exponents; `gcp_lengths` lists every product of those primes
+up to the maximum and keeps the ones it accepts. Its text is written once
+too, in `_PATTERN_FORMS`: `LengthFactorization.describe` and `pattern_form`
+(the reason `seeds.gcp_for_length` gives off the pattern) render it.
 
 Existence of a pattern length does not imply this toolkit can emit a
 pair: the shipped compositions only multiply a binary-pattern length
 into a single primitive seed. `composition` plans that product once, as
 a tree of seed, doubling and Turyn steps that `seeds.gcp_for_length`
-replays. Each enumerated length is therefore labeled constructive or
-existence-only by whether it has a plan, independently of the abstract
-pattern.
+replays, and is the only plan test: each enumerated length is labeled
+constructive or existence-only by whether it has a plan, independently
+of the abstract pattern.
 
 One witness is kept per length. It comes from the constructive
 candidates when there are any, else from all of them, and is the least
@@ -38,6 +40,13 @@ from .errors import InputError
 # quaternary kernels are tried in)
 SEED_LENGTHS = {2: (26, 10, 2, 1), 4: (13, 11, 5, 3, 2, 1)}
 _PATTERN_PRIMES = {2: (2, 5, 13), 4: (2, 3, 5, 11, 13)}
+# the pattern as text: the names of a LengthFactorization's exponents in
+# order, the product over them, and the rule they obey beyond being >= 0
+_PATTERN_FORMS = {
+    2: ("abc", "2^{a} * 10^{b} * 26^{c}", ""),
+    4: ("abcezu", "2^({a}+{u}) * 3^{b} * 5^{c} * 11^{e} * 13^{z}",
+        " with b+c+e+z <= a+2u+1 and u <= c+z"),
+}
 
 
 class LengthFactorization(NamedTuple):
@@ -47,11 +56,14 @@ class LengthFactorization(NamedTuple):
     exponents: tuple[int, ...]
 
     def describe(self) -> str:
-        if self.q == 2:
-            a, b, c = self.exponents
-            return f"2^{a} * 10^{b} * 26^{c}"
-        a, b, c, e, z, u = self.exponents
-        return f"2^({a}+{u}) * 3^{b} * 5^{c} * 11^{e} * 13^{z}"
+        names, product, _ = _PATTERN_FORMS[self.q]
+        return product.format(**dict(zip(names, self.exponents)))
+
+
+def pattern_form(q: int) -> str:
+    """The pattern with letters for its exponents: the product, then any rule."""
+    names, product, rule = _PATTERN_FORMS[q]
+    return product.format(**{name: name for name in names}) + rule
 
 
 def _pattern_primes(q: int) -> tuple[int, ...]:
@@ -130,11 +142,12 @@ def composition(q: int, length: int) -> Optional[Composition]:
     if q not in SEED_LENGTHS:
         raise InputError(f"no composition data for q={q} (supported: 2, 4)")
     if q == 4:
-        if (kernel := _kernel(length)) is None:
-            return None
-        seed = Composition("seed", 4, kernel)
-        return seed if length == kernel else Composition(
-            "turyn", 4, length, (composition(2, length // kernel), seed))
+        for kernel in SEED_LENGTHS[4]:
+            chain = composition(2, length // kernel) if length % kernel == 0 else None
+            if chain is not None:
+                seed = Composition("seed", 4, kernel)
+                return seed if length == kernel else Composition("turyn", 4, length, (chain, seed))
+        return None
     fact = in_gcp_pattern(2, length)
     if fact is None:
         return None
@@ -150,19 +163,6 @@ def composition(q: int, length: int) -> Optional[Composition]:
     for _ in range(doublings):
         node = Composition("double", 2, 2 * node.length, (node,))
     return node
-
-
-def _kernel(length: int) -> Optional[int]:
-    """The largest primitive quaternary seed K with length / K a binary pattern length."""
-    return next((kernel for kernel in SEED_LENGTHS[4] if length % kernel == 0
-                 and in_gcp_pattern(2, length // kernel) is not None), None)
-
-
-def has_composition_plan(q: int, length: int) -> bool:
-    """Whether `composition(q, length)` is not None, decided without building the tree."""
-    if q == 4:
-        return _kernel(length) is not None
-    return in_gcp_pattern(q, length) is not None  # every binary pattern length has a plan
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _record(found: dict, new: int, kind: str, m: Optional[int], constructive: bo
 def _pools(q: int, max_len: int) -> tuple[list[int], list[int]]:
     """(the pattern lengths with a composition, all pattern lengths) up to max_len."""
     pattern = gcp_lengths(q, max_len)
-    return [m for m in pattern if has_composition_plan(q, m)], pattern
+    return [m for m in pattern if composition(q, m) is not None], pattern
 
 
 def _cs4_entries(max_len: int, pools) -> tuple[LengthEntry, ...]:

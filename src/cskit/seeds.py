@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 from . import io as setio
 from .construct import golay_double, turyn_product
 from .errors import InputError, SeedError
-from .reach import SEED_LENGTHS, Composition, composition, in_gcp_pattern
+from .reach import SEED_LENGTHS, Composition, composition, in_gcp_pattern, pattern_form
 from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
@@ -151,24 +151,9 @@ def gcp_for_length(q: int, length: int) -> GcpLookup:
     plan = composition(q, length)
     if plan is not None:
         return GcpLookup(q, length, pair=_build(plan), chain=plan.describe())
-    if q == 2:
-        return GcpLookup(q, length, reason=f"{length} is not of the form 2^a * 10^b * 26^c")
-    fact = in_gcp_pattern(4, length)
-    if fact is not None:
-        return GcpLookup(
-            q,
-            length,
-            reason=(
-                f"length reachable in principle ({fact.describe()} satisfies the "
-                "existence pattern), but no construction path is available from "
-                "the shipped seeds"
-            ),
-        )
-    return GcpLookup(
-        q,
-        length,
-        reason=(
-            f"{length} is not of the form 2^(a+u) * 3^b * 5^c * 11^e * 13^z "
-            "with b+c+e+z <= a+2u+1 and u <= c+z"
-        ),
-    )
+    fact = in_gcp_pattern(q, length)
+    if fact is None:
+        return GcpLookup(q, length, reason=f"{length} is not of the form {pattern_form(q)}")
+    return GcpLookup(q, length, reason=(
+        f"length reachable in principle ({fact.describe()} satisfies the existence pattern), "
+        "but no construction path is available from the shipped seeds"))

@@ -86,19 +86,22 @@ def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
     return CorrelationProfile(candidate.q, candidate.length, _summed_coords(candidate, {}))
 
 
-def verify(candidate: ComplementarySet) -> VerificationReport:
-    """Exact complementarity decision with the full defect profile.
-
-    Only the shifts whose summed value is not exactly zero are visited.
-    """
-    total = sum_aacf(candidate)
+def _report(candidate: ComplementarySet, coords) -> VerificationReport:
+    """The report on a stack from its summed profile's coordinates; only the
+    shifts whose summed value is not exactly zero are visited."""
+    total = CorrelationProfile(candidate.q, candidate.length, coords)
     defects = {tau: abs(total.at(tau)) for tau in total.nonzero_shifts() if tau > 0}
     return VerificationReport(
-        is_cs=_is_cs(total.coords, candidate.size),
+        is_cs=_is_cs(coords, candidate.size),
         sum_profile=total,
         first_defect_shift=next(iter(defects), None),
         defect_magnitudes=defects,
     )
+
+
+def verify(candidate: ComplementarySet) -> VerificationReport:
+    """Exact complementarity decision with the full defect profile."""
+    return _report(candidate, _summed_coords(candidate, {}))
 
 
 def ensure_verified_all(
@@ -110,8 +113,8 @@ def ensure_verified_all(
     profiles = {} if profiles is None else profiles
     out = []
     for cs in stacks:
-        if not (cs.verified or _is_cs(_summed_coords(cs, profiles), cs.size)):
-            shift = verify(cs).first_defect_shift
+        if not cs.verified and not _is_cs(coords := _summed_coords(cs, profiles), cs.size):
+            shift = _report(cs, coords).first_defect_shift
             raise InputError(f"not a complementary set: first defect at shift {shift}")
         out.append(cs if cs.verified else ComplementarySet(cs.rows, verified=True))
     return out

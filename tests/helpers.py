@@ -26,7 +26,7 @@ from cskit.reach import (
     LengthEntry,
     LengthFactorization,
     ReachabilitySet,
-    has_composition_plan,
+    composition,
     in_gcp_pattern,
 )
 from cskit.search import Rows, _column_order
@@ -636,9 +636,9 @@ def modulate(seq: Sequence, t: int) -> Sequence:
 
 
 def constructive_gcp_lengths(q: int, max_len: int) -> list[int]:
-    from cskit.reach import gcp_lengths, has_composition_plan
+    from cskit.reach import gcp_lengths
 
-    return [m for m in gcp_lengths(q, max_len) if has_composition_plan(q, m)]
+    return [m for m in gcp_lengths(q, max_len) if composition(q, m) is not None]
 
 
 def random_gcp(q: int, rng, max_len: int = 20) -> ComplementarySet:
@@ -854,7 +854,7 @@ Candidate = tuple[tuple[int, ...], bool, str]
 def cs4_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
     """Every pair-sum M+N (M <= N) of two pattern lengths, per length."""
     pattern = oracle_gcp_lengths(q, max_len)
-    feasible = {m: has_composition_plan(q, m) for m in pattern}
+    feasible = {m: composition(q, m) is not None for m in pattern}
     by_length: dict[int, list[Candidate]] = {}
     for i, m in enumerate(pattern):
         for n in pattern[i:]:
@@ -870,7 +870,7 @@ def cs4_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
 def cs8_candidates(q: int, max_len: int) -> dict[int, list[Candidate]]:
     """Every stack and every M+P (pattern M, size-4 length P), per length."""
     pattern = oracle_gcp_lengths(q, max_len)
-    feasible = {m: has_composition_plan(q, m) for m in pattern}
+    feasible = {m: composition(q, m) is not None for m in pattern}
     by_length: dict[int, list[Candidate]] = {}
     for entry in oracle_reachable_lengths(q, 4, max_len).entries:
         by_length.setdefault(entry.length, []).append(

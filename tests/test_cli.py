@@ -291,6 +291,18 @@ def test_construction_inputs_are_verified_in_one_batch(capsys, golden_dir, tmp_p
     assert outputs == expected
 
 
+def test_a_failing_input_is_correlated_once(capsys, golden_dir, tmp_path, monkeypatch):
+    # the defect shift is read from the sums that rejected the set, so a bad
+    # 4-row set after a good pair costs the pair's 2 rows and its own 4
+    bad = tmp_path / "bad.txt"
+    bad.write_text("q=2 rows=4 len=5\n00000\n00001\n00010\n00100\n")
+    correlated = count_aacf(monkeypatch)
+    code, out, err = run(capsys, "theorem2", "--pair", golden(golden_dir, "pair_q2_len8.txt"),
+                         "--set", str(bad), "--coeffs", "0,1,1,0,0,0")
+    assert (code, out, len(correlated)) == (2, "", 6)
+    assert err == "error: input: not a complementary set: first defect at shift 1\n"
+
+
 def test_shape_mismatches_exit2_before_any_correlation(capsys, golden_dir, tmp_path,
                                                        monkeypatch):
     # alphabets, lengths and row counts are read from the loaded rows, so a

@@ -9,11 +9,11 @@ from cskit import reach as reach_module
 from cskit.errors import InputError
 from cskit.reach import (
     PUBLISHED_ROWS,
+    Composition,
     composition,
     cs4_lengths,
     cs8_lengths,
     gcp_lengths,
-    has_composition_plan,
     in_gcp_pattern,
     published_row_diff,
     reachable_lengths,
@@ -107,9 +107,9 @@ def test_unsupported_alphabet():
         gcp_lengths(3, 10)
     with pytest.raises(InputError, match="^max length must be >= 1$"):
         gcp_lengths(3, 0)
-    for length in (0, 8):  # as `composition` does, whatever the length
-        with pytest.raises(InputError, match="^no pattern data for q=3"):
-            has_composition_plan(3, length)
+    for length in (0, 8):  # whatever the length
+        with pytest.raises(InputError, match=r"^no composition data for q=3 \(supported: 2, 4\)$"):
+            composition(3, length)
     with pytest.raises(InputError):
         reachable_lengths(2, 6, 10)
 
@@ -213,22 +213,22 @@ def test_witnesses_match_candidate_list_oracle(q, size):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_size8_plans_each_pattern_length_once(monkeypatch, q):
-    calls = []
+    # the q=4 planner asks for its binary part through the module global,
+    # so only the calls made outside `composition` are counted
+    calls, depth = [], []
 
     def counted(q_, m):
-        calls.append(m)
-        return has_composition_plan(q_, m)
+        if not depth:
+            calls.append(m)
+        depth.append(m)
+        try:
+            return composition(q_, m)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(reach_module, "has_composition_plan", counted)
+    monkeypatch.setattr(reach_module, "composition", counted)
     cs8_lengths(q, 2600)
     assert sorted(calls) == gcp_lengths(q, 2600)
-
-
-@pytest.mark.parametrize("q", [2, 4])
-def test_has_composition_plan_is_the_planner_answer(q):
-    # decided without building the tree, so checked against the tree itself
-    for m in range(1, 2601):
-        assert has_composition_plan(q, m) == (composition(q, m) is not None), m
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -239,9 +239,10 @@ def test_witnesses_match_oracle_under_random_plans(monkeypatch, seed):
     stacks_beating_pair_sums = 0
     for q in (2, 4):
         planned = {m for m in gcp_lengths(q, 300) if rng.random() < 0.5}
-        fake_plan = lambda q_, m: m in planned  # noqa: E731
-        monkeypatch.setattr(reach_module, "has_composition_plan", fake_plan)
-        monkeypatch.setattr(helpers, "has_composition_plan", fake_plan)
+        # `is not None` is the plan test, so an unplanned length must get None
+        fake_plan = lambda q_, m: Composition("seed", q_, m) if m in planned else None  # noqa: E731
+        monkeypatch.setattr(reach_module, "composition", fake_plan)
+        monkeypatch.setattr(helpers, "composition", fake_plan)
         for size in (4, 8):
             for cap in (1, 2, 13, 34, 77, 150, 300):
                 assert reachable_lengths(q, size, cap) == helpers.oracle_reachable_lengths(
@@ -276,7 +277,7 @@ def test_constructive_labels_track_composition_plans():
     for entry in reach.entries:
         m, n = entry.witness.operands
         assert entry.constructive == (
-            has_composition_plan(4, m) and has_composition_plan(4, n)
+            composition(4, m) is not None and composition(4, n) is not None
         )
 
 

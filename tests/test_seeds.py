@@ -162,6 +162,27 @@ def test_quaternary_off_pattern_length():
     assert "not of the form" in result.reason
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_every_unavailability_reason(q):
+    # the reasons as they were spelled out per q, from the oracle's exponents
+    facts = helpers.oracle_pattern_factorizations(q, 600)
+    unavailable = [n for n in range(1, 601) if composition(q, n) is None]
+    for length in unavailable:
+        fact = facts.get(length)
+        if fact is None and q == 2:
+            expected = f"{length} is not of the form 2^a * 10^b * 26^c"
+        elif fact is None:
+            expected = (f"{length} is not of the form 2^(a+u) * 3^b * 5^c * 11^e * 13^z "
+                        "with b+c+e+z <= a+2u+1 and u <= c+z")
+        else:
+            assert q == 4, length  # every binary pattern length has a plan
+            a, b, c, e, z, u = fact.exponents
+            expected = (f"length reachable in principle (2^({a}+{u}) * 3^{b} * 5^{c} * 11^{e} "
+                        f"* 13^{z} satisfies the existence pattern), but no construction path "
+                        "is available from the shipped seeds")
+        assert gcp_for_length.__wrapped__(q, length).reason == expected
+
+
 def test_bad_requests_rejected():
     with pytest.raises(InputError):
         gcp_for_length(2, 0)
