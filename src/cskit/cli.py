@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / verified, 1 verification-negative (or no pair
-available), 2 input error, 3 work bound exceeded or a request above its cap.
+available), 2 input error, 3 work bound exceeded, a request above its cap
+or out of memory.
 """
 
 from __future__ import annotations
@@ -167,16 +168,14 @@ def cmd_enumerate(args) -> int:
             f"enumerate --max {args.max} is above the cap of {ENUMERATE_MAX_CAP}")
     reach = reachable_lengths(args.q, args.size, args.max)
     if args.json:
-        records = [
-            {
-                "length": e.length,
-                "witness": {"kind": e.witness.kind, "operands": list(e.witness.operands)},
-                "constructive": e.constructive,
-            }
-            for e in reach.entries
-        ]
-        print(json.dumps({"q": args.q, "size": args.size, "max": args.max,
-                          "lengths": records}))
+        # json.dumps of the whole document, written a slice of records at a time
+        head = json.dumps({"q": args.q, "size": args.size, "max": args.max, "lengths": []})
+        sys.stdout.write(head[:-2])
+        for i in range(0, len(reach.entries), 1024):
+            records = [{"length": e.length, "witness": e.witness._asdict(),
+                        "constructive": e.constructive} for e in reach.entries[i:i + 1024]]
+            sys.stdout.write((", " if i else "") + json.dumps(records)[1:-1])
+        sys.stdout.write("]}\n")
     else:
         print(f"q={args.q} size={args.size} max={args.max}: {len(reach.entries)} lengths")
         for e in reach.entries:
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
         return 2
     except WorkBoundExceeded as exc:
         print(f"error: work-bound: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: work-bound: {args.command}: out of memory", file=sys.stderr)
         return 3
 
 

@@ -26,8 +26,10 @@ One witness is kept per length. It comes from the constructive
 candidates when there are any, else from all of them, and is the least
 operand tuple there: the least M, and a stack only when no M+P is in that
 pool. Each pass over the pattern lengths M, in ascending order, marks by
-one shifted bitmask the lengths M + (partner) still without a witness, so
-no candidate list is built.
+one shifted bitmask the lengths M + (partner) still without a witness and
+keeps only their M, in a list indexed by length, so no candidate list is
+built. The size-8 pass reads its partners from the size-4 pass's masks, and
+each entry is built once, in length order.
 """
 
 from __future__ import annotations
@@ -214,11 +216,20 @@ def _mask(lengths) -> int:
     return out
 
 
-def _record(found: dict, new: int, kind: str, m: Optional[int], constructive: bool) -> None:
-    """Witness every length in the mask new by (m, L-m), or by a stack if m is None."""
+def _take(first: list, untaken: int, new: int, m: int) -> int:
+    """Witness every length in the mask new by first operand m (0 for a stack)."""
     for length in _bits(new):
-        operands = (length,) if m is None else (m, length - m)
-        found[length] = LengthEntry(length, Derivation(kind, operands), constructive)
+        first[length] = m
+    return untaken ^ new
+
+
+def _entries(first: list, reached: list[int], kind: str):
+    """One entry per length in reached[1], ascending; those in reached[0] are constructive."""
+    constructive = bin(reached[0])[:1:-1]
+    for length in _bits(reached[1]):
+        m = first[length]
+        witness = Derivation(kind, (m, length - m)) if m else Derivation("stack", (length,))
+        yield LengthEntry(length, witness, constructive[length:length + 1] == "1")
 
 
 def _pools(q: int, max_len: int) -> tuple[list[int], list[int]]:
@@ -227,41 +238,35 @@ def _pools(q: int, max_len: int) -> tuple[list[int], list[int]]:
     return [m for m in pattern if composition(q, m) is not None], pattern
 
 
-def _cs4_entries(max_len: int, pools) -> tuple[LengthEntry, ...]:
-    found: dict[int, LengthEntry] = {}
-    untaken = (1 << (max_len + 1)) - 1
-    for pool, constructive in zip(pools, (True, False)):
-        pool_mask = _mask(pool)
+def _pass(max_len: int, pools, partners: list[int], stacks: bool) -> tuple[list, list[int]]:
+    """The least M of each length M + (a partner), and the masks of the lengths
+    reached once each pool is done. With stacks, a partner L left over is a stack."""
+    first = [0] * (max_len + 1)
+    full = untaken = (1 << (max_len + 1)) - 1
+    reached = []
+    for pool, mask in zip(pools, partners):
+        # with a pool as its own partners (size 4), M+N with N < M was taken at N
         for m in pool:
-            # bit n >= m of the pool moves to n + m
-            new = ((pool_mask >> m) << 2 * m) & untaken
-            untaken ^= new
-            _record(found, new, "pair-sum", m, constructive)
-    return tuple(found[n] for n in sorted(found))
+            untaken = _take(first, untaken, (mask << m) & untaken, m)
+        if stacks:  # a stack (L,) sorts after every (M, P), so it only fills what is left
+            untaken = _take(first, untaken, mask & untaken, 0)
+        reached.append(full ^ untaken)
+    return first, reached
 
 
 def cs4_lengths(q: int, max_len: int) -> ReachabilitySet:
     """Reachable size-4 lengths: all sums M+N of two pattern lengths M <= N."""
-    return ReachabilitySet(q, 4, max_len, _cs4_entries(max_len, _pools(q, max_len)))
+    pools = _pools(q, max_len)
+    first, reached = _pass(max_len, pools, [_mask(pool) for pool in pools], False)
+    return ReachabilitySet(q, 4, max_len, tuple(_entries(first, reached, "pair-sum")))
 
 
 def cs8_lengths(q: int, max_len: int) -> ReachabilitySet:
     """Reachable size-8 lengths: pair length + size-4 length, or a stack."""
     pools = _pools(q, max_len)
-    cs4 = _cs4_entries(max_len, pools)
-    found: dict[int, LengthEntry] = {}
-    untaken = (1 << (max_len + 1)) - 1
-    for firsts, constructive in zip(pools, (True, False)):
-        partners = _mask(e.length for e in cs4 if e.constructive or not constructive)
-        for m in firsts:
-            new = (partners << m) & untaken
-            untaken ^= new
-            _record(found, new, "pair-plus-set4", m, constructive)
-        # a stack (L,) sorts after every (M, P), so it only fills what is left
-        new = partners & untaken
-        untaken ^= new
-        _record(found, new, "stack", None, constructive)
-    return ReachabilitySet(q, 8, max_len, tuple(found[n] for n in sorted(found)))
+    _, partners = _pass(max_len, pools, [_mask(pool) for pool in pools], False)
+    first, reached = _pass(max_len, pools, partners, True)
+    return ReachabilitySet(q, 8, max_len, tuple(_entries(first, reached, "pair-plus-set4")))
 
 
 def reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:

@@ -10,7 +10,7 @@ coordinates of the summed profile; no epsilon is involved.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .algebra import CorrelationProfile, Sequence, aacf
@@ -25,11 +25,12 @@ class ComplementarySet:
     Only `ensure_verified_all` sets `verified`; freshly built or parsed
     stacks carry verified=False. The constructors accept either kind and
     verify the inputs without the flag, so the flag saves work but never
-    lets an unchecked stack through.
+    lets an unchecked stack through. It is a cache bit: a verified copy
+    equals, and hashes like, the stack it was made from.
     """
 
     rows: tuple[Sequence, ...]
-    verified: bool = False
+    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:

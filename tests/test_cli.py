@@ -2,7 +2,11 @@
 
 import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +18,7 @@ from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
 from cskit.io import parse_set, read_set_file, serialize_set
 from cskit.papr import PaprResult
-from cskit.reach import ReachabilitySet
+from cskit.reach import ReachabilitySet, reachable_lengths
 from cskit.search import SearchResult
 from cskit.seeds import GcpLookup
 from cskit.verify import ensure_verified, verify
@@ -420,6 +424,24 @@ def test_enumerate_json_records(capsys):
     lengths = [e["length"] for e in payload["lengths"]]
     assert lengths == [2] + list(range(3, 14))
     assert all("witness" in e for e in payload["lengths"])
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 34, 600])
+def test_enumerate_json_is_the_dumped_document(capsys, q, size, max_len):
+    # written a slice at a time, the document is still json.dumps of the whole
+    code, out, _ = run(capsys, "enumerate", "--q", str(q), "--size", str(size),
+                       "--max", str(max_len), "--json")
+    records = [
+        {"length": e.length,
+         "witness": {"kind": e.witness.kind, "operands": list(e.witness.operands)},
+         "constructive": e.constructive}
+        for e in reachable_lengths(q, size, max_len).entries
+    ]
+    assert code == 0
+    assert out == json.dumps({"q": q, "size": size, "max": max_len, "lengths": records}) + "\n"
+    assert (records == []) == (max_len == 1)
 
 
 def test_enumerate_max_above_cap_exit3_before_any_work(capsys, monkeypatch):
@@ -902,3 +924,54 @@ def test_fuzzed_invocations_end_with_an_exit_code(capsys, tmp_path, data):
     code, _, err = outcome(capsys, tokens)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Memory: the CLI run in a child process (Linux).
+
+# A forked child starts from its parent's peak RSS, and this test process is
+# far larger than a cheap call, so a small launcher process runs the CLI and
+# reports its exit code and peak RSS (ru_maxrss, in KiB on Linux).
+LAUNCHER = """
+import resource, subprocess, sys
+limit = int(sys.argv[1]) << 20
+def set_limit():  # the address-space limit applies to the CLI's process alone
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+proc = subprocess.run([sys.executable, "-m", "cskit.cli", *sys.argv[2:]],
+                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                      preexec_fn=set_limit if limit else None)
+sys.stderr.buffer.write(proc.stderr)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def child(*argv, limit_mb=0):
+    """(exit code, stderr, peak RSS in MB) of `cskit argv` run in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", LAUNCHER, str(limit_mb), *argv],
+                            capture_output=True, text=True, env=env, check=True)
+    code, kib = result.stdout.split()
+    return int(code), result.stderr, int(kib) / 1024
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in KiB")
+
+
+@linux_only
+def test_out_of_memory_exits3_with_one_line():
+    code, err, _ = child("search", "--q", "8", "--size", "2", "--len", "1000",
+                         "--work-bound", "100000", limit_mb=400)
+    assert code == 3
+    assert err == "error: work-bound: search: out of memory\n"
+
+
+@linux_only
+def test_enumerate_json_at_its_cap_stays_near_a_small_call():
+    # the records are written as they are encoded, so the document is never held
+    code, err, base = child("seeds", "list")
+    assert (code, err) == (0, "")
+    code, err, peak = child("enumerate", "--q", "4", "--size", "8",
+                            "--max", str(cli.ENUMERATE_MAX_CAP), "--json")
+    assert (code, err) == (0, "")
+    assert peak - base < 45, (base, peak)

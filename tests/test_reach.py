@@ -10,6 +10,7 @@ from cskit.errors import InputError
 from cskit.reach import (
     PUBLISHED_ROWS,
     Composition,
+    LengthEntry,
     composition,
     cs4_lengths,
     cs8_lengths,
@@ -229,6 +230,20 @@ def test_size8_plans_each_pattern_length_once(monkeypatch, q):
     monkeypatch.setattr(reach_module, "composition", counted)
     cs8_lengths(q, 2600)
     assert sorted(calls) == gcp_lengths(q, 2600)
+
+
+def test_each_returned_entry_is_built_once_in_length_order(monkeypatch):
+    # the size-8 pass reads the size-4 lengths as masks, with no size-4 entries
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return LengthEntry(*fields)
+
+    monkeypatch.setattr(reach_module, "LengthEntry", counted)
+    result = reachable_lengths(4, 8, 2600)
+    assert len(result.entries) == 2599
+    assert built == result.lengths()
 
 
 @pytest.mark.parametrize("seed", range(4))

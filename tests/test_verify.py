@@ -91,6 +91,14 @@ def test_ensure_verified_sets_flag_and_rejects_defects():
         ensure_verified(binary_set("++", "++"))
 
 
+def test_a_verified_copy_equals_and_hashes_like_its_stack():
+    cs = ComplementarySet(gcp_for_length(2, 10).pair.rows)
+    ok = ensure_verified(cs)
+    assert ok.verified and not cs.verified
+    assert ok == cs and hash(ok) == hash(cs)
+    assert len({cs, ok}) == 1
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic invariances of the decision.
 
