@@ -263,20 +263,18 @@ def _selftest_golden(data_dir) -> list[str]:
             continue
         print(f"ok: {name} verifies")
     if len(loaded) == len(expect):
-        pair_a = loaded["pair_q2_len10.txt"]
-        pair_b = loaded["pair_q2_len4.txt"]
-        built = cs4_from_pairs(pair_a, pair_b, Coeffs4(0, 0, 0, 1))
-        if setio.serialize_set(built) != setio.serialize_set(loaded["cs4_q2_len14.txt"]):
-            failures.append("size-4 golden reconstruction differs")
-        else:
-            print("ok: size-4 golden reconstruction is byte-identical")
-        pair8 = loaded["pair_q2_len8.txt"]
-        set4 = loaded["cs4_q2_len5.txt"]
-        built8 = cs8_from_pair_and_set(pair8, set4, Coeffs8(0, 1, 1, 0, 0, 0))
-        if setio.serialize_set(built8) != setio.serialize_set(loaded["cs8_q2_len13.txt"]):
-            failures.append("size-8 golden reconstruction differs")
-        else:
-            print("ok: size-8 golden reconstruction is byte-identical")
+        rebuilds = (
+            ("size-4", cs4_from_pairs, "pair_q2_len10.txt", "pair_q2_len4.txt",
+             Coeffs4(0, 0, 0, 1), "cs4_q2_len14.txt"),
+            ("size-8", cs8_from_pair_and_set, "pair_q2_len8.txt", "cs4_q2_len5.txt",
+             Coeffs8(0, 1, 1, 0, 0, 0), "cs8_q2_len13.txt"),
+        )
+        for what, build, first, second, coeffs, name in rebuilds:
+            built = build(loaded[first], loaded[second], coeffs)
+            if setio.serialize_set(built) != setio.serialize_set(loaded[name]):
+                failures.append(f"{what} golden reconstruction differs")
+            else:
+                print(f"ok: {what} golden reconstruction is byte-identical")
     return failures
 
 

@@ -1,10 +1,14 @@
 """Complementary-set constructors.
 
-Two concatenation rules produce sets of size 4 (from two Golay pairs of
-lengths M and N) and size 8 (from a pair of length M and a size-4 set of
-length P), at lengths M+N and M+P. Together with vertical stacking this
-reaches set sizes 4n and 8n. The classical Golay doubling and Turyn
-product supply composite-length pairs from primitive seeds.
+One concatenation rule gives sets of size 4 and 8. It joins a pair
+(a_0, a_1) of length M to a second input r of 2m rows: a pair of length N
+(m = 1: size 4, length M+N) or a size-4 set of length P (m = 2: size 8,
+length M+P). Row 2i+j is x_i*a_j || y_{i//m}*r_{2(i mod m)+j} (i < 2m,
+j < 2) for unimodular x_0 .. x_{2m-1}, y_0, y_1 with
+x_i*conj(y_0) + x_{i+m}*conj(y_1) = 0 for each i < m. Together with
+vertical stacking this reaches set sizes 4n and 8n. The classical Golay
+doubling and Turyn product supply composite-length pairs from primitive
+seeds.
 
 Every constructor checks its own inputs, verified or not. It first checks
 every fact the rows' shapes give (row counts, alphabets, lengths,
@@ -43,19 +47,20 @@ def _recheck(rows: tuple[Sequence, ...], what: str, *inputs: ComplementarySet
         raise RuntimeError(f"internal error: {what} failed verification ({exc})") from None
 
 
-def _violated(coeffs, q: int, *identities: str) -> list[str]:
-    """A message for each identity a*conj(b) + c*conj(d) = 0, given as the
-    field names "a b c d", that the reduced coefficients of an even q miss:
-    the identity holds when (a - b) == (c - d) + q/2 (mod q)."""
+def _misses(coeffs, q: int) -> list[str]:
+    """A message for each identity x_i*conj(y0) + x_{i+m}*conj(y1) = 0,
+    i < m, that the coefficients (x_0 .. x_{2m-1}, y0, y1) of an even q
+    miss: it holds when (x_i - y0) == (x_{i+m} - y1) + q/2 (mod q)."""
+    *x, y0, y1 = coeffs.reduced(q)
+    m = len(x) // 2
     out = []
-    for names in identities:
-        a, b, c, d = names.split()
-        lhs = (getattr(coeffs, a) - getattr(coeffs, b)) % q
-        rhs = (getattr(coeffs, c) - getattr(coeffs, d) + q // 2) % q
+    for i in range(m):
+        lhs, rhs = (x[i] - y0) % q, (x[i + m] - y1 + q // 2) % q
         if lhs != rhs:
+            a, c = f"x{i}", f"x{i + m}"
             out.append(
-                f"{a}*conj({b}) + {c}*conj({d}) != 0: "
-                f"({a}-{b}) mod {q} = {lhs} but ({c}-{d}) + {q // 2} mod {q} = {rhs}"
+                f"{a}*conj(y0) + {c}*conj(y1) != 0: "
+                f"({a}-y0) mod {q} = {lhs} but ({c}-y1) + {q // 2} mod {q} = {rhs}"
             )
     return out
 
@@ -79,7 +84,7 @@ class Coeffs4(NamedTuple):
     def violations(self, q: int) -> list[str]:
         if q % 2:
             return [f"q={q} is odd, but x0*conj(y0) + x1*conj(y1) = 0 needs -1 in U_q"]
-        return _violated(self.reduced(q), q, "x0 y0 x1 y1")
+        return _misses(self, q)
 
 
 class Coeffs8(NamedTuple):
@@ -102,7 +107,23 @@ class Coeffs8(NamedTuple):
     def violations(self, q: int) -> list[str]:
         if q % 2:
             return [f"q={q} is odd, but the defining identities need -1 in U_q"]
-        return _violated(self.reduced(q), q, "x0 y0 x2 y1", "x1 y0 x3 y1")
+        return _misses(self, q)
+
+
+def _concatenate(pair: ComplementarySet, r: ComplementarySet, coeffs) -> ComplementarySet:
+    """The rule of the module docstring, once the row counts and alphabets
+    are checked: row 2i+j is x_i*a_j || y_{i//m}*r_{2(i mod m)+j}."""
+    bad = coeffs.violations(pair.q)
+    if bad:
+        raise InputError("inadmissible coefficients: " + "; ".join(bad))
+    *x, y0, y1 = coeffs.reduced(pair.q)
+    m, y = len(x) // 2, (y0, y1)
+    rows = tuple(
+        pair.rows[j].scale(x[i]).concat(r.rows[2 * (i % m) + j].scale(y[i // m]))
+        for i in range(2 * m)
+        for j in range(2)
+    )
+    return _recheck(rows, f"size-{len(rows)} construction", pair, r)
 
 
 def cs4_from_pairs(
@@ -116,20 +137,7 @@ def cs4_from_pairs(
     _require_pair(pair_b, "pair_b")
     if pair_a.q != pair_b.q:
         raise InputError("both pairs must share one alphabet")
-    q = pair_a.q
-    bad = coeffs.violations(q)
-    if bad:
-        raise InputError("inadmissible coefficients: " + "; ".join(bad))
-    c4 = coeffs.reduced(q)
-    a, b = pair_a.rows
-    c, d = pair_b.rows
-    rows = (
-        a.scale(c4.x0).concat(c.scale(c4.y0)),
-        b.scale(c4.x0).concat(d.scale(c4.y0)),
-        a.scale(c4.x1).concat(c.scale(c4.y1)),
-        b.scale(c4.x1).concat(d.scale(c4.y1)),
-    )
-    return _recheck(rows, "size-4 construction", pair_a, pair_b)
+    return _concatenate(pair_a, pair_b, coeffs)
 
 
 def cs8_from_pair_and_set(
@@ -141,24 +149,7 @@ def cs8_from_pair_and_set(
         raise InputError(f"set4 must have exactly 4 rows, got {set4.size}")
     if pair.q != set4.q:
         raise InputError("pair and set4 must share one alphabet")
-    q = pair.q
-    bad = coeffs.violations(q)
-    if bad:
-        raise InputError("inadmissible coefficients: " + "; ".join(bad))
-    c8 = coeffs.reduced(q)
-    a, b = pair.rows
-    e, f, g, h = set4.rows
-    rows = (
-        a.scale(c8.x0).concat(e.scale(c8.y0)),
-        b.scale(c8.x0).concat(f.scale(c8.y0)),
-        a.scale(c8.x1).concat(g.scale(c8.y0)),
-        b.scale(c8.x1).concat(h.scale(c8.y0)),
-        a.scale(c8.x2).concat(e.scale(c8.y1)),
-        b.scale(c8.x2).concat(f.scale(c8.y1)),
-        a.scale(c8.x3).concat(g.scale(c8.y1)),
-        b.scale(c8.x3).concat(h.scale(c8.y1)),
-    )
-    return _recheck(rows, "size-8 construction", pair, set4)
+    return _concatenate(pair, set4, coeffs)
 
 
 def stack(sets: Seq[ComplementarySet]) -> ComplementarySet:

@@ -97,7 +97,5 @@ def read_set_file(path: Union[str, Path]) -> tuple[ComplementarySet, Optional[st
     return parse_set(decode_text(Path(path).read_bytes()))
 
 
-def write_set_file(
-    path: Union[str, Path], cs: ComplementarySet, note: Optional[str] = None
-) -> None:
-    Path(path).write_text(serialize_set(cs, note), encoding="utf-8")
+def write_set_file(path: Union[str, Path], cs: ComplementarySet) -> None:
+    Path(path).write_text(serialize_set(cs), encoding="utf-8")

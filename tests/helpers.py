@@ -18,7 +18,7 @@ import numpy as np
 
 from cskit import cli
 from cskit.algebra import RootSum, Sequence, root_coords
-from cskit.construct import Coeffs4, cs4_from_pairs, golay_double, turyn_product
+from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, golay_double, turyn_product
 from cskit.errors import InputError, ParseError, WorkBoundExceeded
 from cskit.io import _HEADER
 from cskit.reach import (
@@ -666,9 +666,7 @@ def random_admissible_coeffs4(q: int, rng) -> Coeffs4:
     return Coeffs4(x0, x1, y0, y1)
 
 
-def random_admissible_coeffs8(q: int, rng):
-    from cskit.construct import Coeffs8
-
+def random_admissible_coeffs8(q: int, rng) -> Coeffs8:
     x0, x1, y0, y1 = (rng.randrange(q) for _ in range(4))
     x2 = (x0 - y0 + y1 + q // 2) % q
     x3 = (x1 - y0 + y1 + q // 2) % q
@@ -679,6 +677,68 @@ def random_cs4(q: int, rng, max_pair_len: int = 10) -> ComplementarySet:
     pair_a = random_gcp(q, rng, max_pair_len)
     pair_b = random_gcp(q, rng, max_pair_len)
     return cs4_from_pairs(pair_a, pair_b, random_admissible_coeffs4(q, rng))
+
+
+# ---------------------------------------------------------------------------
+# The size-4 and size-8 rules as they were written before `construct` built
+# both through one concatenation: a hand-listed row table per rule and the
+# identities named one by one, kept as oracles of the rows and the messages.
+
+
+def oracle_violated(coeffs, q: int, *identities: str) -> list[str]:
+    """A message for each identity a*conj(b) + c*conj(d) = 0, given as the
+    field names "a b c d", that the reduced coefficients of an even q miss:
+    the identity holds when (a - b) == (c - d) + q/2 (mod q)."""
+    out = []
+    for names in identities:
+        a, b, c, d = names.split()
+        lhs = (getattr(coeffs, a) - getattr(coeffs, b)) % q
+        rhs = (getattr(coeffs, c) - getattr(coeffs, d) + q // 2) % q
+        if lhs != rhs:
+            out.append(
+                f"{a}*conj({b}) + {c}*conj({d}) != 0: "
+                f"({a}-{b}) mod {q} = {lhs} but ({c}-{d}) + {q // 2} mod {q} = {rhs}"
+            )
+    return out
+
+
+def oracle_violations(coeffs, q: int) -> list[str]:
+    """`Coeffs4.violations` / `Coeffs8.violations` with their literal identities."""
+    if isinstance(coeffs, Coeffs4):
+        if q % 2:
+            return [f"q={q} is odd, but x0*conj(y0) + x1*conj(y1) = 0 needs -1 in U_q"]
+        return oracle_violated(coeffs.reduced(q), q, "x0 y0 x1 y1")
+    if q % 2:
+        return [f"q={q} is odd, but the defining identities need -1 in U_q"]
+    return oracle_violated(coeffs.reduced(q), q, "x0 y0 x2 y1", "x1 y0 x3 y1")
+
+
+def oracle_cs4_rows(pair_a, pair_b, coeffs: Coeffs4) -> tuple[Sequence, ...]:
+    c4 = coeffs.reduced(pair_a.q)
+    a, b = pair_a.rows
+    c, d = pair_b.rows
+    return (
+        a.scale(c4.x0).concat(c.scale(c4.y0)),
+        b.scale(c4.x0).concat(d.scale(c4.y0)),
+        a.scale(c4.x1).concat(c.scale(c4.y1)),
+        b.scale(c4.x1).concat(d.scale(c4.y1)),
+    )
+
+
+def oracle_cs8_rows(pair, set4, coeffs: Coeffs8) -> tuple[Sequence, ...]:
+    c8 = coeffs.reduced(pair.q)
+    a, b = pair.rows
+    e, f, g, h = set4.rows
+    return (
+        a.scale(c8.x0).concat(e.scale(c8.y0)),
+        b.scale(c8.x0).concat(f.scale(c8.y0)),
+        a.scale(c8.x1).concat(g.scale(c8.y0)),
+        b.scale(c8.x1).concat(h.scale(c8.y0)),
+        a.scale(c8.x2).concat(e.scale(c8.y1)),
+        b.scale(c8.x2).concat(f.scale(c8.y1)),
+        a.scale(c8.x3).concat(g.scale(c8.y1)),
+        b.scale(c8.x3).concat(h.scale(c8.y1)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 from cskit import cli
 from cskit.cli import main
-from cskit.construct import Coeffs4, cs4_from_pairs, stack
+from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, cs8_from_pair_and_set, stack
 from cskit.errors import InputError
-from cskit.io import parse_set, read_set_file, serialize_set
+from cskit.io import parse_set, read_set_file, serialize_set, write_set_file
 from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet, reachable_lengths
 from cskit.search import SearchResult
-from cskit.seeds import GcpLookup
+from cskit.seeds import GcpLookup, gcp_for_length
 from cskit.verify import ensure_verified, verify
 
+from conftest import load_golden
 from helpers import oracle_build_parser, rootsum_accf, sum_rootsums
 
 verify_module = importlib.import_module("cskit.verify")  # cskit.verify is the function
@@ -709,11 +710,45 @@ def test_seeds_list_unknown_alphabet_exit2(capsys, q):
     assert (code, out, err) == (2, "", f"error: input: no seeds for q={q} (supported: 2, 4)\n")
 
 
+SELFTEST_OUT = """\
+ok: 4 q=2 seeds verify
+ok: 6 q=4 seeds verify
+ok: pair_q2_len10.txt verifies
+ok: pair_q2_len4.txt verifies
+ok: pair_q2_len8.txt verifies
+ok: cs4_q2_len5.txt verifies
+ok: cs4_q2_len14.txt verifies
+ok: cs8_q2_len13.txt verifies
+ok: size-4 golden reconstruction is byte-identical
+ok: size-8 golden reconstruction is byte-identical
+selftest: all checks passed
+"""
+
+
 def test_selftest_passes_on_clean_checkout(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "selftest: all checks passed" in out
-    assert "byte-identical" in out
+    assert run(capsys, "selftest") == (0, SELFTEST_OUT, "")
+
+
+@pytest.mark.parametrize("what, build, first, second, coeffs, name, other", [
+    ("size-4", cs4_from_pairs, "pair_q2_len10.txt", "pair_q2_len4.txt",
+     Coeffs4(0, 0, 1, 0), "cs4_q2_len14.txt", "size-8"),
+    ("size-8", cs8_from_pair_and_set, "pair_q2_len8.txt", "cs4_q2_len5.txt",
+     Coeffs8(0, 0, 1, 1, 0, 0), "cs8_q2_len13.txt", "size-4"),
+])
+def test_selftest_names_a_golden_its_rebuild_differs_from(
+    capsys, golden_dir, tmp_path, what, build, first, second, coeffs, name, other
+):
+    # the golden is replaced by a verified set of its shape, built from the
+    # same inputs with other admissible coefficients
+    shutil.copytree(golden_dir, tmp_path / "golden")
+    path = tmp_path / "golden" / name
+    original = path.read_bytes()
+    write_set_file(path, build(load_golden(first), load_golden(second), coeffs))
+    assert path.read_bytes() != original
+    assert cli._selftest_golden(tmp_path) == [f"{what} golden reconstruction differs"]
+    verifies = [line for line in SELFTEST_OUT.splitlines(True) if line.endswith("verifies\n")]
+    ok = f"ok: {other} golden reconstruction is byte-identical\n"
+    assert capsys.readouterr().out == "".join(verifies) + ok
 
 
 def test_selftest_names_a_golden_file_that_is_not_utf8(capsys, golden_dir, tmp_path):
@@ -975,3 +1010,16 @@ def test_enumerate_json_at_its_cap_stays_near_a_small_call():
                             "--max", str(cli.ENUMERATE_MAX_CAP), "--json")
     assert (code, err) == (0, "")
     assert peak - base < 45, (base, peak)
+
+
+@linux_only
+def test_theorem1_to_the_largest_size4_set_stays_near_a_small_call(tmp_path):
+    # the capped q=4 pair with itself gives the 4 x 32,768 set
+    pair = tmp_path / "pair.txt"
+    write_set_file(pair, gcp_for_length(4, cli.GCP_LEN_CAP).pair)
+    code, err, base = child("seeds", "list")
+    assert (code, err) == (0, "")
+    code, err, peak = child("theorem1", "--pair-a", str(pair), "--pair-b", str(pair),
+                            "--coeffs", "0,0,0,2", "--out", str(tmp_path / "cs4.txt"))
+    assert (code, err) == (0, "")
+    assert peak - base < 20, (base, peak)

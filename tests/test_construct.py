@@ -25,7 +25,10 @@ from cskit.verify import ComplementarySet, ensure_verified, verify
 from conftest import load_golden
 from helpers import (
     cross_tail,
+    oracle_cs4_rows,
+    oracle_cs8_rows,
     oracle_turyn_rows,
+    oracle_violations,
     random_admissible_coeffs4,
     random_admissible_coeffs8,
     random_cs4,
@@ -191,6 +194,28 @@ def test_violation_messages_name_each_failed_identity():
     assert Coeffs8(0, 1, 3, 2, 5, 1).violations(3) == [
         "q=3 is odd, but the defining identities need -1 in U_q"
     ]
+
+
+exponents = st.integers(-25, 25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.tuples(*[exponents] * 4), st.tuples(*[exponents] * 6))
+def test_violations_match_the_named_identity_oracle(q, c4, c8):
+    # every alphabet, odd ones included, and exponents reduced mod q on use
+    for coeffs in (Coeffs4(*c4), Coeffs8(*c8)):
+        assert coeffs.violations(q) == oracle_violations(coeffs, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]), st.randoms(use_true_random=False))
+def test_constructors_build_the_oracle_row_tables(q, rng):
+    pair_a, pair_b, pair = (random_gcp(q, rng, max_len=12) for _ in range(3))
+    set4 = random_cs4(q, rng)
+    c4 = Coeffs4(*(v + q * rng.randrange(-2, 3) for v in random_admissible_coeffs4(q, rng)))
+    c8 = Coeffs8(*(v + q * rng.randrange(-2, 3) for v in random_admissible_coeffs8(q, rng)))
+    assert cs4_from_pairs(pair_a, pair_b, c4).rows == oracle_cs4_rows(pair_a, pair_b, c4)
+    assert cs8_from_pair_and_set(pair, set4, c8).rows == oracle_cs8_rows(pair, set4, c8)
 
 
 # ---------------------------------------------------------------------------
