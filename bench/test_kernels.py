@@ -39,7 +39,9 @@ def cs8_q4_len1040():
     ])
 
 
-@pytest.mark.parametrize("q,n", [(2, 1024), (4, 264), (4, 1040)])
+# the long rows are the baselines for a faster exact kernel at the length caps
+@pytest.mark.parametrize("q,n", [(2, 1024), (4, 264), (4, 1040),
+                                 (2, 8320), (4, 8320), (2, 32768), (4, 32768)])
 def test_aacf(benchmark, q, n):
     rng = random.Random(q * 100_000 + n)
     seq = Sequence.from_exponents(q, [rng.randrange(q) for _ in range(n)])

@@ -112,10 +112,6 @@ class RootSum:
     def from_exponent(cls, q: int, t: int) -> "RootSum":
         return cls.from_counts(q, [int(d == t % q) for d in range(q)])
 
-    @classmethod
-    def from_int(cls, q: int, n: int) -> "RootSum":
-        return cls.from_counts(q, [n] + [0] * (q - 1))
-
     def to_complex(self) -> complex:
         return sum(
             (c * cmath.exp(2j * cmath.pi * t / self.q) for t, c in enumerate(self.coords) if c),

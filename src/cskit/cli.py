@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
 def cmd_theorem1(args) -> int:
     pair_a, pair_b = _load(args.pair_a), _load(args.pair_b)
     _check_caps("theorem1 output", 4, pair_a.length + pair_b.length)
-    coeffs = _parse_coeffs(args.coeffs, 4, pair_a.q, args.complex)
+    coeffs = _parse_coeffs(args.coeffs, len(Coeffs4._fields), pair_a.q, args.complex)
     _emit_set(cs4_from_pairs(pair_a, pair_b, Coeffs4(*coeffs)), args.out, args.pretty)
     return 0
 
@@ -134,7 +134,7 @@ def cmd_theorem1(args) -> int:
 def cmd_theorem2(args) -> int:
     pair, set4 = _load(args.pair), _load(args.set)
     _check_caps("theorem2 output", 8, pair.length + set4.length)
-    coeffs = _parse_coeffs(args.coeffs, 6, pair.q, args.complex)
+    coeffs = _parse_coeffs(args.coeffs, len(Coeffs8._fields), pair.q, args.complex)
     _emit_set(cs8_from_pair_and_set(pair, set4, Coeffs8(*coeffs)), args.out, args.pretty)
     return 0
 
@@ -324,24 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("theorem1", help="size-4 set from two pairs (lengths M and N)")
-    p.add_argument("--pair-a", required=True)
-    p.add_argument("--pair-b", required=True)
-    p.add_argument("--coeffs", required=True, metavar="x0,x1,y0,y1")
-    p.add_argument("--complex", action="store_true",
-                   help="coefficients as literals 1,-1,i,-i instead of exponents")
-    p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_theorem1)
-
-    p = sub.add_parser("theorem2", help="size-8 set from a pair and a size-4 set")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--coeffs", required=True, metavar="x0,x1,x2,x3,y0,y1")
-    p.add_argument("--complex", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_theorem2)
+    # the two concatenation rules: their input files, and the record --coeffs fills
+    for name, summary, inputs, record, func in (
+            ("theorem1", "size-4 set from two pairs (lengths M and N)", ("--pair-a", "--pair-b"),
+             Coeffs4, cmd_theorem1),
+            ("theorem2", "size-8 set from a pair and a size-4 set", ("--pair", "--set"),
+             Coeffs8, cmd_theorem2)):
+        p = sub.add_parser(name, help=summary)
+        for option in inputs:
+            p.add_argument(option, required=True)
+        p.add_argument("--coeffs", required=True, metavar=",".join(record._fields))
+        p.add_argument("--complex", action="store_true",
+                       help="coefficients as literals 1,-1,i,-i instead of exponents")
+        p.add_argument("--out")
+        p.add_argument("--pretty", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("stack", help="vertically concatenate verified sets")
     p.add_argument("files", nargs="+")

@@ -68,18 +68,20 @@ def pattern_form(q: int) -> str:
     return product.format(**{name: name for name in names}) + rule
 
 
-def _pattern_primes(q: int) -> tuple[int, ...]:
-    if q not in _PATTERN_PRIMES:
-        raise InputError(f"no pattern data for q={q} (supported: 2, 4)")
-    return _PATTERN_PRIMES[q]
+def require_pair_data(q: int, what: str) -> None:
+    """Refuse an alphabet with no shipped pairs, naming the data asked for."""
+    if q not in SEED_LENGTHS:
+        supported = ", ".join(map(str, sorted(SEED_LENGTHS)))
+        raise InputError(f"no {what} for q={q} (supported: {supported})")
 
 
 def gcp_lengths(q: int, max_len: int) -> list[int]:
     """All pattern lengths <= max_len, sorted."""
     if max_len < 1:
         raise InputError("max length must be >= 1")
+    require_pair_data(q, "pattern data")
     smooth = [1]
-    for prime in _pattern_primes(q):
+    for prime in _PATTERN_PRIMES[q]:
         for n in smooth[:]:
             while (n := n * prime) <= max_len:
                 smooth.append(n)
@@ -97,11 +99,11 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
 
 def in_gcp_pattern(q: int, length: int) -> Optional[LengthFactorization]:
     """The pattern witness of one length, found by factoring the length."""
-    primes = _pattern_primes(q)  # an unsupported q raises whatever the length
+    require_pair_data(q, "pattern data")  # whatever the length
     if length < 1:
         return None
     exps = []
-    for prime in primes:
+    for prime in _PATTERN_PRIMES[q]:
         t, length = _valuation(length, prime)
         exps.append(t)
     if length != 1:
@@ -141,8 +143,7 @@ def composition(q: int, length: int) -> Optional[Composition]:
     seed K that leaves one, so larger odd parts (9, 33, ...) stay out of
     reach even when the existence pattern admits them.
     """
-    if q not in SEED_LENGTHS:
-        raise InputError(f"no composition data for q={q} (supported: 2, 4)")
+    require_pair_data(q, "composition data")
     if q == 4:
         for kernel in SEED_LENGTHS[4]:
             chain = composition(2, length // kernel) if length % kernel == 0 else None

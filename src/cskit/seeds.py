@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional, Union
 from . import io as setio
 from .construct import golay_double, turyn_product
 from .errors import InputError, SeedError
-from .reach import SEED_LENGTHS, Composition, composition, in_gcp_pattern, pattern_form
+from .reach import (SEED_LENGTHS, Composition, composition, in_gcp_pattern, pattern_form,
+                    require_pair_data)
 from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
@@ -91,8 +92,7 @@ def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
 
 def load_seeds(q: int, directory: Union[str, Path, None] = None) -> tuple[SeedRecord, ...]:
     """All seed records for one alphabet, verified and sorted by length."""
-    if q not in SEED_LENGTHS:
-        raise InputError(f"no seeds for q={q} (supported: 2, 4)")
+    require_pair_data(q, "seeds")
     if directory is None:
         return _load_default(q)
     return _load_dir(q, Path(directory))
@@ -144,8 +144,7 @@ def gcp_for_length(q: int, length: int) -> GcpLookup:
     the reason (length outside the existence pattern, or inside it but
     with no composition path from the shipped seeds).
     """
-    if q not in SEED_LENGTHS:
-        raise InputError(f"no seeds for q={q} (supported: 2, 4)")
+    require_pair_data(q, "seeds")
     if length < 1:
         raise InputError(f"length must be >= 1, got {length}")
     plan = composition(q, length)

@@ -106,6 +106,11 @@ def _remap(v: RootSum, shift: Callable[[int], int]) -> RootSum:
     return RootSum.from_counts(v.q, counts)
 
 
+def int_rootsum(q: int, n: int) -> RootSum:
+    """The integer n as an exact value over U_q."""
+    return RootSum.from_counts(q, [n] + [0] * (q - 1))
+
+
 def conj_rootsum(v: RootSum) -> RootSum:
     """Exact complex conjugate."""
     return _remap(v, lambda t: -t)
@@ -998,7 +1003,8 @@ def oracle_build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--coeffs", required=True, metavar="x0,x1,x2,x3,y0,y1")
-    p.add_argument("--complex", action="store_true")
+    p.add_argument("--complex", action="store_true",
+                   help="coefficients as literals 1,-1,i,-i instead of exponents")
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cli.cmd_theorem2)

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from cskit.algebra import RootSum, Sequence, aacf, accf
+from cskit.algebra import Sequence, aacf, accf
 from cskit.cli import main as cli_main
 from cskit.construct import (
     Coeffs4,
@@ -31,6 +31,7 @@ from conftest import GOLDEN_DIR, load_golden
 from helpers import (
     conj_rootsum,
     conjugate,
+    int_rootsum,
     random_admissible_coeffs4,
     random_admissible_coeffs8,
     random_cs4,
@@ -67,7 +68,7 @@ def test_criterion_01_golden_size4_reconstruction():
         assert serialize_set(built).encode() == packaged
         report = verify(built)
         assert report.is_cs
-        assert report.sum_profile.peak == RootSum.from_int(2, 56)
+        assert report.sum_profile.peak == int_rootsum(2, 56)
         assert not any(any(report.sum_profile.at(tau).coords) for tau in range(1, 14))
 
 
@@ -80,7 +81,7 @@ def test_criterion_02_golden_size8_reconstruction():
         assert serialize_set(built).encode() == packaged
         report = verify(built)
         assert report.is_cs
-        assert report.sum_profile.peak == RootSum.from_int(2, 104)
+        assert report.sum_profile.peak == int_rootsum(2, 104)
 
 
 def test_criterion_03_quaternary_length29_witness():
@@ -92,7 +93,7 @@ def test_criterion_03_quaternary_length29_witness():
         assert built.length == 29 and built.size == 4 and built.q == 4
         report = verify(built)
         assert report.is_cs
-        assert report.sum_profile.peak == RootSum.from_int(4, 4 * 29)
+        assert report.sum_profile.peak == int_rootsum(4, 4 * 29)
 
 
 def test_criterion_04_reference_row_reproduction(capsys):
@@ -240,4 +241,4 @@ def test_criterion_10_core_algebra_invariants():
                 for tau in shifts:
                     assert rev.at(tau) == conj_rootsum(fwd.at(tau))
                     assert conj.at(tau) == conj_rootsum(fwd.at(tau))
-                assert fwd.peak == RootSum.from_int(q, n)
+                assert fwd.peak == int_rootsum(q, n)

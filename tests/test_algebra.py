@@ -20,6 +20,7 @@ from cskit.errors import InputError
 from helpers import (
     conj_rootsum,
     conjugate,
+    int_rootsum,
     oracle_as_complex,
     oracle_coordinate_accf,
     oracle_render,
@@ -63,7 +64,7 @@ def test_full_orbit_sums_to_zero(q):
 
 def test_gaussian_cancellation_is_exact():
     # 1 + zeta_4^2 = 1 + (-1) = 0, detected without floats
-    assert RootSum.from_counts(4, [1, 0, 1, 0]) == RootSum.from_int(4, 0)
+    assert RootSum.from_counts(4, [1, 0, 1, 0]) == int_rootsum(4, 0)
     assert RootSum.from_counts(4, [1, 1, 0, 0]).coords == (1, 1)
 
 
@@ -87,7 +88,7 @@ def test_aacf_of_plus_plus_minus_plus():
 def test_aacf_length_one_identity():
     prof = aacf(signs("+"))
     assert prof.length_n == 1
-    assert prof.at(0) == RootSum.from_int(2, 1)
+    assert prof.at(0) == int_rootsum(2, 1)
     with pytest.raises(InputError):
         prof.at(1)
 
@@ -111,7 +112,7 @@ def test_aacf_quaternary_brute_values():
     # (1, i, 1): shift 1 gives conj(i) + i = 0, shift 2 gives 1
     prof = aacf(seq(4, 0, 1, 0))
     assert not any(prof.at(1).coords)
-    assert prof.at(2) == RootSum.from_int(4, 1)
+    assert prof.at(2) == int_rootsum(4, 1)
 
 
 def test_accf_rejects_mismatches():
@@ -217,7 +218,7 @@ def test_conjugation_conjugates_aacf(q, data):
 @settings(max_examples=80, deadline=None)
 def test_unimodular_peak_is_exactly_n(q, data):
     a = data.draw(sequences(q))
-    assert aacf(a).peak == RootSum.from_int(q, len(a))
+    assert aacf(a).peak == int_rootsum(q, len(a))
 
 
 @given(st.sampled_from([1, 2, 4]), st.data())

@@ -200,6 +200,17 @@ def test_theorem1_rejects_imaginary_literal_for_binary(capsys, golden_dir):
     assert err == "error: input: i is not a root of unity for q=2\n"
 
 
+def test_theorem2_takes_the_same_literals(capsys, golden_dir):
+    outputs = []
+    for coeffs, flags in (("1,-1,-1,1,1,1", ["--complex"]), ("0,1,1,0,0,0", [])):
+        code, out, err = run(capsys, "theorem2", "--pair", golden(golden_dir, "pair_q2_len8.txt"),
+                             "--set", golden(golden_dir, "cs4_q2_len5.txt"), "--coeffs", coeffs,
+                             *flags)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == serialize_set(load_golden("cs8_q2_len13.txt"))
+
+
 def test_theorem1_takes_imaginary_literals_for_quaternary(capsys, tmp_path):
     # at q = 4 each literal is a root: 1, i, -1, -i are exponents 0, 1, 2, 3
     for length in (3, 5):
@@ -1001,25 +1012,52 @@ def test_out_of_memory_exits3_with_one_line():
     assert err == "error: work-bound: search: out of memory\n"
 
 
-@linux_only
-def test_enumerate_json_at_its_cap_stays_near_a_small_call():
-    # the records are written as they are encoded, so the document is never held
-    code, err, base = child("seeds", "list")
+@pytest.fixture(scope="module")
+def small_call_peak():
+    """The peak RSS in MB of `seeds list`, a cheap call, for scale."""
+    code, err, peak = child("seeds", "list")
     assert (code, err) == (0, "")
+    return peak
+
+
+@pytest.fixture(scope="module")
+def cap_files(tmp_path_factory):
+    """(the capped q=4 pair, the 4 x 32,768 set theorem1 makes of it with itself)."""
+    out = tmp_path_factory.mktemp("caps")
+    pair = gcp_for_length(4, cli.GCP_LEN_CAP).pair
+    write_set_file(out / "pair.txt", pair)
+    write_set_file(out / "cs4.txt", cs4_from_pairs(pair, pair, Coeffs4(0, 0, 0, 2)))
+    return out / "pair.txt", out / "cs4.txt"
+
+
+@linux_only
+def test_enumerate_json_at_its_cap_stays_near_a_small_call(small_call_peak):
+    # the records are written as they are encoded, so the document is never held
     code, err, peak = child("enumerate", "--q", "4", "--size", "8",
                             "--max", str(cli.ENUMERATE_MAX_CAP), "--json")
     assert (code, err) == (0, "")
-    assert peak - base < 45, (base, peak)
+    assert peak - small_call_peak < 45, (small_call_peak, peak)
 
 
 @linux_only
-def test_theorem1_to_the_largest_size4_set_stays_near_a_small_call(tmp_path):
-    # the capped q=4 pair with itself gives the 4 x 32,768 set
-    pair = tmp_path / "pair.txt"
-    write_set_file(pair, gcp_for_length(4, cli.GCP_LEN_CAP).pair)
-    code, err, base = child("seeds", "list")
-    assert (code, err) == (0, "")
+def test_theorem1_to_the_largest_size4_set_stays_near_a_small_call(tmp_path, small_call_peak,
+                                                                    cap_files):
+    pair, _ = cap_files
     code, err, peak = child("theorem1", "--pair-a", str(pair), "--pair-b", str(pair),
                             "--coeffs", "0,0,0,2", "--out", str(tmp_path / "cs4.txt"))
     assert (code, err) == (0, "")
-    assert peak - base < 20, (base, peak)
+    assert peak - small_call_peak < 20, (small_call_peak, peak)
+
+
+@linux_only
+@pytest.mark.parametrize("argv,margin", [
+    (("gcp", "--q", "4", "--len", str(cli.GCP_LEN_CAP)), 15),
+    (("verify", "{cs4}"), 20),
+    (("papr", "{cs4}", "--oversample", "64"), 130),
+], ids=["gcp", "verify", "papr"])
+def test_a_call_at_its_cap_stays_within_its_margin_of_a_small_call(small_call_peak, cap_files,
+                                                                   argv, margin):
+    # README's "memory at the caps" table: 4, 8 and 116 MB above `seeds list`
+    code, err, peak = child(*(arg.format(cs4=cap_files[1]) for arg in argv))
+    assert (code, err) == (0, "")
+    assert peak - small_call_peak < margin, (small_call_peak, peak)

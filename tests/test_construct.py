@@ -25,6 +25,7 @@ from cskit.verify import ComplementarySet, ensure_verified, verify
 from conftest import load_golden
 from helpers import (
     cross_tail,
+    int_rootsum,
     oracle_cs4_rows,
     oracle_cs8_rows,
     oracle_turyn_rows,
@@ -57,7 +58,7 @@ def test_size4_reproduces_golden_length14():
     assert cs.rows == load_golden("cs4_q2_len14.txt").rows
     assert cs.verified
     report = verify(cs)
-    assert report.sum_profile.peak == RootSum.from_int(2, 56)
+    assert report.sum_profile.peak == int_rootsum(2, 56)
 
 
 def test_size4_trivial_length_one_seeds():
@@ -149,7 +150,7 @@ def test_size8_reproduces_golden_length13():
     set4 = ensure_verified(load_golden("cs4_q2_len5.txt"))
     cs = cs8_from_pair_and_set(pair, set4, Coeffs8(0, 1, 1, 0, 0, 0))
     assert cs.rows == load_golden("cs8_q2_len13.txt").rows
-    assert verify(cs).sum_profile.peak == RootSum.from_int(2, 104)
+    assert verify(cs).sum_profile.peak == int_rootsum(2, 104)
 
 
 def test_size8_smallest_composition():

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from cskit import reach as reach_module
+from cskit import seeds
 from cskit.errors import InputError
 from cskit.reach import (
     PUBLISHED_ROWS,
@@ -113,6 +114,22 @@ def test_unsupported_alphabet():
             composition(3, length)
     with pytest.raises(InputError):
         reachable_lengths(2, 6, 10)
+
+
+def test_every_refusal_names_the_alphabets_with_seeds(monkeypatch, tmp_path):
+    # the list is read from SEED_LENGTHS when a request is refused, so an
+    # alphabet added there is named by every check, each before its other inputs
+    monkeypatch.setitem(reach_module.SEED_LENGTHS, 8, ())
+    calls = (
+        (lambda: gcp_lengths(3, 10), "pattern data"),
+        (lambda: in_gcp_pattern(3, 0), "pattern data"),
+        (lambda: composition(3, 0), "composition data"),
+        (lambda: seeds.load_seeds(3, tmp_path / "absent"), "seeds"),
+        (lambda: seeds.gcp_for_length(3, 0), "seeds"),
+    )
+    for call, what in calls:
+        with pytest.raises(InputError, match=rf"^no {what} for q=3 \(supported: 2, 4, 8\)$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

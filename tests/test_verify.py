@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cskit.algebra import RootSum, Sequence, aacf
+from cskit.algebra import Sequence, aacf
 from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
 from cskit.reach import gcp_lengths
@@ -17,6 +17,7 @@ from conftest import load_golden
 from helpers import (
     conjugate,
     float_sum_profile,
+    int_rootsum,
     profile_values,
     random_cs4,
     random_gcp,
@@ -35,7 +36,7 @@ def test_golden_size4_length5_set():
     cs = load_golden("cs4_q2_len5.txt")
     report = verify(cs)
     assert report.is_cs
-    assert report.sum_profile.peak == RootSum.from_int(2, 20)
+    assert report.sum_profile.peak == int_rootsum(2, 20)
     assert report.first_defect_shift is None
     assert report.defect_magnitudes == {}
 
@@ -155,7 +156,7 @@ def test_stacking_two_verified_sets_verifies():
         combined = ComplementarySet(a.rows + b.rows)
         report = verify(combined)
         assert report.is_cs
-        assert report.sum_profile.peak == RootSum.from_int(q, (a.size + b.size) * a.length)
+        assert report.sum_profile.peak == int_rootsum(q, (a.size + b.size) * a.length)
 
 
 def test_verify_agrees_with_float_recomputation(verified_examples):
@@ -181,7 +182,7 @@ def test_random_pairs_verify_and_transform(q, seed):
     assert pair.verified
     report = verify(pair)
     assert report.is_cs
-    assert report.sum_profile.peak == RootSum.from_int(q, 2 * pair.length)
+    assert report.sum_profile.peak == int_rootsum(q, 2 * pair.length)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -218,7 +219,7 @@ def test_corrupted_long_quaternary_set_matches_rootsum_oracle():
     total = [sum_rootsums(values) for values in zip(*per_row)]
     defects = {tau: abs(total[tau + n - 1]) for tau in range(1, n)
                if any(total[tau + n - 1].coords)}
-    peak_ok = total[n - 1] == RootSum.from_int(4, 8 * n)
+    peak_ok = total[n - 1] == int_rootsum(4, 8 * n)
 
     assert defects
     report = verify(bad)
