@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / verified, 1 verification-negative (or no pair
-available), 2 input error, 3 work bound exceeded, a request above its cap
-or out of memory.
+available), 2 input error or an output the system refuses (an OSError, or
+a character stdout cannot encode), 3 work bound exceeded, a request above
+its cap or out of memory.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ def _load(path: str) -> ComplementarySet:
     return setio.parse_set(text)[0]
 
 
-def _parse_coeffs(raw: str, count: int, q: int, as_complex: bool) -> list[int]:
+def _parse_coeffs(raw: str, record: type, q: int, as_complex: bool) -> tuple:
+    """`record` (Coeffs4 or Coeffs8) filled in from --coeffs."""
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != count:
-        raise InputError(f"expected {count} comma-separated coefficients, got {len(parts)}")
+    if len(parts) != len(record._fields):
+        raise InputError(
+            f"expected {len(record._fields)} comma-separated coefficients, got {len(parts)}")
     if not as_complex:
         try:
-            return [int(p) for p in parts]
+            return record(*(int(p) for p in parts))
         except ValueError as exc:
             raise InputError(f"bad coefficient exponent: {exc}") from None
     out = []
@@ -74,7 +77,7 @@ def _parse_coeffs(raw: str, count: int, q: int, as_complex: bool) -> list[int]:
         if quarter * q % 4:
             raise InputError(f"{p} is not a root of unity for q={q}")
         out.append(quarter * q // 4)
-    return out
+    return record(*out)
 
 
 def _emit_set(cs: ComplementarySet, out: str | None, pretty: bool) -> None:
@@ -123,19 +126,12 @@ def cmd_verify(args) -> int:
     return 0 if report.is_cs else 1
 
 
-def cmd_theorem1(args) -> int:
-    pair_a, pair_b = _load(args.pair_a), _load(args.pair_b)
-    _check_caps("theorem1 output", 4, pair_a.length + pair_b.length)
-    coeffs = _parse_coeffs(args.coeffs, len(Coeffs4._fields), pair_a.q, args.complex)
-    _emit_set(cs4_from_pairs(pair_a, pair_b, Coeffs4(*coeffs)), args.out, args.pretty)
-    return 0
-
-
-def cmd_theorem2(args) -> int:
-    pair, set4 = _load(args.pair), _load(args.set)
-    _check_caps("theorem2 output", 8, pair.length + set4.length)
-    coeffs = _parse_coeffs(args.coeffs, len(Coeffs8._fields), pair.q, args.complex)
-    _emit_set(cs8_from_pair_and_set(pair, set4, Coeffs8(*coeffs)), args.out, args.pretty)
+def cmd_concatenate(args) -> int:
+    """theorem1 and theorem2: the concatenation rule, as its parser row sets it up."""
+    first, second = [_load(getattr(args, dest)) for dest in args.inputs]
+    _check_caps(f"{args.command} output", args.rows, first.length + second.length)
+    coeffs = _parse_coeffs(args.coeffs, args.record, first.q, args.complex)
+    _emit_set(args.build(first, second, coeffs), args.out, args.pretty)
     return 0
 
 
@@ -209,17 +205,11 @@ def cmd_papr(args) -> int:
         raise WorkBoundExceeded(
             f"papr --oversample {args.oversample} on length {cs.length} is above "
             f"the cap of {PAPR_GRID_CAP} grid points")
-    rows = []
-    for i, row in enumerate(cs.rows):
-        result = papr(row, args.oversample)
-        rows.append((i, result))
+    results = [papr(row, args.oversample) for row in cs.rows]
     if args.json:
-        print(json.dumps([
-            {"row": i, "papr": r.papr, "peak_t": r.peak_t, "oversample": r.oversample}
-            for i, r in rows
-        ]))
+        print(json.dumps([{"row": i, **r._asdict()} for i, r in enumerate(results)]))
     else:
-        for i, r in rows:
+        for i, r in enumerate(results):
             print(f"row={i} papr={r.papr:.9f} peak_t={r.peak_t:.6f} "
                   f"oversample={r.oversample}")
     return 0
@@ -324,21 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
-    # the two concatenation rules: their input files, and the record --coeffs fills
-    for name, summary, inputs, record, func in (
+    # the two concatenation rules: their input files, the record --coeffs fills,
+    # the constructor and the output's row count
+    for name, summary, inputs, record, build, rows in (
             ("theorem1", "size-4 set from two pairs (lengths M and N)", ("--pair-a", "--pair-b"),
-             Coeffs4, cmd_theorem1),
+             Coeffs4, cs4_from_pairs, 4),
             ("theorem2", "size-8 set from a pair and a size-4 set", ("--pair", "--set"),
-             Coeffs8, cmd_theorem2)):
+             Coeffs8, cs8_from_pair_and_set, 8)):
         p = sub.add_parser(name, help=summary)
-        for option in inputs:
-            p.add_argument(option, required=True)
+        dests = [p.add_argument(option, required=True).dest for option in inputs]
         p.add_argument("--coeffs", required=True, metavar=",".join(record._fields))
         p.add_argument("--complex", action="store_true",
                        help="coefficients as literals 1,-1,i,-i instead of exponents")
         p.add_argument("--out")
         p.add_argument("--pretty", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_concatenate, inputs=dests, record=record, build=build,
+                       rows=rows)
 
     p = sub.add_parser("stack", help="vertically concatenate verified sets")
     p.add_argument("files", nargs="+")
@@ -394,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SeedError, OSError) as exc:
+    except (InputError, SeedError, OSError, UnicodeEncodeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 2
     except WorkBoundExceeded as exc:

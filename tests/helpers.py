@@ -997,7 +997,8 @@ def oracle_build_parser() -> argparse.ArgumentParser:
                    help="coefficients as literals 1,-1,i,-i instead of exponents")
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cli.cmd_theorem1)
+    p.set_defaults(func=cli.cmd_concatenate, inputs=["pair_a", "pair_b"], record=cli.Coeffs4,
+                   build=cli.cs4_from_pairs, rows=4)
 
     p = sub.add_parser("theorem2", help="size-8 set from a pair and a size-4 set")
     p.add_argument("--pair", required=True)
@@ -1007,7 +1008,8 @@ def oracle_build_parser() -> argparse.ArgumentParser:
                    help="coefficients as literals 1,-1,i,-i instead of exponents")
     p.add_argument("--out")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cli.cmd_theorem2)
+    p.set_defaults(func=cli.cmd_concatenate, inputs=["pair", "set"], record=cli.Coeffs8,
+                   build=cli.cs8_from_pair_and_set, rows=8)
 
     p = sub.add_parser("stack", help="vertically concatenate verified sets")
     p.add_argument("files", nargs="+")

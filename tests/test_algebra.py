@@ -55,6 +55,8 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(InputError, match="^cyclotomic polynomial needs n >= 1, got 0$"):
+        cyclotomic_polynomial(0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 8, 12])
@@ -91,6 +93,10 @@ def test_aacf_length_one_identity():
     assert prof.at(0) == int_rootsum(2, 1)
     with pytest.raises(InputError):
         prof.at(1)
+    with pytest.raises(InputError, match="^cannot add profiles of different root orders or "
+                                         "lengths$"):
+        prof + aacf(signs("++"))
+    assert prof != prof.at(0) and prof.__eq__(prof.at(0)) is NotImplemented
 
 
 def test_accf_two_term_hand_values():

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import importlib
+import io
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from cskit import cli
 from cskit.cli import main
 from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, cs8_from_pair_and_set, stack
-from cskit.errors import InputError
+from cskit.errors import InputError, SeedError
 from cskit.io import parse_set, read_set_file, serialize_set, write_set_file
 from cskit.papr import PaprResult
 from cskit.reach import ReachabilitySet, reachable_lengths
@@ -321,10 +322,12 @@ def test_a_failing_input_is_correlated_once(capsys, golden_dir, tmp_path, monkey
 
 def test_shape_mismatches_exit2_before_any_correlation(capsys, golden_dir, tmp_path,
                                                        monkeypatch):
-    # alphabets, lengths and row counts are read from the loaded rows, so a
-    # mismatch exits 2 with its one-line message before any input is verified
-    pair10, pair4, set5, set14 = (golden(golden_dir, name) for name in (
-        "pair_q2_len10.txt", "pair_q2_len4.txt", "cs4_q2_len5.txt", "cs4_q2_len14.txt"))
+    # alphabets, lengths and row counts are read from the loaded rows, and the
+    # coefficients from --coeffs, so a mismatch or a bad coefficient exits 2
+    # with its one-line message before any input is verified
+    pair10, pair4, pair8, set5, set14 = (golden(golden_dir, name) for name in (
+        "pair_q2_len10.txt", "pair_q2_len4.txt", "pair_q2_len8.txt", "cs4_q2_len5.txt",
+        "cs4_q2_len14.txt"))
     quaternary = tmp_path / "q4.txt"
     quaternary.write_text("q=4 rows=4 len=14\n" + "01230123012301\n" * 4)
     pair_q4 = tmp_path / "pair_q4.txt"
@@ -337,9 +340,24 @@ def test_shape_mismatches_exit2_before_any_correlation(capsys, golden_dir, tmp_p
          "both pairs must share one alphabet"),
         (["theorem2", "--pair", pair10, "--set", pair4, "--coeffs", "0,1,1,0,0,0"],
          "set4 must have exactly 4 rows, got 2"),
+        (["theorem2", "--pair", str(pair_q4), "--set", set5, "--coeffs", "0,1,1,0,0,0"],
+         "pair and set4 must share one alphabet"),
         (["theorem1", "--pair-a", set5, "--pair-b", pair4, "--coeffs", "0,0,0,1"],
          "pair_a must have exactly 2 rows, got 4"),
     ]
+    # both concatenation commands parse --coeffs into their record alike
+    for inputs, count in ((["theorem1", "--pair-a", pair10, "--pair-b", pair4], 4),
+                          (["theorem2", "--pair", pair8, "--set", set5], 6)):
+        cases += [
+            ([*inputs, "--coeffs", "0,0,0"],
+             f"expected {count} comma-separated coefficients, got 3"),
+            ([*inputs, "--coeffs", "0," * (count - 1) + "x"],
+             "bad coefficient exponent: invalid literal for int() with base 10: 'x'"),
+            ([*inputs, "--complex", "--coeffs", "1," * (count - 1) + "j"],
+             "bad complex literal 'j' (use 1, -1, i, -i)"),
+            ([*inputs, "--complex", "--coeffs", "1," * (count - 1) + "i"],
+             "i is not a root of unity for q=2"),
+        ]
     for argv, message in cases:
         assert run(capsys, *argv) == (2, "", f"error: input: {message}\n")
     # inadmissible coefficients are named before a non-complementary input
@@ -708,6 +726,19 @@ def test_pretty_rendering(capsys, golden_dir):
     assert out.splitlines()[0] == "++--+++-+-++-+"
 
 
+def test_a_glyph_stdout_cannot_encode_exits2_with_one_line(capsys, monkeypatch):
+    # -i renders as a non-ASCII glyph; an ASCII stdout refuses it like a failed write
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["gcp", "--q", "4", "--len", "5", "--pretty"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: input: 'ascii' codec can't encode character '\\xee'")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    stdout.flush()
+    assert stdout.buffer.getvalue().startswith(b"derivation: ")
+
+
 def test_seeds_list(capsys):
     code, out, _ = run(capsys, "seeds", "list", "--q", "4")
     assert code == 0
@@ -772,6 +803,30 @@ def test_selftest_names_a_golden_file_that_is_not_utf8(capsys, golden_dir, tmp_p
     assert failures == ["pair_q2_len4.txt: byte 0xff is not UTF-8 (line 3, column 1)"]
     out = capsys.readouterr().out
     assert out.count("verifies\n") == 5 and "reconstruction" not in out
+
+
+@pytest.mark.parametrize("text, failure", [
+    ("q=2 rows=2 len=3\n000\n001\n", "wrong shape"),
+    ("q=2 rows=2 len=4\n0000\n0000\n", "failed verification"),
+])
+def test_selftest_names_a_golden_of_the_wrong_shape_or_not_complementary(
+    capsys, golden_dir, tmp_path, text, failure
+):
+    shutil.copytree(golden_dir, tmp_path / "golden")
+    (tmp_path / "golden" / "pair_q2_len4.txt").write_text(text)
+    assert cli._selftest_golden(tmp_path) == [f"pair_q2_len4.txt: {failure}"]
+    out = capsys.readouterr().out
+    assert out.count("verifies\n") == 5 and "reconstruction" not in out
+
+
+def test_selftest_prints_a_fail_line_per_failed_check_and_exits1(capsys, monkeypatch):
+    def load_seeds(q):
+        raise SeedError(f"missing q={q} seed files for lengths [1]")
+
+    monkeypatch.setattr(cli, "load_seeds", load_seeds)
+    golden_lines = SELFTEST_OUT.splitlines(True)[2:-1]  # the golden checks still run
+    fails = [f"FAIL: missing q={q} seed files for lengths [1]\n" for q in (2, 4)]
+    assert run(capsys, "selftest") == (1, "".join(golden_lines + fails), "")
 
 
 def test_set_file_row_length_above_cap_exit3_before_any_verification(

@@ -446,6 +446,11 @@ def test_turyn_rejects_nonbinary_first_pair():
     q3 = seed_pair(4, 3).pair
     with pytest.raises(InputError, match=r"\+1/-1"):
         turyn_product(q3, q3)
+    odd = ensure_verified(
+        ComplementarySet((Sequence.from_exponents(3, [0]), Sequence.from_exponents(3, [0])))
+    )
+    with pytest.raises(InputError, match="^turyn_product needs an even target alphabet$"):
+        turyn_product(seed_pair(2, 2).pair, odd)
 
 
 @pytest.mark.parametrize("q", [2, 4])

@@ -318,6 +318,8 @@ def test_published_row_diffs():
     assert published_row_diff(2, 8, 34) == ({2}, set())
     assert published_row_diff(4, 4, 34) == ({2}, set())
     assert published_row_diff(4, 8, 34) == ({2}, set())
+    with pytest.raises(InputError, match="^no reference row for q=3, size=4$"):
+        published_row_diff(3, 4, 10)
 
 
 def test_published_rows_are_subsets_of_computed():

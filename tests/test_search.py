@@ -471,6 +471,8 @@ def test_limit_truncates_with_flag():
     assert search_cs(2, 4, 4, limit=1).nodes < full.nodes
     with pytest.raises(InputError):
         search_cs(2, 4, 4, limit=0)
+    with pytest.raises(InputError, match="^set size and length must both be >= 1$"):
+        search_cs(2, 0, 4)
 
 
 def test_search_deeper_than_the_recursion_limit():

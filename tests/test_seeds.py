@@ -108,6 +108,29 @@ def test_tampered_provenance_rejected(tmp_path, seed_dir):
         load_seeds(2, target)
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("q2_len2.txt", lambda text: text.replace("rows=2", "rows=4") + "00\n01\n",
+     "expected 2 rows, got 4"),
+    ("q2_len2.txt", lambda text: "".join(ln for ln in text.splitlines(True)
+                                         if not ln.startswith("#")),
+     "missing provenance note"),
+    ("q2_len2.txt", lambda text: text.replace("# provenance=", "# source="),
+     "first note line must be 'provenance=<value>'"),
+    ("q2_len1.txt", lambda text: text.replace("q=2", "q=4"), "header q=4 does not match filename"),
+    ("q2_len2.txt", lambda text: text.replace("len=2", "len=1").replace("\n00\n01\n",
+                                                                        "\n0\n0\n"),
+     "length 1 does not match filename"),
+])
+def test_a_malformed_seed_file_is_named_with_its_fault(tmp_path, seed_dir, name, edit, message):
+    target = tmp_path / "seeds"
+    shutil.copytree(seed_dir, target)
+    path = target / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SeedError) as exc:
+        load_seeds(2, target)
+    assert str(exc.value) == f"seed {name}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Composite pair derivation.
 
@@ -188,6 +211,8 @@ def test_bad_requests_rejected():
         gcp_for_length(2, 0)
     with pytest.raises(InputError):
         gcp_for_length(5, 4)
+    with pytest.raises(SeedError, match="^no q=2 seed of length 3$"):
+        seed_pair(2, 3)
 
 
 def test_gcp_matches_the_chain_building_oracle_to_2600():
