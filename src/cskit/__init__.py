@@ -23,8 +23,6 @@ from .papr import PaprResult, papr
 from .reach import (
     LengthFactorization,
     ReachabilitySet,
-    cs4_lengths,
-    cs8_lengths,
     gcp_lengths,
     published_row_diff,
     reachable_lengths,
@@ -35,7 +33,6 @@ from .verify import (
     ComplementarySet,
     VerificationReport,
     ensure_verified,
-    sum_aacf,
     verify,
 )
 
@@ -63,9 +60,7 @@ __all__ = [
     "accf",
     "canonical_rows",
     "cs4_from_pairs",
-    "cs4_lengths",
     "cs8_from_pair_and_set",
-    "cs8_lengths",
     "cyclotomic_polynomial",
     "ensure_verified",
     "first_cs",
@@ -82,7 +77,6 @@ __all__ = [
     "seed_pair",
     "serialize_set",
     "stack",
-    "sum_aacf",
     "turyn_product",
     "verify",
     "write_set_file",

@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
              Coeffs8, cs8_from_pair_and_set, 8)):
         p = sub.add_parser(name, help=summary)
         dests = [p.add_argument(option, required=True).dest for option in inputs]
-        p.add_argument("--coeffs", required=True, metavar=",".join(record._fields))
+        p.add_argument("--coeffs", required=True, metavar=",".join(record._fields),
+                       help="comma-separated; give a list that starts with - as --coeffs=<list>")
         p.add_argument("--complex", action="store_true",
                        help="coefficients as literals 1,-1,i,-i instead of exponents")
         p.add_argument("--out")

@@ -47,10 +47,19 @@ def _recheck(rows: tuple[Sequence, ...], what: str, *inputs: ComplementarySet
         raise RuntimeError(f"internal error: {what} failed verification ({exc})") from None
 
 
-def _misses(coeffs, q: int) -> list[str]:
+def _reduced(coeffs, q: int):
+    """The same coefficients, each exponent reduced mod q."""
+    return type(coeffs)(*(v % q for v in coeffs))
+
+
+def _violations(coeffs, q: int) -> list[str]:
     """A message for each identity x_i*conj(y0) + x_{i+m}*conj(y1) = 0,
-    i < m, that the coefficients (x_0 .. x_{2m-1}, y0, y1) of an even q
-    miss: it holds when (x_i - y0) == (x_{i+m} - y1) + q/2 (mod q)."""
+    i < m, that the coefficients (x_0 .. x_{2m-1}, y0, y1) miss: with an
+    even q it holds when (x_i - y0) == (x_{i+m} - y1) + q/2 (mod q)."""
+    if q % 2:  # every identity needs -1 in U_q
+        needs = ("x0*conj(y0) + x1*conj(y1) = 0 needs" if len(coeffs) == 4
+                 else "the defining identities need")
+        return [f"q={q} is odd, but {needs} -1 in U_q"]
     *x, y0, y1 = coeffs.reduced(q)
     m = len(x) // 2
     out = []
@@ -78,13 +87,8 @@ class Coeffs4(NamedTuple):
     y0: int
     y1: int
 
-    def reduced(self, q: int) -> "Coeffs4":
-        return Coeffs4(*(v % q for v in self))
-
-    def violations(self, q: int) -> list[str]:
-        if q % 2:
-            return [f"q={q} is odd, but x0*conj(y0) + x1*conj(y1) = 0 needs -1 in U_q"]
-        return _misses(self, q)
+    reduced = _reduced
+    violations = _violations
 
 
 class Coeffs8(NamedTuple):
@@ -101,13 +105,8 @@ class Coeffs8(NamedTuple):
     y0: int
     y1: int
 
-    def reduced(self, q: int) -> "Coeffs8":
-        return Coeffs8(*(v % q for v in self))
-
-    def violations(self, q: int) -> list[str]:
-        if q % 2:
-            return [f"q={q} is odd, but the defining identities need -1 in U_q"]
-        return _misses(self, q)
+    reduced = _reduced
+    violations = _violations
 
 
 def _concatenate(pair: ComplementarySet, r: ComplementarySet, coeffs) -> ComplementarySet:

@@ -255,27 +255,18 @@ def _pass(max_len: int, pools, partners: list[int], stacks: bool) -> tuple[list,
     return first, reached
 
 
-def cs4_lengths(q: int, max_len: int) -> ReachabilitySet:
-    """Reachable size-4 lengths: all sums M+N of two pattern lengths M <= N."""
+def reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:
+    """Reachable lengths of one set size: M+N of two pattern lengths M <= N
+    for size 4; M+P of a pattern length and a size-4 length, or a stack,
+    for size 8."""
+    if set_size not in (4, 8):
+        raise InputError(f"enumeration covers set sizes 4 and 8, got {set_size}")
     pools = _pools(q, max_len)
     first, reached = _pass(max_len, pools, [_mask(pool) for pool in pools], False)
-    return ReachabilitySet(q, 4, max_len, tuple(_entries(first, reached, "pair-sum")))
-
-
-def cs8_lengths(q: int, max_len: int) -> ReachabilitySet:
-    """Reachable size-8 lengths: pair length + size-4 length, or a stack."""
-    pools = _pools(q, max_len)
-    _, partners = _pass(max_len, pools, [_mask(pool) for pool in pools], False)
-    first, reached = _pass(max_len, pools, partners, True)
-    return ReachabilitySet(q, 8, max_len, tuple(_entries(first, reached, "pair-plus-set4")))
-
-
-def reachable_lengths(q: int, set_size: int, max_len: int) -> ReachabilitySet:
-    if set_size == 4:
-        return cs4_lengths(q, max_len)
     if set_size == 8:
-        return cs8_lengths(q, max_len)
-    raise InputError(f"enumeration covers set sizes 4 and 8, got {set_size}")
+        first, reached = _pass(max_len, pools, reached, True)
+    kind = "pair-sum" if set_size == 4 else "pair-plus-set4"
+    return ReachabilitySet(q, set_size, max_len, tuple(_entries(first, reached, kind)))
 
 
 # ---------------------------------------------------------------------------

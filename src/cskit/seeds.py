@@ -14,8 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import io as setio
 from .construct import golay_double, turyn_product
@@ -69,7 +68,11 @@ def _parse_seed(name: str, data: bytes) -> SeedRecord:
     )
 
 
-def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
+@lru_cache(maxsize=None)
+def load_seeds(q: int) -> tuple[SeedRecord, ...]:
+    """All seed records for one alphabet, verified and sorted by length."""
+    require_pair_data(q, "seeds")
+    directory = _default_seed_dir()
     records = []
     names = sorted(entry.name for entry in directory.iterdir())
     for name in names:
@@ -88,19 +91,6 @@ def _load_dir(q: int, directory) -> tuple[SeedRecord, ...]:
     if missing:
         raise SeedError(f"missing q={q} seed files for lengths {missing}")
     return tuple(records)
-
-
-def load_seeds(q: int, directory: Union[str, Path, None] = None) -> tuple[SeedRecord, ...]:
-    """All seed records for one alphabet, verified and sorted by length."""
-    require_pair_data(q, "seeds")
-    if directory is None:
-        return _load_default(q)
-    return _load_dir(q, Path(directory))
-
-
-@lru_cache(maxsize=None)
-def _load_default(q: int) -> tuple[SeedRecord, ...]:
-    return _load_dir(q, _default_seed_dir())
 
 
 def seed_pair(q: int, length: int) -> SeedRecord:

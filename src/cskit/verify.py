@@ -82,11 +82,6 @@ def _is_cs(total, size: int) -> bool:
     return peak[0] == size * n and not any(peak[1:]) and not total[n:].any()
 
 
-def sum_aacf(candidate: ComplementarySet) -> CorrelationProfile:
-    """Sum of the per-row autocorrelation profiles."""
-    return CorrelationProfile(candidate.q, candidate.length, _summed_coords(candidate, {}))
-
-
 def _report(candidate: ComplementarySet, coords) -> VerificationReport:
     """The report on a stack from its summed profile's coordinates; only the
     shifts whose summed value is not exactly zero are visited."""

@@ -992,7 +992,8 @@ def oracle_build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1", help="size-4 set from two pairs (lengths M and N)")
     p.add_argument("--pair-a", required=True)
     p.add_argument("--pair-b", required=True)
-    p.add_argument("--coeffs", required=True, metavar="x0,x1,y0,y1")
+    p.add_argument("--coeffs", required=True, metavar="x0,x1,y0,y1",
+                   help="comma-separated; give a list that starts with - as --coeffs=<list>")
     p.add_argument("--complex", action="store_true",
                    help="coefficients as literals 1,-1,i,-i instead of exponents")
     p.add_argument("--out")
@@ -1003,7 +1004,8 @@ def oracle_build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem2", help="size-8 set from a pair and a size-4 set")
     p.add_argument("--pair", required=True)
     p.add_argument("--set", required=True)
-    p.add_argument("--coeffs", required=True, metavar="x0,x1,x2,x3,y0,y1")
+    p.add_argument("--coeffs", required=True, metavar="x0,x1,x2,x3,y0,y1",
+                   help="comma-separated; give a list that starts with - as --coeffs=<list>")
     p.add_argument("--complex", action="store_true",
                    help="coefficients as literals 1,-1,i,-i instead of exponents")
     p.add_argument("--out")

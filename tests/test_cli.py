@@ -201,6 +201,22 @@ def test_theorem1_rejects_imaginary_literal_for_binary(capsys, golden_dir):
     assert err == "error: input: i is not a root of unity for q=2\n"
 
 
+def test_a_coeffs_list_that_starts_with_minus_takes_the_equals_form(capsys, golden_dir):
+    # after a space argparse reads "-1,..." as an option; --coeffs=<list> passes it whole
+    pairs = ["--pair-a", golden(golden_dir, "pair_q2_len10.txt"),
+             "--pair-b", golden(golden_dir, "pair_q2_len4.txt")]
+    outputs = []
+    for argv in (["--coeffs=-1,0,0,0"], ["--coeffs=-1,1,1,1", "--complex"],
+                 ["--coeffs", "1,0,0,0"]):
+        code, out, err = outcome(capsys, ["theorem1", *pairs, *argv])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    for argv in (["--coeffs", "-1,0,0,0"], ["--complex", "--coeffs", "-1,1,1,1"]):
+        assert outcome(capsys, ["theorem1", *pairs, *argv]) == (
+            2, "", "error: usage: argument --coeffs: expected one argument\n")
+
+
 def test_theorem2_takes_the_same_literals(capsys, golden_dir):
     outputs = []
     for coeffs, flags in (("1,-1,-1,1,1,1", ["--complex"]), ("0,1,1,0,0,0", [])):

@@ -13,8 +13,6 @@ from cskit.reach import (
     Composition,
     LengthEntry,
     composition,
-    cs4_lengths,
-    cs8_lengths,
     gcp_lengths,
     in_gcp_pattern,
     published_row_diff,
@@ -112,19 +110,28 @@ def test_unsupported_alphabet():
     for length in (0, 8):  # whatever the length
         with pytest.raises(InputError, match=r"^no composition data for q=3 \(supported: 2, 4\)$"):
             composition(3, length)
-    with pytest.raises(InputError):
-        reachable_lengths(2, 6, 10)
+    # reachable_lengths checks the size first, then max and q as gcp_lengths does
+    for args, message in (((3, 6, 0), "enumeration covers set sizes 4 and 8, got 6"),
+                          ((2, 6, 10), "enumeration covers set sizes 4 and 8, got 6"),
+                          ((4, 5, -1), "enumeration covers set sizes 4 and 8, got 5"),
+                          ((3, 8, 0), "max length must be >= 1"),
+                          ((2, 4, 0), "max length must be >= 1"),
+                          ((3, 4, 10), "no pattern data for q=3 (supported: 2, 4)")):
+        with pytest.raises(InputError) as exc:
+            reachable_lengths(*args)
+        assert str(exc.value) == message
 
 
 def test_every_refusal_names_the_alphabets_with_seeds(monkeypatch, tmp_path):
     # the list is read from SEED_LENGTHS when a request is refused, so an
     # alphabet added there is named by every check, each before its other inputs
     monkeypatch.setitem(reach_module.SEED_LENGTHS, 8, ())
+    monkeypatch.setattr(seeds, "_default_seed_dir", lambda: tmp_path / "absent")
     calls = (
         (lambda: gcp_lengths(3, 10), "pattern data"),
         (lambda: in_gcp_pattern(3, 0), "pattern data"),
         (lambda: composition(3, 0), "composition data"),
-        (lambda: seeds.load_seeds(3, tmp_path / "absent"), "seeds"),
+        (lambda: seeds.load_seeds(3), "seeds"),
         (lambda: seeds.gcp_for_length(3, 0), "seeds"),
     )
     for call, what in calls:
@@ -143,21 +150,21 @@ EXPECTED_CS4_Q2_34 = [
 
 
 def test_cs4_binary_lengths_to_34():
-    assert cs4_lengths(2, 34).lengths() == EXPECTED_CS4_Q2_34
+    assert reachable_lengths(2, 4, 34).lengths() == EXPECTED_CS4_Q2_34
 
 
 def test_cs4_binary_against_independent_sum_oracle():
     pattern = brute_binary_pattern(34)
     expected = sorted({m + n for m in pattern for n in pattern if m + n <= 34})
-    assert cs4_lengths(2, 34).lengths() == expected
+    assert reachable_lengths(2, 4, 34).lengths() == expected
 
 
 def test_cs4_quaternary_lengths_to_34():
-    assert cs4_lengths(4, 34).lengths() == [2] + list(range(3, 35))
+    assert reachable_lengths(4, 4, 34).lengths() == [2] + list(range(3, 35))
 
 
 def test_cs4_length29_witness_is_3_plus_26():
-    entry = cs4_lengths(4, 29).entries[-1]
+    entry = reachable_lengths(4, 4, 29).entries[-1]
     assert entry.length == 29
     assert entry.witness.operands == (3, 26)
     assert entry.constructive
@@ -165,7 +172,7 @@ def test_cs4_length29_witness_is_3_plus_26():
 
 def test_cs4_witnesses_are_pattern_sums():
     for q in (2, 4):
-        reach = cs4_lengths(q, 34)
+        reach = reachable_lengths(q, 4, 34)
         pattern = set(gcp_lengths(q, 34))
         for entry in reach.entries:
             m, n = entry.witness.operands
@@ -174,9 +181,9 @@ def test_cs4_witnesses_are_pattern_sums():
 
 
 def test_cs4_remark_scale_coverage():
-    lengths = set(cs4_lengths(4, 40).lengths())
+    lengths = set(reachable_lengths(4, 4, 40).lengths())
     assert set(range(2, 41)) <= lengths
-    by_length = {e.length: e for e in cs4_lengths(4, 40).entries}
+    by_length = {e.length: e for e in reachable_lengths(4, 4, 40).entries}
     assert all(by_length[L].constructive for L in range(2, 41))
 
 
@@ -185,11 +192,11 @@ def test_cs4_remark_scale_coverage():
 
 
 def test_cs8_binary_lengths_to_34():
-    assert cs8_lengths(2, 34).lengths() == [2] + list(range(3, 35))
+    assert reachable_lengths(2, 8, 34).lengths() == [2] + list(range(3, 35))
 
 
 def test_cs8_quaternary_lengths_to_34():
-    assert cs8_lengths(4, 34).lengths() == [2] + list(range(3, 35))
+    assert reachable_lengths(4, 8, 34).lengths() == [2] + list(range(3, 35))
 
 
 def test_cs8_length13_admits_the_8_plus_5_derivation():
@@ -198,16 +205,16 @@ def test_cs8_length13_admits_the_8_plus_5_derivation():
 
 
 def test_cs8_stack_only_length_two():
-    reach = cs8_lengths(2, 2)
+    reach = reachable_lengths(2, 8, 2)
     assert reach.lengths() == [2]
     assert reach.entries[0].witness.kind == "stack"
 
 
 def test_cs8_witnesses_check_out():
     for q in (2, 4):
-        reach = cs8_lengths(q, 34)
+        reach = reachable_lengths(q, 8, 34)
         pattern = set(gcp_lengths(q, 34))
-        cs4 = set(cs4_lengths(q, 34).lengths())
+        cs4 = set(reachable_lengths(q, 4, 34).lengths())
         for entry in reach.entries:
             w = entry.witness
             if w.kind == "stack":
@@ -245,7 +252,7 @@ def test_size8_plans_each_pattern_length_once(monkeypatch, q):
             depth.pop()
 
     monkeypatch.setattr(reach_module, "composition", counted)
-    cs8_lengths(q, 2600)
+    reachable_lengths(q, 8, 2600)
     assert sorted(calls) == gcp_lengths(q, 2600)
 
 
@@ -281,7 +288,7 @@ def test_witnesses_match_oracle_under_random_plans(monkeypatch, seed):
                     q, size, cap
                 )
         candidates = helpers.cs8_candidates(q, 300)
-        for entry in cs8_lengths(q, 300).entries:
+        for entry in reachable_lengths(q, 8, 300).entries:
             stacks_beating_pair_sums += (
                 entry.witness.kind == "stack"
                 and entry.constructive
@@ -305,7 +312,7 @@ def test_monotone_in_max_length(q, size):
 
 
 def test_constructive_labels_track_composition_plans():
-    reach = cs4_lengths(4, 34)
+    reach = reachable_lengths(4, 4, 34)
     for entry in reach.entries:
         m, n = entry.witness.operands
         assert entry.constructive == (

@@ -17,7 +17,7 @@ from cskit.errors import InputError, WorkBoundExceeded
 from cskit import search
 from cskit.search import canonical_rows, first_cs, search_cs
 from cskit.seeds import gcp_for_length
-from cskit.verify import ComplementarySet, sum_aacf, verify
+from cskit.verify import ComplementarySet, verify
 
 from helpers import (
     affine_rank,
@@ -440,7 +440,7 @@ def test_parity_congruences_hold(data):
     p, n = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 12))
     rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                               min_size=p, max_size=p))
-    total = sum_aacf(ComplementarySet(tuple(Sequence(q, tuple(r)) for r in rows))).coords
+    total = verify(ComplementarySet(tuple(Sequence(q, tuple(r)) for r in rows))).sum_profile.coords
     c = [complex(*total[n - 1 + tau].tolist()) if q == 4 else total[n - 1 + tau][0]
          for tau in range(n)] + [0]
     for tau in range(1, n):

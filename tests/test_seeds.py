@@ -1,5 +1,6 @@
 """Seed database: load-time verification and composite pair derivation."""
 
+import importlib
 import shutil
 
 import pytest
@@ -11,6 +12,20 @@ from cskit.io import serialize_set
 from cskit.reach import SEED_LENGTHS, composition
 from cskit.seeds import gcp_for_length, load_seeds, seed_pair
 from cskit.verify import verify
+
+verify_module = importlib.import_module("cskit.verify")  # cskit.verify is the function
+
+
+@pytest.fixture
+def seed_copy(tmp_path, seed_dir, monkeypatch):
+    """A copy of the packaged seeds that `load_seeds` reads in their place,
+    with its cache cleared before and after the test."""
+    target = tmp_path / "seeds"
+    shutil.copytree(seed_dir, target)
+    monkeypatch.setattr(seeds, "_default_seed_dir", lambda: target)
+    load_seeds.cache_clear()
+    yield target
+    load_seeds.cache_clear()
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -50,12 +65,23 @@ def test_unsupported_alphabet_rejected():
         load_seeds(3)
 
 
-def test_missing_seed_file_aborts(tmp_path, seed_dir):
-    target = tmp_path / "seeds"
-    shutil.copytree(seed_dir, target)
-    (target / "q2_len26.txt").unlink()
+@pytest.mark.parametrize("q", [2, 4])
+def test_a_second_load_reuses_the_verified_records(monkeypatch, q):
+    calls = []
+    real = verify_module.aacf
+    monkeypatch.setattr(verify_module, "aacf", lambda row: calls.append(row) or real(row))
+    load_seeds.cache_clear()
+    first = load_seeds(q)
+    assert calls  # the first load verifies every record
+    calls.clear()
+    assert load_seeds(q) is first
+    assert calls == []
+
+
+def test_missing_seed_file_aborts(seed_copy):
+    (seed_copy / "q2_len26.txt").unlink()
     with pytest.raises(SeedError, match=r"missing q=2 seed files for lengths \[26\]"):
-        load_seeds(2, target)
+        load_seeds(2)
 
 
 @pytest.mark.parametrize(
@@ -71,14 +97,12 @@ def test_missing_seed_file_aborts(tmp_path, seed_dir):
         "q4_len13.txt",
     ],
 )
-def test_corrupting_one_exponent_fails_load(name, tmp_path, seed_dir):
+def test_corrupting_one_exponent_fails_load(name, seed_copy):
     # rewriting the leading entry of row 0 provably breaks the shift N-1 sum
     # for any pair of length >= 2 (single-entry pairs stay complementary
     # under every rewrite, so length-1 files are exempt)
     q = int(name[1])
-    target = tmp_path / "seeds"
-    shutil.copytree(seed_dir, target)
-    path = target / name
+    path = seed_copy / name
     lines = path.read_text().splitlines()
     first_data = next(i for i, ln in enumerate(lines) if i > 0 and not ln.startswith("#"))
     row = lines[first_data]
@@ -86,26 +110,22 @@ def test_corrupting_one_exponent_fails_load(name, tmp_path, seed_dir):
     lines[first_data] = flipped + row[1:]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SeedError, match=name.removesuffix(".txt")):
-        load_seeds(q, target)
+        load_seeds(q)
 
 
-def test_non_utf8_seed_file_names_the_file(tmp_path, seed_dir):
-    target = tmp_path / "seeds"
-    shutil.copytree(seed_dir, target)
-    path = target / "q2_len1.txt"
+def test_non_utf8_seed_file_names_the_file(seed_copy):
+    path = seed_copy / "q2_len1.txt"
     path.write_bytes(path.read_bytes().replace(b"\n0\n0\n", b"\n\xff\n0\n"))
     message = r"seed q2_len1\.txt: byte 0xff is not UTF-8 \(line 4, column 1\)"
     with pytest.raises(SeedError, match=message):
-        load_seeds(2, target)
+        load_seeds(2)
 
 
-def test_tampered_provenance_rejected(tmp_path, seed_dir):
-    target = tmp_path / "seeds"
-    shutil.copytree(seed_dir, target)
-    path = target / "q2_len2.txt"
+def test_tampered_provenance_rejected(seed_copy):
+    path = seed_copy / "q2_len2.txt"
     path.write_text(path.read_text().replace("provenance=derived-search", "provenance=guess"))
     with pytest.raises(SeedError, match="unknown provenance"):
-        load_seeds(2, target)
+        load_seeds(2)
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -121,13 +141,11 @@ def test_tampered_provenance_rejected(tmp_path, seed_dir):
                                                                         "\n0\n0\n"),
      "length 1 does not match filename"),
 ])
-def test_a_malformed_seed_file_is_named_with_its_fault(tmp_path, seed_dir, name, edit, message):
-    target = tmp_path / "seeds"
-    shutil.copytree(seed_dir, target)
-    path = target / name
+def test_a_malformed_seed_file_is_named_with_its_fault(seed_copy, name, edit, message):
+    path = seed_copy / name
     path.write_text(edit(path.read_text()))
     with pytest.raises(SeedError) as exc:
-        load_seeds(2, target)
+        load_seeds(2)
     assert str(exc.value) == f"seed {name}: {message}"
 
 

@@ -11,7 +11,7 @@ from cskit.construct import Coeffs4, cs4_from_pairs, stack
 from cskit.errors import InputError
 from cskit.reach import gcp_lengths
 from cskit.seeds import gcp_for_length
-from cskit.verify import ComplementarySet, ensure_verified, ensure_verified_all, sum_aacf, verify
+from cskit.verify import ComplementarySet, ensure_verified, ensure_verified_all, verify
 
 from conftest import load_golden
 from helpers import (
@@ -187,12 +187,12 @@ def test_random_pairs_verify_and_transform(q, seed):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_repeated_rows_sum_like_one_profile_per_row(q):
-    # sum_aacf correlates each distinct row once and scales its profile
+    # the summed profile correlates each distinct row once and scales it
     rng = random.Random(q)
     a, b, c = (Sequence.from_exponents(q, [rng.randrange(q) for _ in range(9)])
                for _ in range(3))
     rows = (a, a, b, a, c, c, a)
-    profile = sum_aacf(ComplementarySet(rows))
+    profile = verify(ComplementarySet(rows)).sum_profile
     per_row = aacf(a)
     for row in rows[1:]:
         per_row = per_row + aacf(row)
