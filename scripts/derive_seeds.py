@@ -21,17 +21,16 @@ sys.path.insert(0, str(REPO / "src"))
 
 from cskit.algebra import Sequence  # noqa: E402
 from cskit.io import serialize_set  # noqa: E402
+from cskit.reach import SEED_LENGTHS  # noqa: E402
 from cskit.search import first_cs  # noqa: E402
 from cskit.verify import ComplementarySet, ensure_verified  # noqa: E402
 
 SEED_DIR = REPO / "src" / "cskit" / "data" / "seeds"
 
-# Transcribed worked-example pair; everything else is searched.
+# Transcribed worked-example pair; every other length SEED_LENGTHS names is searched.
 PAPER_EXAMPLE_SEEDS = {
     (2, 10): ("0011000101", "0000010110"),
 }
-
-SEARCHED = [(2, 1), (2, 2), (2, 26), (4, 1), (4, 2), (4, 3), (4, 5), (4, 11), (4, 13)]
 
 SEARCH_NOTE = (
     "found by scripts/derive_seeds.py: first solution of the ends-inward "
@@ -57,7 +56,9 @@ def main():
         records.append((q, length, pair, note))
         print(f"q={q} len={length}: transcribed, verified")
 
-    for q, length in SEARCHED:
+    searched = [(q, length) for q in sorted(SEED_LENGTHS) for length in sorted(SEED_LENGTHS[q])
+                if (q, length) not in PAPER_EXAMPLE_SEEDS]
+    for q, length in searched:
         t0 = time.monotonic()
         pair = first_cs(q, 2, length)
         dt = time.monotonic() - t0

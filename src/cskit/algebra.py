@@ -113,6 +113,8 @@ class RootSum:
         return cls.from_counts(q, [int(d == t % q) for d in range(q)])
 
     def to_complex(self) -> complex:
+        if self.q in (1, 2, 4):  # the coordinates are the real and imaginary parts
+            return complex(*self.coords)
         return sum(
             (c * cmath.exp(2j * cmath.pi * t / self.q) for t, c in enumerate(self.coords) if c),
             0j,

@@ -13,7 +13,6 @@ import json
 import shutil
 import sys
 from functools import partial
-from pathlib import Path
 
 from . import io as setio
 from .algebra import check_alphabet
@@ -37,6 +36,7 @@ GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
 SET_LEN_CAP = 2**16  # length of rows read or written; theorem2 on capped gcp pairs writes 49,152
 SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files read or written; theorem2 writes 8 rows
+SET_NOTE_BYTES = 2**16  # the most a set file read holds beyond its header line and rows
 SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; a full path's slot records grow so
 SEARCH_SLOT_CAP = 2**16  # search --size * --len; per-slot state is allocated before any node
 
@@ -51,11 +51,16 @@ def _check_caps(what: str, rows: int, length: int) -> None:
 
 
 def _load(path: str) -> ComplementarySet:
-    # the caps are read from the header, before any row is parsed
-    text = setio.decode_text(Path(path).read_bytes())
-    _, rows, length = setio.parse_header(text)
-    _check_caps(path, rows, length)
-    return setio.parse_set(text)[0]
+    # caps from the header line; then no more than its rows (each with a \r\n) and notes
+    with open(path, "rb") as fh:
+        head = fh.readline(256)
+        q, rows, length = setio.parse_header(setio.decode_text(head))
+        _check_caps(path, rows, length)
+        size = rows * (length + 2) + SET_NOTE_BYTES
+        data = head + fh.read(size + 1)
+    if len(data) > len(head) + size:
+        raise InputError(f"{path}: longer than q={q} rows={rows} len={length} and its notes")
+    return setio.parse_set(setio.decode_text(data))[0]
 
 
 def _parse_coeffs(raw: str, record: type, q: int, as_complex: bool) -> tuple:

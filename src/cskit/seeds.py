@@ -11,7 +11,6 @@ come from this database, its doubling and Turyn steps from `construct`.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Optional
@@ -24,8 +23,6 @@ from .reach import (SEED_LENGTHS, Composition, composition, in_gcp_pattern, patt
 from .verify import ComplementarySet, ensure_verified
 
 PROVENANCES = ("paper-example", "derived-search", "literature")
-
-_FILENAME = re.compile(r"^q(\d+)_len(\d+)\.txt$")
 
 
 class SeedRecord(NamedTuple):
@@ -70,26 +67,22 @@ def _parse_seed(name: str, data: bytes) -> SeedRecord:
 
 @lru_cache(maxsize=None)
 def load_seeds(q: int) -> tuple[SeedRecord, ...]:
-    """All seed records for one alphabet, verified and sorted by length."""
+    """The seed records of the lengths SEED_LENGTHS names, verified and sorted by length."""
     require_pair_data(q, "seeds")
     directory = _default_seed_dir()
-    records = []
-    names = sorted(entry.name for entry in directory.iterdir())
-    for name in names:
-        m = _FILENAME.match(name)
-        if not m or int(m.group(1)) != q:
-            continue
-        record = _parse_seed(name, directory.joinpath(name).read_bytes())
-        if record.q != q:
-            raise SeedError(f"seed {name}: header q={record.q} does not match filename")
-        if record.length != int(m.group(2)):
-            raise SeedError(f"seed {name}: length {record.length} does not match filename")
-        records.append(record)
-    records.sort(key=lambda r: r.length)
-    have = {r.length for r in records}
-    missing = [ln for ln in sorted(SEED_LENGTHS[q]) if ln not in have]
+    files = {length: directory.joinpath(f"q{q}_len{length}.txt")
+             for length in sorted(SEED_LENGTHS[q])}
+    missing = [length for length, path in files.items() if not path.is_file()]
     if missing:
         raise SeedError(f"missing q={q} seed files for lengths {missing}")
+    records = []
+    for length, path in files.items():
+        record = _parse_seed(path.name, path.read_bytes())
+        if record.q != q:
+            raise SeedError(f"seed {path.name}: header q={record.q} does not match filename")
+        if record.length != length:
+            raise SeedError(f"seed {path.name}: length {record.length} does not match filename")
+        records.append(record)
     return tuple(records)
 
 

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cskit import cli
+from cskit import cli, seeds
 from cskit.cli import main
 from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, cs8_from_pair_and_set, stack
-from cskit.errors import InputError, SeedError
+from cskit.errors import InputError
 from cskit.io import parse_set, read_set_file, serialize_set, write_set_file
 from cskit.papr import PaprResult
-from cskit.reach import ReachabilitySet, reachable_lengths
+from cskit.reach import SEED_LENGTHS, ReachabilitySet, reachable_lengths
 from cskit.search import SearchResult
-from cskit.seeds import GcpLookup, gcp_for_length
+from cskit.seeds import GcpLookup, gcp_for_length, load_seeds
 from cskit.verify import ensure_verified, verify
 
 from conftest import load_golden
@@ -71,6 +71,20 @@ def test_verify_json_report(capsys, golden_dir):
     assert report["peak"] == 56
     assert report["first_defect_shift"] is None
     assert len(report["sum_profile"]) == 14
+
+
+def test_verify_json_is_exact_for_gaussian_alphabets(capsys, tmp_path):
+    # q=4: the sums are Gaussian integers, printed as such, and the
+    # conjugates 2 + 2i and 2 - 2i have one magnitude
+    path = tmp_path / "q4.txt"
+    path.write_text("q=4 rows=2 len=8\n01230123\n00112233\n")
+    code, out, _ = run(capsys, "verify", str(path), "--report", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["sum_profile"] == [[16, 0], [4, -10], [-6, -6], [-2, 2], [0, 0], [-2, -2],
+                                     [-2, 2], [0, 2]]
+    assert report["defect_magnitudes"] == {"1": abs(4 - 10j), "2": abs(6 + 6j), "3": abs(2 + 2j),
+                                           "5": abs(2 + 2j), "6": abs(2 + 2j), "7": 2}
 
 
 def test_verify_json_sum_profile_matches_rootsum_oracle(capsys, tmp_path):
@@ -835,14 +849,18 @@ def test_selftest_names_a_golden_of_the_wrong_shape_or_not_complementary(
     assert out.count("verifies\n") == 5 and "reconstruction" not in out
 
 
-def test_selftest_prints_a_fail_line_per_failed_check_and_exits1(capsys, monkeypatch):
-    def load_seeds(q):
-        raise SeedError(f"missing q={q} seed files for lengths [1]")
-
-    monkeypatch.setattr(cli, "load_seeds", load_seeds)
+def test_selftest_prints_a_fail_line_per_failed_check_and_exits1(capsys, monkeypatch, tmp_path):
+    # no seed directory at all: each alphabet's files are reported missing
+    monkeypatch.setattr(seeds, "_default_seed_dir", lambda: tmp_path / "absent")
+    load_seeds.cache_clear()
+    try:
+        result = run(capsys, "selftest")
+    finally:
+        load_seeds.cache_clear()
     golden_lines = SELFTEST_OUT.splitlines(True)[2:-1]  # the golden checks still run
-    fails = [f"FAIL: missing q={q} seed files for lengths [1]\n" for q in (2, 4)]
-    assert run(capsys, "selftest") == (1, "".join(golden_lines + fails), "")
+    fails = [f"FAIL: missing q={q} seed files for lengths {sorted(SEED_LENGTHS[q])}\n"
+             for q in (2, 4)]
+    assert result == (1, "".join(golden_lines + fails), "")
 
 
 def test_set_file_row_length_above_cap_exit3_before_any_verification(
@@ -890,6 +908,17 @@ def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
         path.write_text(f"{header}\nx\n")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and err.startswith("error: input: ") and "(line 2, column" in err
+
+
+def test_a_set_file_is_read_no_further_than_its_header_allows(capsys, tmp_path, monkeypatch):
+    # its rows, each with a \r\n, and SET_NOTE_BYTES of notes load; one byte more is refused
+    monkeypatch.setattr(cli, "SET_NOTE_BYTES", 10)
+    path = tmp_path / "set.txt"
+    for note, expected in (("# 123456", (0, "")), ("# 1234567", (
+            2, f"error: input: {path}: longer than q=2 rows=2 len=2 and its notes\n"))):
+        path.write_bytes(f"q=2 rows=2 len=2\r\n{note}\r\n00\r\n01\r\n".encode())
+        code, _, err = run(capsys, "verify", str(path))
+        assert (code, err) == expected
 
 
 def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
@@ -1120,15 +1149,36 @@ def test_theorem1_to_the_largest_size4_set_stays_near_a_small_call(tmp_path, sma
     assert peak - small_call_peak < 20, (small_call_peak, peak)
 
 
+@pytest.fixture(scope="module")
+def long_file(tmp_path_factory):
+    """A 40 MB file whose header and first rows make a q=2 rows=2 len=4 set."""
+    path = tmp_path_factory.mktemp("long") / "long.txt"
+    with open(path, "wb") as fh:
+        fh.write(b"q=2 rows=2 len=4\n0000\n0001\n")
+        for _ in range(8):
+            fh.write(b"0101\n" * (1 << 20))
+    return path
+
+
 @linux_only
-@pytest.mark.parametrize("argv,margin", [
-    (("gcp", "--q", "4", "--len", str(cli.GCP_LEN_CAP)), 15),
-    (("verify", "{cs4}"), 20),
-    (("papr", "{cs4}", "--oversample", "64"), 130),
-], ids=["gcp", "verify", "papr"])
+@pytest.mark.parametrize("argv,margin,expected", [
+    (("gcp", "--q", "4", "--len", str(cli.GCP_LEN_CAP)), 15, (0, "")),
+    (("verify", "{cs4}"), 20, (0, "")),
+    (("papr", "{cs4}", "--oversample", "64"), 130, (0, "")),
+    (("verify", "{long}"), 15,
+     (2, "error: input: {long}: longer than q=2 rows=2 len=4 and its notes\n")),
+    (("verify", "/dev/zero"), 15,
+     (2, "error: input: header must be 'q=<int> rows=<int> len=<int>' (line 1, column 1)\n")),
+], ids=["gcp", "verify", "papr", "verify-long-file", "verify-dev-zero"])
 def test_a_call_at_its_cap_stays_within_its_margin_of_a_small_call(small_call_peak, cap_files,
-                                                                   argv, margin):
-    # README's "memory at the caps" table: 4, 8 and 116 MB above `seeds list`
-    code, err, peak = child(*(arg.format(cs4=cap_files[1]) for arg in argv))
-    assert (code, err) == (0, "")
+                                                                   long_file, argv, margin,
+                                                                   expected):
+    # README's "memory at the caps" table: 4, 8 and 116 MB above `seeds list`,
+    # and about 0 for a refused file, read no further than its header allows.
+    # The address-space limit turns a regression there into exit 3 instead of
+    # exhausting memory.
+    files = {"cs4": cap_files[1], "long": long_file}
+    code, err, peak = child(*(arg.format(**files) for arg in argv),
+                            limit_mb=400 if expected[0] else 0)
+    assert (code, err) == (expected[0], expected[1].format(**files))
     assert peak - small_call_peak < margin, (small_call_peak, peak)

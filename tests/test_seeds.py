@@ -6,7 +6,9 @@ import shutil
 import pytest
 
 import helpers
+from conftest import load_golden
 from cskit import seeds
+from cskit.cli import main
 from cskit.errors import InputError, SeedError
 from cskit.io import serialize_set
 from cskit.reach import SEED_LENGTHS, composition
@@ -82,6 +84,15 @@ def test_missing_seed_file_aborts(seed_copy):
     (seed_copy / "q2_len26.txt").unlink()
     with pytest.raises(SeedError, match=r"missing q=2 seed files for lengths \[26\]"):
         load_seeds(2)
+
+
+def test_a_seed_file_no_seed_length_names_is_not_loaded(seed_copy, capsys):
+    # a valid q=2 pair of length 4, which SEED_LENGTHS[2] does not name
+    pair = load_golden("pair_q2_len4.txt")
+    (seed_copy / "q2_len4.txt").write_text(serialize_set(pair, "provenance=literature"))
+    assert [r.length for r in load_seeds(2)] == sorted(SEED_LENGTHS[2])
+    assert main(["seeds", "list", "--q", "2"]) == 0
+    assert "len=  4" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
