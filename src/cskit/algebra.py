@@ -17,7 +17,7 @@ that its cached table picks once per q (`aacf` gathers its row once):
 - q in {1, 2, 4}: the entries themselves, +-1 in float64 or 1, i, -1, -i
   in complex128, in one `np.correlate`. Every product of two entries is
   +-1 or +-i, so every real and imaginary partial sum is an integer of
-  magnitude at most N < 2^53 (the CLI caps N at 2^16), summed directly
+  magnitude at most N < 2^53 (set files are capped at 2^16), summed directly
   (no FFT); the real and imaginary parts are the canonical coordinates,
   read into int64.
 - every other q: the entries' canonical coordinates, phi(q)^2 float64

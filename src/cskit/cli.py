@@ -23,7 +23,7 @@ from .construct import (
     cs8_from_pair_and_set,
     stack,
 )
-from .errors import InputError, ParseError, SeedError, WorkBoundExceeded
+from .errors import InputError, SeedError, WorkBoundExceeded
 from .papr import DEFAULT_OVERSAMPLE, papr
 from .reach import SEED_LENGTHS, published_row_diff, reachable_lengths
 from .search import DEFAULT_WORK_BOUND, search_cs
@@ -34,33 +34,8 @@ _COMPLEX_LITERALS = {"1": 0, "-1": 2, "i": 1, "-i": 3}  # quarters of a turn
 ENUMERATE_MAX_CAP = 100_000  # about 1 s for --q 4 --size 8
 GCP_LEN_CAP = 16_384  # about 1.3 s for --q 2
 PAPR_GRID_CAP = 2**22  # FFT points per row, oversample * N
-SET_LEN_CAP = 2**16  # length of rows read or written; theorem2 on capped gcp pairs writes 49,152
-SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files read or written; theorem2 writes 8 rows
-SET_NOTE_BYTES = 2**16  # the most a set file read holds beyond its header line and rows
 SEARCH_SHAPE_CAP = 2_000_000  # search --size * --len^2; a full path's slot records grow so
 SEARCH_SLOT_CAP = 2**16  # search --size * --len; per-slot state is allocated before any node
-
-
-def _check_caps(what: str, rows: int, length: int) -> None:
-    if length > SET_LEN_CAP:
-        raise WorkBoundExceeded(f"{what}: row length {length} is above the cap of {SET_LEN_CAP}")
-    if rows * length > SET_ENTRY_CAP:
-        raise WorkBoundExceeded(
-            f"{what}: {rows} rows of length {length} are above the cap of {SET_ENTRY_CAP} entries"
-        )
-
-
-def _load(path: str) -> ComplementarySet:
-    # caps from the header line; then no more than its rows (each with a \r\n) and notes
-    with open(path, "rb") as fh:
-        head = fh.readline(256)
-        q, rows, length = setio.parse_header(setio.decode_text(head))
-        _check_caps(path, rows, length)
-        size = rows * (length + 2) + SET_NOTE_BYTES
-        data = head + fh.read(size + 1)
-    if len(data) > len(head) + size:
-        raise InputError(f"{path}: longer than q={q} rows={rows} len={length} and its notes")
-    return setio.parse_set(setio.decode_text(data))[0]
 
 
 def _parse_coeffs(raw: str, record: type, q: int, as_complex: bool) -> tuple:
@@ -113,7 +88,7 @@ def _report_dict(cs: ComplementarySet, report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    cs = _load(args.file)
+    cs = setio.read_set_file(args.file)[0]
     report = verify(cs)
     if args.report == "json":
         print(json.dumps(_report_dict(cs, report)))
@@ -133,17 +108,17 @@ def cmd_verify(args) -> int:
 
 def cmd_concatenate(args) -> int:
     """theorem1 and theorem2: the concatenation rule, as its parser row sets it up."""
-    first, second = [_load(getattr(args, dest)) for dest in args.inputs]
-    _check_caps(f"{args.command} output", args.rows, first.length + second.length)
+    first, second = [setio.read_set_file(getattr(args, dest))[0] for dest in args.inputs]
+    setio.check_caps(f"{args.command} output", args.rows, first.length + second.length)
     coeffs = _parse_coeffs(args.coeffs, args.record, first.q, args.complex)
     _emit_set(args.build(first, second, coeffs), args.out, args.pretty)
     return 0
 
 
 def cmd_stack(args) -> int:
-    sets = [_load(path) for path in args.files]
+    sets = [setio.read_set_file(path)[0] for path in args.files]
     if len({cs.length for cs in sets}) == 1:  # else stack refuses the lengths (exit 2)
-        _check_caps("stack output", sum(cs.size for cs in sets), sets[0].length)
+        setio.check_caps("stack output", sum(cs.size for cs in sets), sets[0].length)
     _emit_set(stack(sets), args.out, args.pretty)
     return 0
 
@@ -205,7 +180,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_papr(args) -> int:
-    cs = _load(args.file)
+    cs = setio.read_set_file(args.file)[0]
     if args.oversample * cs.length > PAPR_GRID_CAP:
         raise WorkBoundExceeded(
             f"papr --oversample {args.oversample} on length {cs.length} is above "
@@ -244,8 +219,8 @@ def _selftest_golden(data_dir) -> list[str]:
     loaded = {}
     for name, (q, size, length) in expect.items():
         try:
-            cs, _ = setio.parse_set(setio.decode_text(gold.joinpath(name).read_bytes()))
-        except ParseError as exc:
+            cs, _ = setio.read_set_file(gold.joinpath(name))
+        except (InputError, WorkBoundExceeded) as exc:
             failures.append(f"{name}: {exc}")
             continue
         if (cs.q, cs.size, cs.length) != (q, size, length):

@@ -6,6 +6,10 @@ q in [1, MAX_Q], the alphabets a `Sequence` admits, so every set has a
 text form). For q=2 that makes `0` mean +1 and `1` mean -1. Files are UTF-8.
 A row costs one regex scan, which finds its first invalid character (a
 ParseError names its line and column), and one `bytes.translate`.
+
+Set files are capped at SET_LEN_CAP = 2^16 entries a row and SET_ENTRY_CAP =
+2^19 in all. `read_set_file` checks the caps on the header line, then reads at
+most its rows (each with a `\r\n`) and SET_NOTE_BYTES = 2^16 bytes of notes.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .algebra import MAX_Q, Sequence
-from .errors import ParseError
+from .errors import InputError, ParseError, WorkBoundExceeded
 from .verify import ComplementarySet
 
+SET_LEN_CAP = 2**16  # length of rows read or written; theorem2 on capped gcp pairs writes 49,152
+SET_ENTRY_CAP = 8 * SET_LEN_CAP  # rows * len of set files read or written; theorem2 writes 8 rows
+SET_NOTE_BYTES = 2**16  # the most a set file read holds beyond its header line and rows
 _HEADER = re.compile(r"^q=([0-9]+) rows=([0-9]+) len=([0-9]+)$")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
@@ -93,8 +100,27 @@ def decode_text(data: bytes) -> str:
         ) from None
 
 
-def read_set_file(path: Union[str, Path]) -> tuple[ComplementarySet, Optional[str]]:
-    return parse_set(decode_text(Path(path).read_bytes()))
+def check_caps(what: str, rows: int, length: int) -> None:
+    if length > SET_LEN_CAP:
+        raise WorkBoundExceeded(f"{what}: row length {length} is above the cap of {SET_LEN_CAP}")
+    if rows * length > SET_ENTRY_CAP:
+        raise WorkBoundExceeded(
+            f"{what}: {rows} rows of length {length} are above the cap of {SET_ENTRY_CAP} entries"
+        )
+
+
+def read_set_file(path) -> tuple[ComplementarySet, Optional[str]]:
+    """The set and note of the file `path`: a str, or a Path or resource with `open`."""
+    # open("") names the missing file ''; Path("") would be the directory "."
+    with open(path, "rb") if isinstance(path, str) else path.open("rb") as fh:
+        head = fh.readline(256)
+        q, rows, length = parse_header(decode_text(head))
+        check_caps(str(path), rows, length)
+        size = rows * (length + 2) + SET_NOTE_BYTES
+        data = head + fh.read(size + 1)
+    if len(data) > len(head) + size:
+        raise InputError(f"{path}: longer than q={q} rows={rows} len={length} and its notes")
+    return parse_set(decode_text(data))
 
 
 def write_set_file(path: Union[str, Path], cs: ComplementarySet) -> None:

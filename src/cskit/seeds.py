@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import io as setio
 from .construct import golay_double, turyn_product
-from .errors import InputError, SeedError
+from .errors import InputError, SeedError, WorkBoundExceeded
 from .reach import (SEED_LENGTHS, Composition, composition, in_gcp_pattern, pattern_form,
                     require_pair_data)
 from .verify import ComplementarySet, ensure_verified
@@ -37,25 +37,30 @@ def _default_seed_dir():
     return resources.files("cskit").joinpath("data").joinpath("seeds")
 
 
-def _parse_seed(name: str, data: bytes) -> SeedRecord:
+def _parse_seed(path, q: int, length: int) -> SeedRecord:
+    """The verified record of the seed file `path`, named for a q-ary pair of `length`."""
     try:
-        cs, note = setio.parse_set(setio.decode_text(data))
-    except InputError as exc:
-        raise SeedError(f"seed {name}: {exc}") from None
+        cs, note = setio.read_set_file(path)
+    except (InputError, WorkBoundExceeded) as exc:
+        raise SeedError(f"seed {path.name}: {exc}") from None
     if cs.size != 2:
-        raise SeedError(f"seed {name}: expected 2 rows, got {cs.size}")
+        raise SeedError(f"seed {path.name}: expected 2 rows, got {cs.size}")
     if not note:
-        raise SeedError(f"seed {name}: missing provenance note")
+        raise SeedError(f"seed {path.name}: missing provenance note")
     first, _, rest = note.partition("\n")
     if not first.startswith("provenance="):
-        raise SeedError(f"seed {name}: first note line must be 'provenance=<value>'")
+        raise SeedError(f"seed {path.name}: first note line must be 'provenance=<value>'")
     provenance = first[len("provenance="):].strip()
     if provenance not in PROVENANCES:
-        raise SeedError(f"seed {name}: unknown provenance {provenance!r}")
+        raise SeedError(f"seed {path.name}: unknown provenance {provenance!r}")
     try:
         pair = ensure_verified(cs)
     except InputError as exc:
-        raise SeedError(f"seed {name} failed verification: {exc}") from None
+        raise SeedError(f"seed {path.name} failed verification: {exc}") from None
+    if cs.q != q:
+        raise SeedError(f"seed {path.name}: header q={cs.q} does not match filename")
+    if cs.length != length:
+        raise SeedError(f"seed {path.name}: length {cs.length} does not match filename")
     return SeedRecord(
         q=cs.q,
         length=cs.length,
@@ -75,15 +80,7 @@ def load_seeds(q: int) -> tuple[SeedRecord, ...]:
     missing = [length for length, path in files.items() if not path.is_file()]
     if missing:
         raise SeedError(f"missing q={q} seed files for lengths {missing}")
-    records = []
-    for length, path in files.items():
-        record = _parse_seed(path.name, path.read_bytes())
-        if record.q != q:
-            raise SeedError(f"seed {path.name}: header q={record.q} does not match filename")
-        if record.length != length:
-            raise SeedError(f"seed {path.name}: length {record.length} does not match filename")
-        records.append(record)
-    return tuple(records)
+    return tuple(_parse_seed(path, q, length) for length, path in files.items())
 
 
 def seed_pair(q: int, length: int) -> SeedRecord:

@@ -14,8 +14,8 @@ from cskit.algebra import (
     accf,
     cyclotomic_polynomial,
 )
-from cskit.cli import SET_LEN_CAP
 from cskit.errors import InputError
+from cskit.io import SET_LEN_CAP
 
 from helpers import (
     conj_rootsum,

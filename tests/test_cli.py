@@ -10,10 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cskit import cli, seeds
+from cskit import io as setio
 from cskit.cli import main
 from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, cs8_from_pair_and_set, stack
 from cskit.errors import InputError
@@ -142,6 +143,12 @@ def test_verify_missing_file_exit2(capsys, tmp_path, target):
     assert err.startswith("error: input: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_of_an_empty_path_names_the_missing_file(capsys):
+    # "" is no file; Path("") would be the directory "."
+    assert run(capsys, "verify", "") == (
+        2, "", "error: input: [Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize("kind", ["directory", "through-file", "too-long"])
@@ -838,13 +845,20 @@ def test_selftest_names_a_golden_file_that_is_not_utf8(capsys, golden_dir, tmp_p
 @pytest.mark.parametrize("text, failure", [
     ("q=2 rows=2 len=3\n000\n001\n", "wrong shape"),
     ("q=2 rows=2 len=4\n0000\n0000\n", "failed verification"),
+    # the reader refuses a header above a cap, and a file longer than its header allows
+    pytest.param(f"q=2 rows=2 len={setio.SET_LEN_CAP + 1}\n",
+                 f"{{path}}: row length {setio.SET_LEN_CAP + 1} is above the cap of "
+                 f"{setio.SET_LEN_CAP}", id="above-a-cap"),
+    pytest.param("q=2 rows=2 len=4\n" + "# note\n" * 10_000 + "0000\n0001\n",
+                 "{path}: longer than q=2 rows=2 len=4 and its notes", id="longer-file"),
 ])
 def test_selftest_names_a_golden_of_the_wrong_shape_or_not_complementary(
     capsys, golden_dir, tmp_path, text, failure
 ):
     shutil.copytree(golden_dir, tmp_path / "golden")
-    (tmp_path / "golden" / "pair_q2_len4.txt").write_text(text)
-    assert cli._selftest_golden(tmp_path) == [f"pair_q2_len4.txt: {failure}"]
+    path = tmp_path / "golden" / "pair_q2_len4.txt"
+    path.write_text(text)
+    assert cli._selftest_golden(tmp_path) == [f"pair_q2_len4.txt: {failure.format(path=path)}"]
     out = capsys.readouterr().out
     assert out.count("verifies\n") == 5 and "reconstruction" not in out
 
@@ -874,7 +888,7 @@ def test_set_file_row_length_above_cap_exit3_before_any_verification(
         raise InputError("stub")
 
     monkeypatch.setattr(cli, "verify", stub)
-    cap = cli.SET_LEN_CAP
+    cap = setio.SET_LEN_CAP
     assert cap >= 3 * cli.GCP_LEN_CAP  # theorem2 on a capped pair and set4
     above, at = tmp_path / "above.txt", tmp_path / "at.txt"
     above.write_text(f"q=4 rows=1 len={cap + 1}\n{'3' * (cap + 1)}\n")
@@ -889,7 +903,7 @@ def test_set_file_row_length_above_cap_exit3_before_any_verification(
 def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
     # garbage rows: a file above a cap exits 3 before any row is parsed, and
     # one at the caps reaches the parser (exit 2)
-    cap, entries = cli.SET_LEN_CAP, cli.SET_ENTRY_CAP
+    cap, entries = setio.SET_LEN_CAP, setio.SET_ENTRY_CAP
     assert entries == 8 * cap  # theorem2 writes 8 rows
     cases = [
         (f"q=2 rows=1 len={cap + 1}", f"row length {cap + 1} is above the cap of {cap}"),
@@ -912,7 +926,7 @@ def test_set_file_caps_are_read_from_the_header(capsys, tmp_path):
 
 def test_a_set_file_is_read_no_further_than_its_header_allows(capsys, tmp_path, monkeypatch):
     # its rows, each with a \r\n, and SET_NOTE_BYTES of notes load; one byte more is refused
-    monkeypatch.setattr(cli, "SET_NOTE_BYTES", 10)
+    monkeypatch.setattr(setio, "SET_NOTE_BYTES", 10)
     path = tmp_path / "set.txt"
     for note, expected in (("# 123456", (0, "")), ("# 1234567", (
             2, f"error: input: {path}: longer than q=2 rows=2 len=2 and its notes\n"))):
@@ -949,13 +963,13 @@ def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
             above.append((length - 1, entries,
                           f"row length {length} is above the cap of {length - 1}"))
         for len_cap, entry_cap, message in above:
-            monkeypatch.setattr(cli, "SET_LEN_CAP", len_cap)
-            monkeypatch.setattr(cli, "SET_ENTRY_CAP", entry_cap)
+            monkeypatch.setattr(setio, "SET_LEN_CAP", len_cap)
+            monkeypatch.setattr(setio, "SET_ENTRY_CAP", entry_cap)
             expected = (3, "", f"error: work-bound: {argv[0]} output: {message}\n")
             assert run(capsys, *argv, "--out", str(out)) == expected
             assert called == [] and correlated == [] and not out.exists()
-        monkeypatch.setattr(cli, "SET_LEN_CAP", length)
-        monkeypatch.setattr(cli, "SET_ENTRY_CAP", entries)
+        monkeypatch.setattr(setio, "SET_LEN_CAP", length)
+        monkeypatch.setattr(setio, "SET_ENTRY_CAP", entries)
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         built = read_set_file(out)[0]
         assert (built.size, built.length) == (rows, length) and called and correlated
@@ -963,19 +977,19 @@ def test_outputs_above_the_set_caps_exit3_before_anything_is_built(
         called.clear()
         correlated.clear()
     # stacked inputs of different lengths have no output shape: exit 2, as without caps
-    monkeypatch.setattr(cli, "SET_LEN_CAP", 14)
-    monkeypatch.setattr(cli, "SET_ENTRY_CAP", 56)
+    monkeypatch.setattr(setio, "SET_LEN_CAP", 14)
+    monkeypatch.setattr(setio, "SET_ENTRY_CAP", 56)
     code, _, err = run(capsys, "stack", set5, set14, "--out", str(out))
     assert (code, err) == (2, "error: input: stacked sets must share one length\n")
     assert not out.exists()
     # a 4-row --pair-a meets the caps first: exit 3 above them, 2 at them
     called.clear()
     argv = ["theorem1", "--pair-a", set14, "--pair-b", pair, "--coeffs", "0,0,0,1"]
-    monkeypatch.setattr(cli, "SET_LEN_CAP", 23)
-    monkeypatch.setattr(cli, "SET_ENTRY_CAP", 96)
+    monkeypatch.setattr(setio, "SET_LEN_CAP", 23)
+    monkeypatch.setattr(setio, "SET_ENTRY_CAP", 96)
     assert run(capsys, *argv) == (
         3, "", "error: work-bound: theorem1 output: row length 24 is above the cap of 23\n")
-    monkeypatch.setattr(cli, "SET_LEN_CAP", 24)
+    monkeypatch.setattr(setio, "SET_LEN_CAP", 24)
     assert run(capsys, *argv) == (2, "", "error: input: pair_a must have exactly 2 rows, got 4\n")
     assert called == ["cs4_from_pairs"] and correlated == []
 
@@ -1000,6 +1014,32 @@ def set_file_bytes(draw):
     cut = draw(st.integers(0, len(raw)))
     return draw(st.sampled_from([raw, raw, raw[:cut], raw[:cut] + b"\xff" + raw[cut:]])
                 | st.binary(max_size=40))
+
+
+def read_outcome(read):
+    """(rows, q, note) of a read, or the type and message of its error."""
+    try:
+        cs, note = read()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return tuple(row.exponents for row in cs.rows), cs.q, note
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=set_file_bytes())
+@example(data=b"\n\xff")  # a bad header line, and a byte after it that is not UTF-8
+def test_read_set_file_reads_what_parse_set_parses(tmp_path, data):
+    path = tmp_path / "set.txt"
+    path.write_bytes(data)
+
+    def from_bytes():
+        # the header line, as readline gives it, is checked before the bytes after it decode
+        setio.parse_header(setio.decode_text(io.BytesIO(data).readline()))
+        return parse_set(setio.decode_text(data))
+
+    assert read_outcome(lambda: read_set_file(path)) == read_outcome(from_bytes)
+    assert read_outcome(lambda: read_set_file(str(path))) == read_outcome(from_bytes)
 
 
 @st.composite
@@ -1081,9 +1121,9 @@ def test_fuzzed_invocations_end_with_an_exit_code(capsys, tmp_path, data):
 LAUNCHER = """
 import resource, subprocess, sys
 limit = int(sys.argv[1]) << 20
-def set_limit():  # the address-space limit applies to the CLI's process alone
+def set_limit():  # the address-space limit applies to the child's process alone
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-proc = subprocess.run([sys.executable, "-m", "cskit.cli", *sys.argv[2:]],
+proc = subprocess.run([sys.executable, *sys.argv[2:]],
                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                       preexec_fn=set_limit if limit else None)
 sys.stderr.buffer.write(proc.stderr)
@@ -1091,11 +1131,12 @@ print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def child(*argv, limit_mb=0):
-    """(exit code, stderr, peak RSS in MB) of `cskit argv` run in a child process."""
+def child(*argv, limit_mb=0, python=("-m", "cskit.cli")):
+    """(exit code, stderr, peak RSS in MB) of `python -m cskit.cli argv` run in a
+    child process; `python` replaces `-m cskit.cli`, as ("-c", script) does."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    result = subprocess.run([sys.executable, "-c", LAUNCHER, str(limit_mb), *argv],
+    result = subprocess.run([sys.executable, "-c", LAUNCHER, str(limit_mb), *python, *argv],
                             capture_output=True, text=True, env=env, check=True)
     code, kib = result.stdout.split()
     return int(code), result.stderr, int(kib) / 1024
@@ -1182,3 +1223,17 @@ def test_a_call_at_its_cap_stays_within_its_margin_of_a_small_call(small_call_pe
                             limit_mb=400 if expected[0] else 0)
     assert (code, err) == (expected[0], expected[1].format(**files))
     assert peak - small_call_peak < margin, (small_call_peak, peak)
+
+
+@linux_only
+def test_the_library_reads_a_set_file_no_further_than_its_header_allows(small_call_peak,
+                                                                        long_file):
+    # cskit.read_set_file is the CLI's reader: the 40 MB file is refused after
+    # its header's allowance, as `verify` refuses it
+    script = ("import sys, cskit\n"
+              "try:\n    cskit.read_set_file(sys.argv[1])\n"
+              "except cskit.InputError as exc:\n    sys.exit(f'{type(exc).__name__}: {exc}')\n")
+    code, err, peak = child(str(long_file), limit_mb=400, python=("-c", script))
+    assert (code, err) == (1, f"InputError: {long_file}: longer than q=2 rows=2 len=4 "
+                              "and its notes\n")
+    assert peak - small_call_peak < 15, (small_call_peak, peak)
