@@ -5,27 +5,30 @@ in [0, q); the entry t represents is exp(2*pi*sqrt(-1)*t/q). MAX_Q = 10, the
 one alphabet range of the package, lets the text format write each entry as
 one digit; `check_alphabet` refuses every other q. The maps (`scale`,
 `render`, `as_complex`) look every entry up in a q-entry table in C
-(`bytes.translate` or `map`). Correlation values are integer combinations of
-the q-th roots of unity, kept in canonical coordinates of the ring Z[zeta_q]
-(reduced modulo the q-th cyclotomic polynomial), so equality and zero tests
-are exact. For q in {1, 2, 4} the canonical coordinates are literally
-Gaussian integers. A `RootSum` holds one such value for comparison and
-display; it has no arithmetic.
+(`bytes.translate`, `map` or a numpy gather). Correlation values are integer
+combinations of the q-th roots of unity, kept in canonical coordinates of
+the ring Z[zeta_q] (reduced modulo the q-th cyclotomic polynomial), so
+equality and zero tests are exact. For q in {1, 2, 4} the canonical
+coordinates are literally Gaussian integers. A `RootSum` holds one such
+value for comparison and display; it has no arithmetic.
 
 `accf` correlates each row pair with numpy, on one of two exact embeddings
 that its cached table picks once per q (`aacf` gathers its row once):
-- q in {1, 2, 4}: the entries themselves, +-1 in float64 or 1, i, -1, -i
-  in complex128, in one `np.correlate`. Every product of two entries is
-  +-1 or +-i, so every real and imaginary partial sum is an integer of
-  magnitude at most N < 2^53 (set files are capped at 2^16), summed directly
-  (no FFT); the real and imaginary parts are the canonical coordinates,
-  read into int64.
-- every other q: the entries' canonical coordinates, phi(q)^2 float64
-  correlations whose partial sums are integers of magnitude at most
-  N * max|c|^2 < 2^53 (c over the coordinates of the q-th roots), folded
-  into canonical coordinates in int64.
-No epsilon or rounding decides anything. Otherwise floating point appears
-only in display helpers (`to_complex`, `abs`, `as_complex`).
+- q in {1, 2, 4}: the entries themselves, +-1 as reals or 1, i, -1, -i as
+  complex numbers, in one `np.correlate`. Every product of two entries is
+  +-1 or +-i, summed directly (no FFT); the real and imaginary parts are
+  the canonical coordinates, read into int64.
+- every other q: the entries' canonical coordinates, phi(q)^2 real
+  correlations folded into canonical coordinates in int64.
+Every coordinate of a q-th root is -1, 0 or 1 for q <= MAX_Q, so every
+product in either embedding has parts in {-1, 0, 1}, and every partial sum,
+in any summation order, is an integer of magnitude at most N. Single
+precision (float32, complex64) holds every integer up to 2^24 exactly, so
+rows of length N <= SINGLE_MAX_N = 2^24 are correlated in single precision
+(set files are capped at 2^16); longer rows, which only library callers can
+build, in double precision (exact up to 2^53). No epsilon or rounding
+decides anything. Otherwise floating point appears only in display helpers
+(`complex_parts`, `to_complex`, `abs`, `as_complex`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 from .errors import InputError
 
 MAX_Q = 10  # the largest alphabet order (the module notes)
+SINGLE_MAX_N = 2**24  # float32 holds every integer of magnitude <= 2^24 (the module notes)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +117,7 @@ class RootSum:
         return cls.from_counts(q, [int(d == t % q) for d in range(q)])
 
     def to_complex(self) -> complex:
-        if self.q in (1, 2, 4):  # the coordinates are the real and imaginary parts
-            return complex(*self.coords)
-        return sum(
-            (c * cmath.exp(2j * cmath.pi * t / self.q) for t, c in enumerate(self.coords) if c),
-            0j,
-        )
+        return complex(*complex_parts(self.q, np.array([self.coords]))[0])
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -184,9 +183,9 @@ class Sequence:
             raise InputError("concat needs a shared alphabet")
         return Sequence(self.q, self.exponents + other.exponents)
 
-    def as_complex(self) -> list[complex]:
-        roots = [cmath.exp(2j * cmath.pi * t / self.q) for t in range(self.q)]
-        return list(map(roots.__getitem__, self.exponents))
+    def as_complex(self) -> np.ndarray:
+        """The entries as a complex128 array, gathered from `_complex_roots`."""
+        return _complex_roots(self.q)[np.frombuffer(bytes(self.exponents), np.uint8)]
 
     def render(self, pretty: bool = False) -> str:
         """Digit string by default; +,-,i,î glyphs for q in {2, 4} with pretty."""
@@ -208,15 +207,44 @@ def root_coords(q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(q: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """For q in {1, 2, 4}: conj(zeta_q^d) at index d (float64, or complex128
-    for q = 4) and no fold. Otherwise: coordinates of zeta_q^d in column d
-    (float64), and of zeta_q^(i+l) in row i*phi(q) + l (int64)."""
+def _complex_roots(q: int) -> np.ndarray:
+    """cmath's exp(2*pi*sqrt(-1)*t/q) at index t: a read-only complex128
+    array, built once per q."""
+    roots = np.array([cmath.exp(2j * cmath.pi * t / q) for t in range(q)])
+    roots.flags.writeable = False
+    return roots
+
+
+def complex_parts(q: int, coords: np.ndarray) -> np.ndarray:
+    """The float64 real and imaginary parts (one row each) of the values
+    whose canonical Z[zeta_q] coordinates are the rows of `coords`.
+
+    For q in {1, 2, 4} the coordinates are the parts. Otherwise each value
+    adds c_t * zeta_q^t (`_complex_roots`) over t in increasing order,
+    starting from zero; that order fixes the last bits.
+    """
+    parts = np.zeros((len(coords), 2))
+    if q in (1, 2, 4):
+        parts[:, :coords.shape[1]] = coords
+    else:
+        for c, root in zip(coords.T, _complex_roots(q).tolist()):
+            parts[:, 0] += c * root.real
+            parts[:, 1] += c * root.imag
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(q: int, real: type) -> tuple[np.ndarray, np.ndarray | None]:
+    """For q in {1, 2, 4}: conj(zeta_q^d) at index d (`real`, or its complex
+    type for q = 4) and no fold. Otherwise: coordinates of zeta_q^d in column
+    d (`real`), and of zeta_q^(i+l) in row i*phi(q) + l (int64)."""
     ring = root_coords(q)
     if q in (1, 2, 4):  # the coordinates are the real and imaginary parts
-        return (ring[:, 0] - 1j * ring[:, 1] if q == 4 else ring[:, 0].astype(np.float64)), None
+        if q == 4:
+            return (ring[:, 0] - 1j * ring[:, 1]).astype(np.result_type(real, np.complex64)), None
+        return ring[:, 0].astype(real), None
     phi = ring.shape[1]
-    return ring.T.astype(np.float64), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
+    return ring.T.astype(real), ring[np.add.outer(np.arange(phi), np.arange(phi)).ravel() % q]
 
 
 # not a NamedTuple: __eq__ and __add__ act on the ndarray
@@ -243,10 +271,6 @@ class CorrelationProfile:
     def peak(self) -> RootSum:
         return self.at(0)
 
-    def nonzero_shifts(self) -> list[int]:
-        """The shifts whose value is not exactly zero, in increasing order."""
-        return (np.flatnonzero(self.coords.any(axis=1)) - (self.length_n - 1)).tolist()
-
     def __add__(self, other: "CorrelationProfile") -> "CorrelationProfile":
         if (self.q, self.length_n) != (other.q, other.length_n):
             raise InputError("cannot add profiles of different root orders or lengths")
@@ -267,11 +291,13 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
 
     For q in {1, 2, 4} the value is one correlation of the entries, as
     Gaussian integers: each partial sum's real and imaginary parts are
-    integers of magnitude at most N < 2^53, and they are the canonical
+    integers of magnitude at most N, and they are the canonical
     coordinates. For every other q it is the sum over i, l < phi(q) of
     C_il[tau] * zeta_q^(i+l), where C_il correlates coordinate l of conj(b)
-    with coordinate i of a; the module docstring bounds these float64
-    correlations below 2^53.
+    with coordinate i of a, again with integer partial sums of magnitude at
+    most N. Both run in float32 (complex64) for N <= SINGLE_MAX_N = 2^24,
+    where float32 holds every such integer exactly, and in float64
+    (complex128, exact below 2^53) above it.
     """
     if a.q != b.q:
         raise InputError("correlation needs a shared alphabet")
@@ -279,17 +305,19 @@ def accf(a: Sequence, b: Sequence) -> CorrelationProfile:
         raise InputError(f"correlation needs equal lengths, got {len(a)} and {len(b)}")
     q = a.q
     n = len(a)
-    roots, fold = _kernel_tables(q)
+    # every partial sum is an integer of magnitude <= n, exact in float32 up to 2^24
+    real = np.float32 if n <= SINGLE_MAX_N else np.float64
+    roots, fold = _kernel_tables(q, real)
     if fold is None:  # conj(b) against conj(a); np.correlate conjugates its second argument
         conj_a = roots[np.frombuffer(bytes(a.exponents), dtype=np.uint8)]
         conj_b = conj_a if b is a else roots[np.frombuffer(bytes(b.exponents), dtype=np.uint8)]
-        corr = np.correlate(conj_b, conj_a, "full").view(np.float64)  # (re, im) pairs for q = 4
+        corr = np.correlate(conj_b, conj_a, "full").view(real)  # (re, im) pairs for q = 4
         return CorrelationProfile(q, n, corr.reshape(2 * n - 1, -1).astype(np.int64))
     phi = roots.shape[0]
     ia = np.array(a.exponents, dtype=np.intp)
     ca = roots[:, ia]
     cb = roots[:, -(ia if b is a else np.array(b.exponents, dtype=np.intp)) % q]
-    corr = np.empty((2 * n - 1, phi * phi))
+    corr = np.empty((2 * n - 1, phi * phi), dtype=real)
     for i in range(phi):
         for l in range(phi):
             corr[:, i * phi + l] = np.correlate(cb[l], ca[i], "full")

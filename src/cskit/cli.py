@@ -15,7 +15,7 @@ import sys
 from functools import partial
 
 from . import io as setio
-from .algebra import check_alphabet
+from .algebra import check_alphabet, complex_parts
 from .construct import (
     Coeffs4,
     Coeffs8,
@@ -73,8 +73,6 @@ def _emit_set(cs: ComplementarySet, out: str | None, pretty: bool) -> None:
 
 def _report_dict(cs: ComplementarySet, report) -> dict:
     n = cs.length
-    profile = report.sum_profile
-    nonzero = {tau: profile.at(tau).to_complex() for tau in profile.nonzero_shifts() if tau >= 0}
     return {
         "is_cs": report.is_cs,
         "q": cs.q,
@@ -83,7 +81,7 @@ def _report_dict(cs: ComplementarySet, report) -> dict:
         "peak": cs.size * n,
         "first_defect_shift": report.first_defect_shift,
         "defect_magnitudes": {str(t): m for t, m in report.defect_magnitudes.items()},
-        "sum_profile": [[z.real, z.imag] for z in (nonzero.get(tau, 0j) for tau in range(n))],
+        "sum_profile": complex_parts(cs.q, report.sum_profile.coords[n - 1:]).tolist(),
     }
 
 
@@ -219,9 +217,9 @@ def _selftest_golden(data_dir) -> list[str]:
     loaded = {}
     for name, (q, size, length) in expect.items():
         try:
-            cs, _ = setio.read_set_file(gold.joinpath(name))
+            cs, _ = setio.read_set_file(path := gold.joinpath(name))
         except (InputError, WorkBoundExceeded) as exc:
-            failures.append(f"{name}: {exc}")
+            failures.append(f"{name}: {setio.without_path(exc, path)}")
             continue
         if (cs.q, cs.size, cs.length) != (q, size, length):
             failures.append(f"{name}: wrong shape")

@@ -123,5 +123,12 @@ def read_set_file(path) -> tuple[ComplementarySet, Optional[str]]:
     return parse_set(decode_text(data))
 
 
+def without_path(exc: Exception, path) -> str:
+    """The message of a refusal by `read_set_file(path)`, without the path
+    that its cap and length refusals name first; for callers that name the
+    file themselves."""
+    return str(exc).removeprefix(f"{path}: ")
+
+
 def write_set_file(path: Union[str, Path], cs: ComplementarySet) -> None:
     Path(path).write_text(serialize_set(cs), encoding="utf-8")

@@ -42,7 +42,7 @@ def _parse_seed(path, q: int, length: int) -> SeedRecord:
     try:
         cs, note = setio.read_set_file(path)
     except (InputError, WorkBoundExceeded) as exc:
-        raise SeedError(f"seed {path.name}: {exc}") from None
+        raise SeedError(f"seed {path.name}: {setio.without_path(exc, path)}") from None
     if cs.size != 2:
         raise SeedError(f"seed {path.name}: expected 2 rows, got {cs.size}")
     if not note:

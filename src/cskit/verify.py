@@ -13,7 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from .algebra import CorrelationProfile, Sequence, aacf
+import numpy as np
+
+from .algebra import CorrelationProfile, Sequence, aacf, complex_parts
 from .errors import InputError
 
 
@@ -83,13 +85,16 @@ def _is_cs(total, size: int) -> bool:
 
 
 def _report(candidate: ComplementarySet, coords) -> VerificationReport:
-    """The report on a stack from its summed profile's coordinates; only the
-    shifts whose summed value is not exactly zero are visited."""
-    total = CorrelationProfile(candidate.q, candidate.length, coords)
-    defects = {tau: abs(total.at(tau)) for tau in total.nonzero_shifts() if tau > 0}
+    """The report on a stack from its summed profile's coordinates; the
+    magnitudes of the shifts tau > 0 whose summed value is not exactly zero
+    are read off the coordinate array (libm's hypot, as abs of a complex)."""
+    n = candidate.length
+    shifts = np.flatnonzero(coords[n:].any(axis=1))  # tau - 1 for each defect
+    defects = dict(zip((shifts + 1).tolist(),
+                       np.hypot(*complex_parts(candidate.q, coords[n:][shifts]).T).tolist()))
     return VerificationReport(
         is_cs=_is_cs(coords, candidate.size),
-        sum_profile=total,
+        sum_profile=CorrelationProfile(candidate.q, n, coords),
         first_defect_shift=next(iter(defects), None),
         defect_magnitudes=defects,
     )

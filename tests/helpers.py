@@ -21,6 +21,7 @@ from cskit.algebra import RootSum, Sequence, root_coords
 from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, golay_double, turyn_product
 from cskit.errors import InputError, ParseError, WorkBoundExceeded
 from cskit.io import _HEADER
+from cskit.papr import PaprResult
 from cskit.reach import (
     Derivation,
     LengthEntry,
@@ -812,6 +813,64 @@ def oracle_render(seq: Sequence, pretty: bool = False) -> str:
 def oracle_as_complex(seq: Sequence) -> list[complex]:
     q = seq.q
     return [cmath.exp(2j * cmath.pi * e / q) for e in seq.exponents]
+
+
+# ---------------------------------------------------------------------------
+# The report values and the PAPR input as they were built before they were
+# read off arrays: one RootSum and one Python complex per nonzero shift, and
+# a Python list of entries. verify, `verify --report json` and papr must give
+# these bits.
+
+
+def oracle_to_complex(v: RootSum) -> complex:
+    """RootSum.to_complex as Python complex products, summed left to right from 0j."""
+    if v.q in (1, 2, 4):
+        return complex(*v.coords)
+    total = 0j
+    for t, c in enumerate(v.coords):
+        if c:
+            total += c * cmath.exp(2j * cmath.pi * t / v.q)
+    return total
+
+
+def oracle_report(cs: ComplementarySet) -> dict:
+    """`cli._report_dict(cs, verify(cs))`, its defects and profile built per shift."""
+    n = cs.length
+    report = verify(cs)
+    profile = report.sum_profile
+    nonzero = (np.flatnonzero(profile.coords.any(axis=1)) - (n - 1)).tolist()
+    defects = {tau: abs(oracle_to_complex(profile.at(tau))) for tau in nonzero if tau > 0}
+    values = {tau: oracle_to_complex(profile.at(tau)) for tau in nonzero if tau >= 0}
+    return {
+        "is_cs": report.is_cs,
+        "q": cs.q,
+        "rows": cs.size,
+        "len": n,
+        "peak": cs.size * n,
+        "first_defect_shift": next(iter(defects), None),
+        "defect_magnitudes": {str(t): m for t, m in defects.items()},
+        "sum_profile": [[z.real, z.imag] for z in (values.get(tau, 0j) for tau in range(n))],
+    }
+
+
+def oracle_papr(seq: Sequence, oversample: int) -> PaprResult:
+    """papr with the entries copied in from a list, as before `Sequence.as_complex`
+    gathered them into an array."""
+    n = len(seq)
+    grid = oversample * n
+    padded = np.zeros(grid, dtype=complex)
+    padded[:n] = oracle_as_complex(seq)
+    power = np.abs(np.fft.ifft(padded) * grid) ** 2
+    peak = int(np.argmax(power))
+    return PaprResult(float(power[peak]) / n, peak / grid, oversample)
+
+
+def dft_set(q: int, length: int, scales) -> ComplementarySet:
+    """The complementary set of rows (j * k) mod q, k < length <= q, for j < q,
+    row j scaled by zeta_q^scales[j]: at 0 < tau < q the rows' correlations
+    sum to (length - tau) * (sum over j of zeta_q^(-j * tau)) = 0."""
+    return ComplementarySet(tuple(
+        Sequence.from_exponents(q, [j * k + scales[j] for k in range(length)]) for j in range(q)))
 
 
 def _oracle_binary_bits(seq: Sequence) -> list[int]:

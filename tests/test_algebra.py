@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cskit import algebra
 from cskit.algebra import (
+    MAX_Q,
     RootSum,
     Sequence,
     aacf,
     accf,
     cyclotomic_polynomial,
+    root_coords,
 )
 from cskit.errors import InputError
 from cskit.io import SET_LEN_CAP
@@ -248,27 +251,65 @@ def test_accf_matches_rootsum_oracle(q, n, data):
 
 
 @st.composite
-def gaussian_rows(draw, q, n):
-    # random, constant or alternating (1, -1 or 1, i) rows over q in {1, 2, 4}
+def kernel_rows(draw, q, n):
+    # random, constant or alternating (1, zeta_q^step) rows; constant and
+    # alternating rows make the largest partial sums
     kind = draw(st.sampled_from(["random", "constant", "alternating"]))
     if kind == "random":
         return draw(sequences(q, n, n))
     if kind == "constant":
         return Sequence.from_exponents(q, [draw(st.integers(0, q - 1))] * n)
-    step = draw(st.sampled_from([q // 2, q // 4] if q == 4 else [q // 2]))
+    step = draw(st.integers(0, q - 1))
     return Sequence.from_exponents(q, [k % 2 * step for k in range(n)])
 
 
-@given(st.sampled_from([1, 2, 4]), st.integers(1, 300), st.data())
-@settings(max_examples=120, deadline=None)
-def test_gaussian_kernel_matches_coordinate_oracle(q, n, data):
-    a, b = data.draw(gaussian_rows(q, n)), data.draw(gaussian_rows(q, n))
-    phi = 1 + (q == 4)
+def assert_kernel_matches_coordinate_oracle(a, b):
+    n, phi = len(a), root_coords(a.q).shape[1]
     for got, want in ((accf(a, b).coords, oracle_coordinate_accf(a, b)),
                       (aacf(a).coords, oracle_coordinate_accf(a, a))):
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape == (2 * n - 1, phi)
         assert np.array_equal(got, want)
+
+
+@given(st.integers(1, MAX_Q), st.integers(1, 300), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gaussian_kernel_matches_coordinate_oracle(q, n, data):
+    # both embeddings, in single precision, against the float64 coordinate kernel
+    assert_kernel_matches_coordinate_oracle(data.draw(kernel_rows(q, n)),
+                                            data.draw(kernel_rows(q, n)))
+
+
+@pytest.mark.parametrize("q", range(1, MAX_Q + 1))
+def test_root_coordinates_are_minus_one_zero_or_one(q):
+    # the premise of single precision: every product in either embedding has
+    # parts in {-1, 0, 1}, so every partial sum is an integer of magnitude <= N
+    assert np.abs(root_coords(q)).max() == 1
+
+
+@pytest.mark.parametrize("q", range(1, MAX_Q + 1))
+def test_single_precision_stops_at_its_bound(monkeypatch, q):
+    # with the bound moved down to 8: rows of length 8 or less correlate in
+    # float32 (complex64 for q = 4) and longer rows in float64 (complex128),
+    # and both sides equal the oracle on constant, alternating and random rows
+    monkeypatch.setattr(algebra, "SINGLE_MAX_N", 8)
+    dtypes = []
+    real = np.correlate
+    monkeypatch.setattr(np, "correlate",
+                        lambda x, y, mode: dtypes.append((x.dtype, y.dtype)) or real(x, y, mode))
+    rng = np.random.default_rng(q)
+    for n in (1, 7, 8, 9, 40):
+        rows = [Sequence.from_exponents(q, [0] * n),
+                Sequence.from_exponents(q, [k % 2 * (q - 1) for k in range(n)]),
+                Sequence.from_exponents(q, rng.integers(0, q, n).tolist())]
+        single = n <= 8
+        want = np.dtype((np.complex64 if single else np.complex128) if q == 4 else
+                        (np.float32 if single else np.float64))
+        for a, b in zip(rows, rows[1:] + rows[:1]):
+            dtypes.clear()
+            accf(a, b)
+            assert set(dtypes) == {(want, want)}
+            assert_kernel_matches_coordinate_oracle(a, b)
 
 
 def test_gaussian_kernel_is_exact_at_the_set_length_cap():
@@ -323,4 +364,4 @@ def test_render_matches_loop_oracle(q, pretty, data):
 def test_as_complex_is_bit_identical_to_loop_oracle(q, data):
     a = data.draw(sequences(q, 1, 40))
     # repr tells -0.0 from 0.0, so equal reprs are equal bits
-    assert list(map(repr, a.as_complex())) == list(map(repr, oracle_as_complex(a)))
+    assert list(map(repr, a.as_complex().tolist())) == list(map(repr, oracle_as_complex(a)))

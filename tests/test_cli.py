@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from cskit import cli, seeds
 from cskit import io as setio
+from cskit.algebra import MAX_Q, Sequence
 from cskit.cli import main
 from cskit.construct import Coeffs4, Coeffs8, cs4_from_pairs, cs8_from_pair_and_set, stack
 from cskit.errors import InputError
@@ -23,10 +25,10 @@ from cskit.papr import PaprResult
 from cskit.reach import SEED_LENGTHS, ReachabilitySet, reachable_lengths
 from cskit.search import SearchResult
 from cskit.seeds import GcpLookup, gcp_for_length, load_seeds
-from cskit.verify import ensure_verified, verify
+from cskit.verify import ComplementarySet, ensure_verified, verify
 
 from conftest import load_golden
-from helpers import oracle_build_parser, rootsum_accf, sum_rootsums
+from helpers import dft_set, oracle_build_parser, oracle_report, rootsum_accf, sum_rootsums
 
 verify_module = importlib.import_module("cskit.verify")  # cskit.verify is the function
 
@@ -99,6 +101,45 @@ def test_verify_json_sum_profile_matches_rootsum_oracle(capsys, tmp_path):
     assert code == 1
     assert [not any(v.coords) for v in total] == [False, False, True, False, True, False]
     assert json.loads(out)["sum_profile"] == [[v.to_complex().real, v.to_complex().imag] for v in total]
+
+
+@st.composite
+def report_sets(draw, q):
+    # a complementary dft_set, or a random stack (rarely complementary)
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+        return dft_set(q, draw(st.integers(1, q)), scales)
+    n = draw(st.integers(1, 60))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return ComplementarySet(tuple(Sequence.from_exponents(q, draw(row))
+                                  for _ in range(draw(st.integers(1, 4)))))
+
+
+@given(st.integers(1, MAX_Q), st.data())
+@settings(max_examples=200, deadline=None)
+def test_report_dict_is_bit_identical_to_the_per_shift_oracle(q, data):
+    cs = data.draw(report_sets(q))
+    assert json.dumps(cli._report_dict(cs, verify(cs))) == json.dumps(oracle_report(cs))
+
+
+@pytest.mark.parametrize("q", range(1, MAX_Q + 1))
+def test_verify_json_bytes_match_the_per_shift_oracle(capsys, tmp_path, q):
+    # a complementary and a random set of every q, and for even q a binary
+    # pair of length 52 carried over to q
+    rng = random.Random(q)
+    sets = [dft_set(q, q, [rng.randrange(q) for _ in range(q)]),
+            ComplementarySet(tuple(Sequence.from_exponents(q, [rng.randrange(q) for _ in range(97)])
+                                   for _ in range(3)))]
+    if q % 2 == 0:
+        sets.append(ComplementarySet(tuple(Sequence.from_exponents(q, [e * q // 2 for e in row])
+                                           for row in gcp_for_length(2, 52).pair.rows)))
+    path = tmp_path / "set.txt"
+    for cs in sets:
+        write_set_file(path, cs)
+        want = oracle_report(cs)
+        assert run(capsys, "verify", str(path), "--report", "json") == (
+            0 if want["is_cs"] else 1, json.dumps(want) + "\n", "")
+    assert [oracle_report(cs)["is_cs"] for cs in sets] == [True, False] + [True] * (q % 2 == 0)
 
 
 def test_verify_tampered_set_reports_defect(capsys, golden_dir, tmp_path):
@@ -847,10 +888,10 @@ def test_selftest_names_a_golden_file_that_is_not_utf8(capsys, golden_dir, tmp_p
     ("q=2 rows=2 len=4\n0000\n0000\n", "failed verification"),
     # the reader refuses a header above a cap, and a file longer than its header allows
     pytest.param(f"q=2 rows=2 len={setio.SET_LEN_CAP + 1}\n",
-                 f"{{path}}: row length {setio.SET_LEN_CAP + 1} is above the cap of "
-                 f"{setio.SET_LEN_CAP}", id="above-a-cap"),
+                 f"row length {setio.SET_LEN_CAP + 1} is above the cap of {setio.SET_LEN_CAP}",
+                 id="above-a-cap"),
     pytest.param("q=2 rows=2 len=4\n" + "# note\n" * 10_000 + "0000\n0001\n",
-                 "{path}: longer than q=2 rows=2 len=4 and its notes", id="longer-file"),
+                 "longer than q=2 rows=2 len=4 and its notes", id="longer-file"),
 ])
 def test_selftest_names_a_golden_of_the_wrong_shape_or_not_complementary(
     capsys, golden_dir, tmp_path, text, failure
@@ -858,7 +899,8 @@ def test_selftest_names_a_golden_of_the_wrong_shape_or_not_complementary(
     shutil.copytree(golden_dir, tmp_path / "golden")
     path = tmp_path / "golden" / "pair_q2_len4.txt"
     path.write_text(text)
-    assert cli._selftest_golden(tmp_path) == [f"pair_q2_len4.txt: {failure.format(path=path)}"]
+    # the file is named once, by its name, as in every other failure line
+    assert cli._selftest_golden(tmp_path) == [f"pair_q2_len4.txt: {failure}"]
     out = capsys.readouterr().out
     assert out.count("verifies\n") == 5 and "reconstruction" not in out
 

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from cskit.algebra import Sequence
+from cskit.algebra import MAX_Q, Sequence
 from cskit.errors import InputError
 from cskit.papr import papr
 from cskit.seeds import gcp_for_length, load_seeds
 
 from conftest import load_golden
-from helpers import random_gcp, signs
+from helpers import oracle_papr, random_gcp, signs
 
 TOL = 1e-9
 
@@ -82,6 +82,18 @@ def test_papr_at_least_one():
 def test_peak_position_in_unit_interval():
     result = papr(signs("+-+-"), 16)
     assert 0 <= result.peak_t < 1
+
+
+@pytest.mark.parametrize("q", range(1, MAX_Q + 1))
+@pytest.mark.parametrize("oversample", [1, 4, 16])
+def test_papr_is_bit_identical_to_the_list_oracle(q, oversample):
+    # the entries gathered from the cached table of roots give the same FFT
+    # input, so the same bits, as the list of cmath values did
+    rng = random.Random(q * 100 + oversample)
+    for n in (1, 2, 3, 13, 64, 100, 257):
+        row = Sequence.from_exponents(q, [rng.randrange(q) for _ in range(n)])
+        got, want = papr(row, oversample), oracle_papr(row, oversample)
+        assert (repr(got.papr), repr(got.peak_t)) == (repr(want.papr), repr(want.peak_t))
 
 
 def test_oversample_validated():

@@ -10,7 +10,7 @@ from conftest import load_golden
 from cskit import seeds
 from cskit.cli import main
 from cskit.errors import InputError, SeedError
-from cskit.io import serialize_set
+from cskit.io import SET_LEN_CAP, serialize_set
 from cskit.reach import SEED_LENGTHS, composition
 from cskit.seeds import gcp_for_length, load_seeds, seed_pair
 from cskit.verify import verify
@@ -151,6 +151,11 @@ def test_tampered_provenance_rejected(seed_copy):
     ("q2_len2.txt", lambda text: text.replace("len=2", "len=1").replace("\n00\n01\n",
                                                                         "\n0\n0\n"),
      "length 1 does not match filename"),
+    # the reader's own refusals name the path; the message names the seed once
+    ("q2_len1.txt", lambda text: text.replace("\n", "\n" + "# note\n" * 12_000, 1),
+     "longer than q=2 rows=2 len=1 and its notes"),
+    ("q2_len1.txt", lambda text: text.replace("len=1", f"len={SET_LEN_CAP + 1}"),
+     f"row length {SET_LEN_CAP + 1} is above the cap of {SET_LEN_CAP}"),
 ])
 def test_a_malformed_seed_file_is_named_with_its_fault(seed_copy, name, edit, message):
     path = seed_copy / name
